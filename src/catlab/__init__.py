@@ -70,6 +70,7 @@ from .quantize import (
 )
 from .quasimodes import (
     BallReport,
+    Experiment,
     QuasimodeSpec,
     build_quasimode,
     choose_N,
@@ -78,6 +79,7 @@ from .quasimodes import (
     nonequidistribution_report,
     residual,
     run_experiment,
+    run_pipeline,
     scmeasure_error,
 )
 

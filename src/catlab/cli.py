@@ -24,7 +24,7 @@ from . import __version__
 from .classical import enumerate_prime_orbits, validate_cat_map
 from .coherent import axis_variances, husimi, torus_coherent
 from .errors import CatlabError, ConfigError, PreconditionError
-from .hilbert import choose_theta, propagator, translation
+from .hilbert import QuantumState, choose_theta, propagator, translation
 from .io import (
     canonical_json,
     load_state,
@@ -34,7 +34,14 @@ from .io import (
     save_state,
 )
 from .quantize import Symbol, antiwick_expectation, weyl_antiwick_gap, weyl_quantize
-from .quasimodes import build_quasimode, run_experiment, scmeasure_error, QuasimodeSpec
+from .quasimodes import (
+    DEFAULT_FREQUENCIES,
+    QuasimodeSpec,
+    build_quasimode,
+    loglog_slope,
+    run_pipeline,
+    scmeasure_error,
+)
 from .selftest import selftest
 
 
@@ -195,45 +202,27 @@ def cmd_quasimode(args) -> int:
     cfg = parse_config_file(args.config)
     if "matrix" not in cfg:
         raise ConfigError("config needs a 'matrix' entry")
-    t0 = time.time()
-    report = run_experiment(cfg)
-    elapsed = time.time() - t0
+    t0 = time.perf_counter()
+    exp = run_pipeline(cfg)
+    t1 = time.perf_counter()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(canonical_json(report))
-    # timings are volatile; they live in a sidecar so report bytes stay
-    # reproducible for identical config + seed
-    (out.parent / (out.stem + ".timings.json")).write_text(
-        canonical_json({"total_seconds": elapsed})
-    )
+    out.write_text(canonical_json(exp.report))
     _write_manifest(out, cfg)
     outputs = cfg.get("outputs", ["state", "husimi", "orbit"])
-    if outputs:
-        cat = validate_cat_map(*cfg["matrix"])
-        grid = choose_theta(cat, report["N"])
-        from .classical import Orbit, RationalPoint
-
-        orbit = Orbit(
-            tuple(RationalPoint(j, k, report["orbit"]["l"]) for j, k in report["orbit"]["points"]),
-            l=report["orbit"]["l"],
-        )
-        spec = QuasimodeSpec(
-            orbit=orbit,
-            phi=report["phi"],
-            delta=report["delta"],
-            grid=grid,
-            catmap=cat,
-        )
-        psi, psi_n = build_quasimode(spec)
-        if "state" in outputs:
-            save_state(out.parent / (out.stem + ".state.bin"), psi_n)
-        if "husimi" in outputs:
-            save_husimi_csv(
-                out.parent / (out.stem + ".husimi.csv"),
-                husimi(psi_n, cat, int(cfg.get("G", 256))),
-            )
-        if "orbit" in outputs:
-            save_orbits_json(out.parent / (out.stem + ".orbit.json"), [orbit], cat)
+    if "state" in outputs:
+        save_state(out.parent / (out.stem + ".state.bin"), exp.psi_n)
+    if "husimi" in outputs:
+        save_husimi_csv(out.parent / (out.stem + ".husimi.csv"), exp.hgrid)
+    if "orbit" in outputs:
+        save_orbits_json(out.parent / (out.stem + ".orbit.json"), [exp.orbit], exp.catmap)
+    t2 = time.perf_counter()
+    # timings are volatile; they live in a sidecar so report bytes stay
+    # reproducible for identical config + seed
+    stages = dict(exp.timings, artifacts=t2 - t1)
+    (out.parent / (out.stem + ".timings.json")).write_text(
+        canonical_json({"total_seconds": t2 - t0, "stages": stages})
+    )
     print(f"quasimode report -> {out}")
     return 0
 
@@ -252,22 +241,16 @@ def _sweep_rows(args) -> Tuple[List[List[float]], List[str], float]:
             grid = choose_theta(cat, N)
             gap = weyl_antiwick_gap(sym, cat, grid, G=args.G)
             rows.append([N, grid.hbar, gap])
-        slope = float(
-            np.polyfit(np.log([r[0] for r in rows]), np.log([r[2] for r in rows]), 1)[0]
-        )
+        slope = loglog_slope([r[0] for r in rows], [r[2] for r in rows])
         return rows, ["N", "hbar", "gap"], slope
     if args.kind == "husimi-width":
         grid = choose_theta(cat, args.N)
         u = propagator(cat, grid)
-        state = torus_coherent((0.0, 0.0), cat, grid)
-        amp = state.amplitudes
+        amp = torus_coherent((0.0, 0.0), cat, grid).amplitudes
         rows = []
-        reached = 0
         for t in range(0, max(ladder) + 1):
             if t in ladder:
-                st = state.copy()
-                st.amplitudes = amp
-                h = husimi(st, cat, args.G)
+                h = husimi(QuantumState(amp, grid), cat, args.G)
                 var_u, var_s = axis_variances(h, cat, (0.0, 0.0))
                 theory = grid.hbar / (1.0 - math.tanh(cat.lyapunov * t))
                 rows.append([t, var_u, var_s, theory])
@@ -277,22 +260,17 @@ def _sweep_rows(args) -> Tuple[List[List[float]], List[str], float]:
         )
         return rows, ["t", "var_unstable", "var_stable", "theory_unstable"], slope
     if args.kind == "scmeasure":
-        freqs = [
-            (n1, n2) for n1 in range(-2, 3) for n2 in range(-2, 3) if (n1, n2) != (0, 0)
-        ]
+        orbit = enumerate_prime_orbits(cat, args.T)[0]
         rows = []
         for N in ladder:
             grid = choose_theta(cat, N)
-            orbit = enumerate_prime_orbits(cat, args.T)[0]
             spec = QuasimodeSpec(
                 orbit=orbit, phi=0.0, delta=args.delta, grid=grid, catmap=cat
             )
             _, psi_n = build_quasimode(spec)
-            err = scmeasure_error(psi_n, spec, freqs, G=args.G).max_error
+            err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES, G=args.G).max_error
             rows.append([N, grid.hbar, err])
-        slope = float(
-            np.polyfit(np.log([r[0] for r in rows]), np.log([r[2] for r in rows]), 1)[0]
-        )
+        slope = loglog_slope([r[0] for r in rows], [r[2] for r in rows])
         return rows, ["N", "hbar", "max_error"], slope
     raise ConfigError(f"unknown sweep kind {args.kind!r}")
 

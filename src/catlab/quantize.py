@@ -2,7 +2,11 @@
 
 Weyl operators are finite sums of quantum translations and stay matrix
 free.  Anti-Wick values are always taken through the Husimi density
-(the defining integral); the dense anti-Wick operator is materialized
+(the defining integral) on a G x G grid H.  A Fourier symbol costs O(G^2)
+per frequency and no G^2 exp: sum_n c_n e_q(n2)^T H e_p(-n1) with
+length-G exponential vectors.  A bump symbol costs O(support cells): it
+is evaluated only on the cells of its support ball.  Other symbols are
+sampled on the full grid.  The dense anti-Wick operator is materialized
 only for the Weyl/anti-Wick comparison at moderate N, assembled by
 midpoint quadrature of coherent projectors with a windowed column
 algorithm.
@@ -19,6 +23,7 @@ import numpy as np
 from .classical import CatMap
 from .coherent import (
     HusimiGrid,
+    _min_image,
     _truncation_cut,
     _window_indices,
     husimi,
@@ -48,7 +53,8 @@ class Symbol:
     exp(2 pi i (n ^ x)) with n ^ x = n2 x1 - n1 x2.  fn(q, p) evaluates the
     symbol on (broadcastable) coordinate arrays; symbols built from Fourier
     data get fn synthesized automatically.  rho is the small-scale class
-    exponent, recorded for rate bookkeeping.
+    exponent, recorded for rate bookkeeping.  support_ball, set by
+    bump_symbols, is a (center, radius) ball outside which fn is exactly 0.
     """
 
     fourier: Optional[Dict[Freq, complex]] = None
@@ -56,6 +62,7 @@ class Symbol:
     rho: float = 0.0
     real: bool = False
     label: str = ""
+    support_ball: Optional[Tuple[Tuple[float, float], float]] = None
 
     def __post_init__(self):
         if self.fourier is None and self.fn is None:
@@ -146,12 +153,30 @@ def antiwick_expectation(
     """<psi| a^aw |psi> as the quadrature of a times the Husimi density.
 
     This integral is the sole access path to anti-Wick values at large N;
-    pass a precomputed HusimiGrid to amortize over many symbols.
+    pass a precomputed HusimiGrid to amortize over many symbols.  Fourier
+    symbols never sample the grid, and symbols with a support ball are
+    evaluated only on the cells within its radius on both axes.
     """
     if hgrid is None:
         hgrid = husimi(psi, catmap, G)
+    H = hgrid.values
+    c = hgrid.centers()
+    if symbol.fn is None:
+        total = 0j
+        for (n1, n2), coef in symbol.fourier.items():
+            ep = np.exp(-2j * np.pi * n1 * c)
+            # H is real: two real products, no complex copy of the grid
+            row = H @ ep.real + 1j * (H @ ep.imag)
+            total += coef * np.dot(np.exp(2j * np.pi * n2 * c), row)
+        return complex(total * hgrid.weight)
+    if symbol.support_ball is not None:
+        (q0, p0), radius = symbol.support_ball
+        iq = np.flatnonzero(np.abs(_min_image(c - q0)) <= radius)
+        ip = np.flatnonzero(np.abs(_min_image(c - p0)) <= radius)
+        vals = symbol.fn(c[iq, None], c[None, ip])
+        return complex(np.sum(vals * H[np.ix_(iq, ip)]) * hgrid.weight)
     vals = symbol.sample(hgrid.G)
-    return complex(np.sum(vals * hgrid.values) * hgrid.weight)
+    return complex(np.sum(vals * H) * hgrid.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +242,7 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
             out = np.where(rho >= r_out, 0.0, out)
             return out
 
-        return Symbol(fn=fn, real=True, label=label)
+        return Symbol(fn=fn, real=True, label=label, support_ball=(x0, r_out))
 
     lower = make(2.0 * r / 3.0, r, f"bump-({x0},{r})")
     upper = make(r, 1.5 * r, f"bump+({x0},{r})")

@@ -12,7 +12,8 @@ reports numbers; assertions live in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +36,10 @@ __all__ = [
     "husimi_ball_report",
     "scmeasure_error",
     "nonequidistribution_report",
+    "Experiment",
+    "run_pipeline",
     "run_experiment",
+    "loglog_slope",
 ]
 
 # Ball-report radius constant: coverage of the widest orbit component is at
@@ -350,16 +354,55 @@ DEFAULT_FREQUENCIES = [
 ]
 
 
+def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
+    """Least-squares slope of log y against log x."""
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One quasimode run: the report and the objects it was computed from.
+
+    hgrid is the Husimi grid of psi_n at the configured G; timings maps
+    each pipeline stage to its wall-clock seconds.
+    """
+
+    report: Dict
+    catmap: CatMap
+    orbit: Orbit
+    grid: PlanckGrid
+    prop: LinearMap
+    psi: QuantumState
+    psi_n: QuantumState
+    hgrid: HusimiGrid
+    timings: Dict[str, float]
+
+
 def run_experiment(config: Dict) -> Dict:
+    """The deterministic report dict of run_pipeline(config)."""
+    return run_pipeline(config).report
+
+
+def run_pipeline(config: Dict) -> Experiment:
     """Build a quasimode per config and run every diagnostic.
 
     Recognized keys: matrix (4 ints), T or orbit_start ([j, k, l]), delta,
     N (optional, else the dimension schedule), phi, C0, c_sep, c1, G,
-    frequencies, r_phase, r_physical, seed.  Returns a deterministic
-    report dict; file emission is the CLI's job.
+    frequencies, r_phase, r_physical, seed.  The propagator, the quasimode
+    and the Husimi grid of psi_n are built once and shared by every
+    diagnostic; file emission is the CLI's job.
     """
     from .classical import enumerate_prime_orbits, validate_cat_map, RationalPoint
     from .hilbert import choose_theta
+
+    timings: Dict[str, float] = {}
+    last = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        timings[stage] = now - last
+        last = now
 
     cat = validate_cat_map(*config["matrix"])
     delta = float(config.get("delta", 0.24))
@@ -397,17 +440,33 @@ def run_experiment(config: Dict) -> Dict:
         chosen = choose_N(T, delta, cat.lyapunov)
         N = chosen.N
         schedule = {"N": chosen.N, "ehrenfest_ok": chosen.ehrenfest_ok}
+    lap("orbit")
 
     grid = choose_theta(cat, N)
+    lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
     prop = propagator(cat, grid)
+    lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)
-    hgrid = husimi(psi_n, cat, G)
-
     res = residual(psi_n, phi, prop)
-    ball = husimi_ball_report(psi, spec, C=C0, G=G)
+    lap("quasimode")
+    hgrid = husimi(psi_n, cat, G)
+    lap("husimi")
+
+    # the Husimi density is quadratic in the state, so psi's grid is
+    # psi_n's scaled by ||psi||^2
+    norm_sq = psi.norm2()
+    ball = husimi_ball_report(
+        psi,
+        spec,
+        C=C0,
+        G=G,
+        hgrid=replace(hgrid, values=hgrid.values * norm_sq, state_norm2=norm_sq),
+    )
+    lap("ball_report")
     freqs = [tuple(int(v) for v in n) for n in config.get("frequencies", DEFAULT_FREQUENCIES)]
     sc = scmeasure_error(psi_n, spec, freqs, G=G, hgrid=hgrid)
+    lap("scmeasure")
 
     lam = cat.lyapunov
     r_lo = 2.0 * c_sep * math.sqrt(grid.hbar) * math.exp(lam * T)
@@ -418,9 +477,11 @@ def run_experiment(config: Dict) -> Dict:
     nq_phase = nonequidistribution_report(
         psi_n, spec, "phase", r_phase, C_sep=c_sep, c1=c1, G=G, hgrid=hgrid
     )
+    lap("nonequi_phase")
     nq_phys = nonequidistribution_report(
         psi_n, spec, "physical", r_physical, C_sep=c_sep, c1=c1, G=G
     )
+    lap("nonequi_physical")
 
     def cplx(z: complex):
         return [float(z.real), float(z.imag)]
@@ -438,7 +499,7 @@ def run_experiment(config: Dict) -> Dict:
         "delta": delta,
         "phi": phi,
         "schedule": schedule,
-        "norm_sq": psi.norm2(),
+        "norm_sq": norm_sq,
         "residual": res,
         "residual_bound": 2.0 / math.sqrt(T),
         "ball_constant": C0,
@@ -472,4 +533,14 @@ def run_experiment(config: Dict) -> Dict:
             },
         },
     }
-    return report
+    return Experiment(
+        report=report,
+        catmap=cat,
+        orbit=orbit,
+        grid=grid,
+        prop=prop,
+        psi=psi,
+        psi_n=psi_n,
+        hgrid=hgrid,
+        timings=timings,
+    )

@@ -18,13 +18,15 @@ from .classical import (
     validate_cat_map,
 )
 from .coherent import axis_variances, husimi, torus_coherent
-from .hilbert import choose_theta, propagator, translation
+from .hilbert import QuantumState, choose_theta, propagator, translation
 from .io import canonical_json
 from .quantize import Symbol, weyl_antiwick_gap
 from .quasimodes import (
+    DEFAULT_FREQUENCIES,
     QuasimodeSpec,
     build_quasimode,
     husimi_ball_report,
+    loglog_slope,
     nonequidistribution_report,
     residual,
     scmeasure_error,
@@ -100,8 +102,7 @@ def criterion_3(seed: int = 0) -> Dict:
     h = husimi(coh, cat, 256)
     ident_coh = abs(h.total() - coh.norm2()) / coh.norm2()
     rng = np.random.default_rng(seed + 3)
-    psi = coh.copy()
-    psi.amplitudes = _random_states(rng, 4096, 1)[0]
+    psi = QuantumState(_random_states(rng, 4096, 1)[0], grid)
     h2 = husimi(psi, cat, 256)
     ident_rand = abs(h2.total() - 1.0)
     return {
@@ -127,9 +128,7 @@ def criterion_4(seed: int = 0) -> Dict:
     for t in range(0, 3):
         if t > 0:
             amp = u.apply(amp)
-        st = state.copy()
-        st.amplitudes = amp
-        h = husimi(st, cat, 256)
+        h = husimi(QuantumState(amp, grid), cat, 256)
         var_u, var_s = axis_variances(h, cat, (0.0, 0.0))
         theory = grid.hbar / (1.0 - math.tanh(lam * t))
         rel = abs(var_u - theory) / theory
@@ -196,20 +195,12 @@ def criterion_6(seed: int = 0) -> Dict:
 
 def criterion_7(seed: int = 0) -> Dict:
     """Semiclassical measure: error <= 0.05 at N=4096 and ladder slope <= -0.16."""
-    freqs = [
-        (n1, n2)
-        for n1 in range(-2, 3)
-        for n2 in range(-2, 3)
-        if (n1, n2) != (0, 0)
-    ]
     errors = {}
     for N in (1024, 2048, 4096):
         spec, prop = _t2_spec(N)
         _, psi_n = build_quasimode(spec, prop)
-        errors[N] = scmeasure_error(psi_n, spec, freqs, G=256).max_error
-    slope = float(
-        np.polyfit(np.log(list(errors)), np.log(list(errors.values())), 1)[0]
-    )
+        errors[N] = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES, G=256).max_error
+    slope = loglog_slope(list(errors), list(errors.values()))
     ok = errors[4096] <= 0.05 and slope <= -(0.5 - 0.24) + 0.1
     return {
         "errors": {str(k): v for k, v in errors.items()},
@@ -262,7 +253,7 @@ def criterion_9(seed: int = 0) -> Dict:
     for N in (512, 1024, 2048):
         grid = choose_theta(cat, N)
         gaps[N] = weyl_antiwick_gap(sym, cat, grid, G=256)
-    slope = float(np.polyfit(np.log(list(gaps)), np.log(list(gaps.values())), 1)[0])
+    slope = loglog_slope(list(gaps), list(gaps.values()))
     ok = abs(slope - (-1.0)) <= 0.3
     return {
         "gaps": {str(k): v for k, v in gaps.items()},

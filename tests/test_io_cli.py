@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +275,85 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "orbits" in capsys.readouterr().out
+
+
+def record_calls(monkeypatch, *names):
+    """Wrap each named catlab function wherever a catlab module holds it;
+    returns name -> list of results, one per call."""
+    results = {name: [] for name in names}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name != "catlab" and not mod_name.startswith("catlab."):
+            continue
+        for name in names:
+            original = vars(module).get(name)
+            if original is None:
+                continue
+
+            def wrapper(*args, _original=original, _out=results[name], **kwargs):
+                result = _original(*args, **kwargs)
+                _out.append(result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def write_config(tmp_path, text):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+class TestQuasimodePipeline:
+    CONFIG = "matrix = 2,1,1,1\nT = 2\nN = 4096\nphi = 0.3\nG = 256\n"
+
+    def test_one_pass_per_run(self, tmp_path, monkeypatch):
+        calls = record_calls(
+            monkeypatch, "choose_theta", "propagator", "build_quasimode", "husimi"
+        )
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 0
+        assert {name: len(r) for name, r in calls.items()} == {
+            "choose_theta": 1,
+            "propagator": 1,
+            "build_quasimode": 1,
+            "husimi": 1,
+        }
+        # the written grid is the run's psi_n grid, byte for byte
+        hgrid = calls["husimi"][0]
+        _, psi_n = calls["build_quasimode"][0]
+        assert hgrid.state_norm2 == psi_n.norm2()
+        save_husimi_csv(tmp_path / "expected.csv", hgrid)
+        for suffix in ("", ".json"):
+            written = tmp_path / ("report.husimi.csv" + suffix)
+            expected = tmp_path / ("expected.csv" + suffix)
+            assert written.read_bytes() == expected.read_bytes()
+        assert np.array_equal(
+            load_state(tmp_path / "report.state.bin").amplitudes, psi_n.amplitudes
+        )
+
+    def test_resolution_warning_once(self, tmp_path, recwarn):
+        # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384
+        cfg = write_config(tmp_path, self.CONFIG.replace("4096", "16384"))
+        out = tmp_path / "report.json"
+        assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 0
+        hits = [w for w in recwarn if "does not resolve sqrt(hbar)" in str(w.message)]
+        assert len(hits) == 1
+
+    def test_stage_timings(self, tmp_path):
+        cfg = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "report.json"
+        assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "report.timings.json").read_text())
+        stages = doc["stages"]
+        assert set(stages) == {
+            "orbit", "theta", "propagator", "quasimode", "husimi", "ball_report",
+            "scmeasure", "nonequi_phase", "nonequi_physical", "artifacts",
+        }
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= doc["total_seconds"]
+        assert "total_seconds" not in json.loads(out.read_text())
 
 
 class TestCliSweepKinds:

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catlab import (
     DimensionTooLarge,
+    HusimiGrid,
     RadiusOutOfRange,
     Symbol,
     antiwick_expectation,
@@ -159,6 +161,85 @@ class TestAntiWick:
             psi = random_state(grid1024, seed)
             assert antiwick_expectation(psi, lower, arnold).real >= 0.0
             assert antiwick_expectation(psi, upper, arnold).real >= 0.0
+
+
+def full_grid_expectation(symbol, hgrid):
+    """Oracle: the symbol sampled on every cell, summed against the grid."""
+    return complex(np.sum(symbol.sample(hgrid.G) * hgrid.values) * hgrid.weight)
+
+
+def assert_matches_oracle(symbol, hgrid):
+    got = antiwick_expectation(None, symbol, None, hgrid=hgrid)
+    want = full_grid_expectation(symbol, hgrid)
+    assert abs(got - want) <= 1e-12 * hgrid.values.sum() * hgrid.weight
+
+
+def random_hgrid(grid, G, seed):
+    """A grid of positive values: the expectation paths hold for any weights."""
+    values = np.random.default_rng(seed).random((G, G))
+    return HusimiGrid(values, G, grid, 0.0, 1.0, (2, 1, 1, 1))
+
+
+class TestExpectationOracle:
+    @pytest.fixture(scope="class")
+    def hgrids(self, arnold, grid1024):
+        psi = random_state(grid1024, 11)
+        return [husimi(psi, arnold, G, warn_resolution=False) for G in (16, 96, 256)]
+
+    def test_plane_waves(self, hgrids):
+        for h in hgrids:
+            for n1 in range(-8, 9):
+                for n2 in range(-8, 9):
+                    assert_matches_oracle(Symbol.plane_wave((n1, n2)), h)
+
+    def test_hermitian_fourier_symbols(self, hgrids):
+        rng = np.random.default_rng(5)
+        for h in hgrids:
+            for _ in range(5):
+                sym = random_real_trig_poly(rng, nmax=8, terms=6)
+                assert_matches_oracle(sym, h)
+                assert abs(antiwick_expectation(None, sym, None, hgrid=h).imag) < 1e-12
+
+    def test_bumps_at_the_seam(self, hgrids):
+        for h in hgrids:
+            for r in (0.01, 0.05, 0.1, 0.2):
+                for sym in bump_symbols((0.005, 0.995), r):
+                    assert_matches_oracle(sym, h)
+
+    def test_bumps_wrapping_most_of_the_torus(self, hgrids):
+        for h in hgrids:
+            for x0 in ((0.5, 0.5), (0.1, 0.9), (0.999, 0.001)):
+                for r in (0.24, 0.249, 0.2499):
+                    for sym in bump_symbols(x0, r):
+                        assert_matches_oracle(sym, h)
+
+    def test_fast_paths_do_not_sample_the_grid(self, hgrids, monkeypatch):
+        def refuse(self, G):
+            raise AssertionError("full-grid sample")
+
+        monkeypatch.setattr(Symbol, "sample", refuse)
+        h = hgrids[-1]
+        antiwick_expectation(None, Symbol.plane_wave((3, -2)), None, hgrid=h)
+        for sym in bump_symbols((0.3, 0.4), 0.1):
+            antiwick_expectation(None, sym, None, hgrid=h)
+        sampled = Symbol(fn=lambda q, p: q * p)
+        with pytest.raises(AssertionError, match="full-grid sample"):
+            antiwick_expectation(None, sampled, None, hgrid=h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q0=st.floats(0.0, 1.0, exclude_max=True),
+        p0=st.floats(0.0, 1.0, exclude_max=True),
+        r=st.floats(0.0, 0.25, exclude_min=True, exclude_max=True),
+        G=st.integers(16, 512),
+        n=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, grid1024, q0, p0, r, G, n, seed):
+        h = random_hgrid(grid1024, G, seed)
+        for sym in bump_symbols((q0, p0), r):
+            assert_matches_oracle(sym, h)
+        assert_matches_oracle(Symbol.plane_wave(n), h)
 
 
 class TestBumps:

@@ -22,6 +22,7 @@ from catlab import (
     propagator,
     residual,
     run_experiment,
+    run_pipeline,
     scmeasure_error,
     torus_coherent,
 )
@@ -304,6 +305,21 @@ class TestRunExperiment:
         a = canonical_json(run_experiment(config))
         b = canonical_json(run_experiment(config))
         assert a == b
+
+    def test_pipeline_objects_match_report(self, arnold):
+        config = {"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "phi": 0.7}
+        exp = run_pipeline(config)
+        assert canonical_json(exp.report) == canonical_json(run_experiment(config))
+        assert exp.report["norm_sq"] == exp.psi.norm2()
+        assert exp.hgrid.G == 256 and exp.hgrid.state_norm2 == exp.psi_n.norm2()
+        # the ball report reuses psi_n's grid scaled by ||psi||^2; a second
+        # Husimi grid of psi gives the same masses
+        spec = QuasimodeSpec(
+            orbit=exp.orbit, phi=0.7, delta=0.24, grid=exp.grid, catmap=arnold
+        )
+        direct = husimi_ball_report(exp.psi, spec, G=256)
+        assert np.allclose(exp.report["ball_masses"], direct.masses(), rtol=0, atol=1e-12)
+        assert exp.report["off_support"] == pytest.approx(direct.off_support, abs=1e-12)
 
     def test_schedule_overflow_surfaced(self, arnold):
         with pytest.raises(NTooLarge):
