@@ -54,7 +54,6 @@ from .hilbert import (
     QuantumState,
     choose_theta,
     egorov_defect,
-    planck_grid,
     propagator,
     theta_residual,
     translation,

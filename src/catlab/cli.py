@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,7 @@ from . import __version__
 from .classical import enumerate_prime_orbits, validate_cat_map
 from .coherent import axis_variances, husimi, torus_coherent
 from .errors import CatlabError, ConfigError, PreconditionError
-from .hilbert import QuantumState, choose_theta, propagator, translation
+from .hilbert import QuantumState, choose_theta, egorov_defect, propagator
 from .io import (
     canonical_json,
     load_state,
@@ -128,16 +127,7 @@ def cmd_propagator_check(args) -> int:
     )
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     unit = max(abs(np.linalg.norm(u.apply(s)) - 1.0) for s in states)
-    egorov = 0.0
-    for n1 in range(-args.nmax, args.nmax + 1):
-        for n2 in range(-args.nmax, args.nmax + 1):
-            tn = translation((n1, n2), grid)
-            tmn = translation(
-                (cat.a * n1 + cat.b * n2, cat.c * n1 + cat.d * n2), grid
-            )
-            for s in states[:5]:
-                d = np.linalg.norm(u.apply(tn.apply(u.apply_adjoint(s))) - tmn.apply(s))
-                egorov = max(egorov, float(d))
+    egorov = egorov_defect(u, cat, grid, states[:5], args.nmax)
     report = {
         "matrix": list(cat.entries),
         "N": args.N,
@@ -306,13 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="catlab",
         description="Quantized hyperbolic torus maps: propagators, coherent "
         "states, Husimi analysis, periodic orbits, and orbit quasimodes.",
-    )
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CATLAB_THREADS", "0")) or None,
-        help="cap worker threads (recorded in manifests; computations are "
-        "single-threaded apart from BLAS)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

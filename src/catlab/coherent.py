@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classical import CatMap, RationalPoint, rotation_matrix, boost_matrix
+from .classical import CatMap, RationalPoint
 from .errors import ResolutionTooCoarse, TruncationFailure
 from .hilbert import PlanckGrid, QuantumState
 
@@ -324,7 +324,7 @@ def axis_variances(
     c = hgrid.centers()
     dq = _min_image(c - center[0])
     dp = _min_image(c - center[1])
-    Qinv = np.linalg.inv(rotation_matrix(catmap.b1) @ boost_matrix(catmap.b2))
+    Qinv = np.linalg.inv(catmap.frame_matrix())
     w = hgrid.values / hgrid.values.sum()
     Xq = np.repeat(dq, G)
     Xp = np.tile(dp, G)

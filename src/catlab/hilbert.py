@@ -9,6 +9,11 @@ quantum cat-map propagator is the discrete quadratic (Gauss-sum) kernel,
 applied matrix-free as chirp * FFT * chirp in O(N |b| log(N |b|)).  Its
 correctness is pinned by two oracles: unitarity, and the exact conjugation
 law  U T(n) U^-1 = T(Mn)  for integer translations.
+
+The Bloch angle is the parity one, theta = (0, 0) for even N and (pi, pi)
+for odd N: ad - bc = 1 leaves neither (a, b) nor (c, d) a pair of even
+numbers, so K (1, 1) = (cd, ab) mod 2 for K = Id - M^-T, and that angle
+solves the compatibility condition K theta = N pi (cd, ab) mod 2 pi.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +33,6 @@ __all__ = [
     "QuantumState",
     "LinearMap",
     "choose_theta",
-    "planck_grid",
     "theta_residual",
     "translation",
     "propagator",
@@ -103,7 +107,7 @@ class LinearMap:
     """A linear operator on H_{N,theta}: dense or matrix-free.
 
     apply/apply_adjoint work on raw amplitude vectors; __call__ accepts and
-    returns QuantumState.  cost is a human-readable application cost note.
+    returns QuantumState.
     """
 
     def __init__(
@@ -113,14 +117,12 @@ class LinearMap:
         adjoint_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         dense: Optional[np.ndarray] = None,
         label: str = "",
-        cost: str = "O(N)",
     ):
         self.n = n
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self._dense = dense
         self.label = label
-        self.cost = cost
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(vec, dtype=complex))
@@ -133,10 +135,6 @@ class LinearMap:
     def __call__(self, state: QuantumState) -> QuantumState:
         return QuantumState(self.apply(state.amplitudes), state.grid)
 
-    def inverse_apply(self, vec: np.ndarray) -> np.ndarray:
-        """Adjoint application; valid as inverse for unitary maps."""
-        return self.apply_adjoint(vec)
-
     def to_dense(self) -> np.ndarray:
         if self._dense is None:
             eye = np.eye(self.n, dtype=complex)
@@ -144,7 +142,7 @@ class LinearMap:
         return self._dense
 
     def __repr__(self) -> str:
-        return f"LinearMap({self.label or 'anonymous'}, n={self.n}, cost={self.cost})"
+        return f"LinearMap({self.label or 'anonymous'}, n={self.n})"
 
 
 # ---------------------------------------------------------------------------
@@ -178,43 +176,42 @@ def theta_residual(catmap: CatMap, N: int, theta: Tuple[float, float]) -> float:
 def choose_theta(catmap: CatMap, N: int) -> PlanckGrid:
     """Bloch angle making the propagator an endomorphism of H_{N,theta}.
 
-    Tries the parity rule first (theta = (0,0) for even N, (pi,pi) for odd
-    N); when that fails the 2x2 congruence is solved exactly over the
-    rationals.  The solution is returned as a PlanckGrid carrying theta
-    both as floats and as exact multiples of pi.
+    The parity rule theta/pi = (N mod 2, N mod 2) always works: as ad - bc
+    = 1, neither (a, b) nor (c, d) is a pair of even numbers, so
+    K (1, 1) = (cd, ab) mod 2 and K theta/pi = N (cd, ab) mod 2.  The grid
+    carries theta both as floats and as exact multiples of pi.
+    """
+    half = Fraction(N % 2)
+    return PlanckGrid(N, (float(half) * math.pi, float(half) * math.pi), (half, half))
 
-    Raises
-    ------
-    NoInvariantTheta
-        If the solved angle fails the residual check (the congruence is
-        always solvable since det(Id - M^-T) = 2 - trace != 0; this is a
-        numeric safety net).
+
+def _require_invariant_theta(catmap: CatMap, grid: PlanckGrid) -> None:
+    """Raise NoInvariantTheta unless grid.theta solves the compatibility condition.
+
+    Exact, in integers, when grid.theta_over_pi is known.  Float-only grids
+    (loaded states, hand-built grids) get the float residual, whose rounding
+    error grows like N pi max(|ab|, |cd|) eps, against a tolerance scaled
+    to match.
     """
     a, b, c, d = catmap.entries
-    if N % 2 == 0:
-        cand = (Fraction(0), Fraction(0))
-    else:
-        cand = (Fraction(1), Fraction(1))
-    theta = (float(cand[0]) * math.pi, float(cand[1]) * math.pi)
-    if theta_residual(catmap, N, theta) < 1e-9:
-        return PlanckGrid(N, theta, cand)
-
-    (k00, k01), (k10, k11) = _compat_matrix(catmap)
-    det = k00 * k11 - k01 * k10  # equals 2 - trace, nonzero for hyperbolic maps
-    rhs = (Fraction(N * c * d), Fraction(N * a * b))  # in units of pi
-    y0 = (k11 * rhs[0] - k01 * rhs[1]) / det % 2
-    y1 = (-k10 * rhs[0] + k00 * rhs[1]) / det % 2
-    theta = (float(y0) * math.pi, float(y1) * math.pi)
-    if theta_residual(catmap, N, theta) >= 1e-9:
-        raise NoInvariantTheta(
-            f"no invariant Bloch angle found for {catmap} at N={N}"
+    N = grid.N
+    if grid.theta_over_pi is not None:
+        y0, y1 = grid.theta_over_pi
+        rhs = (N * c * d, N * a * b)
+        ok = all(
+            (k0 * y0 + k1 * y1 - r) % 2 == 0
+            for (k0, k1), r in zip(_compat_matrix(catmap), rhs)
         )
-    return PlanckGrid(N, theta, (y0, y1))
-
-
-def planck_grid(catmap: CatMap, N: int) -> PlanckGrid:
-    """Alias for choose_theta, named for what it returns."""
-    return choose_theta(catmap, N)
+    else:
+        # the theta terms add at most 2 pi (|a| + |b| + |c| + |d| + 2)
+        entries = abs(a) + abs(b) + abs(c) + abs(d)
+        scale = N * max(abs(a * b), abs(c * d)) + 2 * (entries + 2)
+        tol = 16 * math.pi * np.finfo(float).eps * scale
+        ok = theta_residual(catmap, N, grid.theta) < tol
+    if not ok:
+        raise NoInvariantTheta(
+            f"theta {grid.theta} incompatible with {catmap} at N={N}; use choose_theta"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +248,7 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
     def adjoint(vec: np.ndarray) -> np.ndarray:
         return phase_adj * np.roll(vec, n1_adj)
 
-    return LinearMap(
-        grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})", cost="O(N)"
-    )
+    return LinearMap(grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})")
 
 
 def translation_entries(n: Tuple[int, int], grid: PlanckGrid) -> np.ndarray:
@@ -346,11 +341,7 @@ def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMa
     if b == 0:
         # hyperbolic integral matrices always have b != 0 (b = 0 forces |trace| = 2)
         raise UnsupportedMatrix("matrix has b = 0; not hyperbolic over SL(2,Z)")
-    if theta_residual(catmap, grid.N, grid.theta) >= 1e-9:
-        raise NoInvariantTheta(
-            f"theta {grid.theta} incompatible with {catmap} at N={grid.N}; "
-            "use choose_theta"
-        )
+    _require_invariant_theta(catmap, grid)
     pre, post, L = _chirp_arrays(catmap, grid)
     N = grid.N
     absB = abs(b)
@@ -369,9 +360,7 @@ def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMa
         F *= np.conj(pre)
         return scale * F.reshape(absB, N).sum(axis=0)
 
-    u = LinearMap(
-        N, apply, adjoint, label=f"U{catmap.entries}", cost="O(N |b| log(N |b|))"
-    )
+    u = LinearMap(N, apply, adjoint, label=f"U{catmap.entries}")
     if check:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -411,36 +400,24 @@ def propagator_dense(catmap: CatMap, grid: PlanckGrid) -> np.ndarray:
 
 def egorov_defect(
     u: LinearMap,
-    n: Tuple[int, int],
     catmap: CatMap,
     grid: PlanckGrid,
-    iters: int = 40,
-    seed: int = 0,
+    states: Sequence[np.ndarray],
+    nmax: int,
 ) -> float:
-    """Operator-norm estimate of U T(n) U^-1 - T(Mn).
+    """max ||U T(n) U* psi - T(Mn) psi|| over n in [-nmax, nmax]^2 and the states.
 
-    Power iteration on D*D with a fixed seed; all applications are
-    matrix-free.  For n = 0 the defect is exactly zero.
+    The conjugation law holds exactly, so this measures rounding error
+    only; all applications are matrix-free.  Each pair of translations is
+    built for its n and dropped after, so memory stays O(N) for any nmax.
     """
     a, b, c, d = catmap.entries
-    tn = translation(n, grid)
-    tmn = translation((a * n[0] + b * n[1], c * n[0] + d * n[1]), grid)
-
-    def dd(vec: np.ndarray) -> np.ndarray:
-        x = u.apply(tn.apply(u.apply_adjoint(vec))) - tmn.apply(vec)
-        return (
-            u.apply(tn.apply_adjoint(u.apply_adjoint(x))) - tmn.apply_adjoint(x)
-        )
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = dd(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        sigma = math.sqrt(nw)
-        v = w / nw
-    return sigma
+    worst = 0.0
+    for n1 in range(-nmax, nmax + 1):
+        for n2 in range(-nmax, nmax + 1):
+            tn = translation((n1, n2), grid)
+            tmn = translation((a * n1 + b * n2, c * n1 + d * n2), grid)
+            for psi in states:
+                lhs = u.apply(tn.apply(u.apply_adjoint(psi)))
+                worst = max(worst, float(np.linalg.norm(lhs - tmn.apply(psi))))
+    return worst

@@ -132,7 +132,6 @@ def weyl_quantize(symbol: Symbol, grid: PlanckGrid) -> LinearMap:
         apply,
         adjoint,
         label=f"weyl({symbol.label or len(terms)} terms)",
-        cost=f"O({len(terms)} N)",
     )
 
 
@@ -235,11 +234,15 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
 
     def make(r_in: float, r_out: float, label: str) -> Symbol:
         def fn(q, p):
-            rho = _torus_radial(q, p, x0)
-            s = (2.0 * rho - (r_out + r_in)) / (r_out - r_in)
-            out = _transition_profile(s)
-            out = np.where(rho <= r_in, 1.0, out)
-            out = np.where(rho >= r_out, 0.0, out)
+            # 1 inside r_in, 0 from r_out on, the ramp on the open annulus
+            # between; the annulus is empty when r_in == r_out (radii near
+            # the smallest floats), so the ramp never divides by zero
+            rho = np.asarray(_torus_radial(q, p, x0))
+            out = np.where((rho <= r_in) & (rho < r_out), 1.0, 0.0)
+            ramp = (rho > r_in) & (rho < r_out)
+            out[ramp] = _transition_profile(
+                (2.0 * rho[ramp] - (r_out + r_in)) / (r_out - r_in)
+            )
             return out
 
         return Symbol(fn=fn, real=True, label=label, support_ball=(x0, r_out))

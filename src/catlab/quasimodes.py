@@ -21,7 +21,13 @@ import numpy as np
 from .classical import CatMap, Orbit, orbit_fourier_coefficient, torus_distance
 from .coherent import HusimiGrid, ball_mass, husimi, torus_coherent
 from .errors import BallsOverlap, NTooLarge, PreconditionError, RadiusOutOfRange
-from .hilbert import LinearMap, PlanckGrid, QuantumState, propagator, theta_residual
+from .hilbert import (
+    LinearMap,
+    PlanckGrid,
+    QuantumState,
+    _require_invariant_theta,
+    propagator,
+)
 from .quantize import Symbol, antiwick_expectation, bump_symbols, position_interval_mass
 
 __all__ = [
@@ -111,8 +117,7 @@ class QuasimodeSpec:
                 f"orbit length T={T} exceeds delta T_E = {self.delta * te:.4f} "
                 f"at N={self.grid.N}"
             )
-        if theta_residual(self.catmap, self.grid.N, self.grid.theta) >= 1e-9:
-            raise PreconditionError("grid theta incompatible with the map")
+        _require_invariant_theta(self.catmap, self.grid)
 
     @property
     def T(self) -> int:
@@ -159,25 +164,19 @@ class BallReport:
         return [b["mass"] for b in self.balls]
 
 
-def husimi_ball_report(
-    psi: QuantumState,
-    spec: QuasimodeSpec,
-    C: float = BALL_CONSTANT,
-    G: int = 256,
-    hgrid: Optional[HusimiGrid] = None,
-) -> BallReport:
-    """Husimi mass in balls of radius C sqrt(hbar) e^{lambda T} at orbit points.
+def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
+    """Radius rho = C sqrt(hbar) e^{lambda T} of the balls at the orbit points.
 
-    Precondition (checked, not assumed): 2 rho < 1/l and the actual
-    pairwise orbit separations exceed 2 rho, so the balls are disjoint.
+    Checks that they are disjoint: 2 rho < 1/l and every pairwise orbit
+    separation exceeds 2 rho.  Depends only on N, T, the orbit and C, so
+    it can run before anything is built.
 
     Raises
     ------
     BallsOverlap
         With the offending pair when the separation precondition fails.
     """
-    lam = spec.catmap.lyapunov
-    rho = C * math.sqrt(spec.grid.hbar) * math.exp(lam * spec.T)
+    rho = C * math.sqrt(spec.grid.hbar) * math.exp(spec.catmap.lyapunov * spec.T)
     l = spec.orbit.l
     if 2.0 * rho >= 1.0 / l:
         raise BallsOverlap(
@@ -194,6 +193,27 @@ def husimi_ball_report(
                     f"apart < 2 rho = {2 * rho:.4f}",
                     pair=(s, t),
                 )
+    return rho
+
+
+def husimi_ball_report(
+    psi: QuantumState,
+    spec: QuasimodeSpec,
+    C: float = BALL_CONSTANT,
+    G: int = 256,
+    hgrid: Optional[HusimiGrid] = None,
+) -> BallReport:
+    """Husimi mass in balls of radius C sqrt(hbar) e^{lambda T} at orbit points.
+
+    The balls are checked to be disjoint first (see _checked_ball_radius).
+
+    Raises
+    ------
+    BallsOverlap
+        With the offending pair when the separation precondition fails.
+    """
+    rho = _checked_ball_radius(spec, C)
+    pts = [p.as_floats() for p in spec.orbit.points]
     if hgrid is None:
         hgrid = husimi(psi, spec.catmap, G)
     balls = []
@@ -445,6 +465,8 @@ def run_pipeline(config: Dict) -> Experiment:
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
+    # refuse overlapping balls before building anything
+    _checked_ball_radius(spec, C0)
     prop = propagator(cat, grid)
     lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)

@@ -18,7 +18,7 @@ from .classical import (
     validate_cat_map,
 )
 from .coherent import axis_variances, husimi, torus_coherent
-from .hilbert import QuantumState, choose_theta, propagator, translation
+from .hilbert import QuantumState, choose_theta, egorov_defect, propagator, translation
 from .io import canonical_json
 from .quantize import Symbol, weyl_antiwick_gap
 from .quasimodes import (
@@ -52,21 +52,7 @@ def criterion_1(seed: int = 0) -> Dict:
         states = _random_states(rng, N, 20)
         for psi in states:
             worst_unit = max(worst_unit, abs(np.linalg.norm(u.apply(psi)) - 1.0))
-        trans = {}
-        for n1 in range(-3, 4):
-            for n2 in range(-3, 4):
-                n = (n1, n2)
-                mn = (cat.a * n1 + cat.b * n2, cat.c * n1 + cat.d * n2)
-                if n not in trans:
-                    trans[n] = translation(n, grid)
-                if mn not in trans:
-                    trans[mn] = translation(mn, grid)
-                tn, tmn = trans[n], trans[mn]
-                for psi in states[:5]:
-                    lhs = u.apply(tn.apply(u.apply_adjoint(psi)))
-                    worst_egorov = max(
-                        worst_egorov, float(np.linalg.norm(lhs - tmn.apply(psi)))
-                    )
+        worst_egorov = max(worst_egorov, egorov_defect(u, cat, grid, states[:5], 3))
     return {
         "unitarity_defect": worst_unit,
         "egorov_defect": worst_egorov,

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catlab import (
     NoInvariantTheta,
@@ -16,7 +18,11 @@ from catlab import (
     translation,
     validate_cat_map,
 )
-from catlab.hilbert import propagator_dense, translation_entries
+from catlab.hilbert import (
+    _require_invariant_theta,
+    propagator_dense,
+    translation_entries,
+)
 
 from conftest import random_state
 
@@ -40,6 +46,36 @@ class TestChooseTheta:
         cat = validate_cat_map(*entries)
         grid = choose_theta(cat, N)
         assert theta_residual(cat, N, grid.theta) < 1e-12
+
+    @pytest.mark.parametrize(
+        "entries, N",
+        [
+            ((5, 2, 2, 1), 381431),  # float residual 1.08e-9 here, exact one 0
+            ((1, 1, 8, 9), 21583),  # theta/pi = (1, 0) also solves the congruence
+        ],
+    )
+    def test_parity_at_large_N(self, entries, N):
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        assert grid.theta_over_pi == (Fraction(1), Fraction(1))
+        assert grid.theta == (math.pi, math.pi)
+        _require_invariant_theta(cat, grid)
+
+    def test_float_only_grid_checked_by_residual(self, arnold):
+        from catlab import PlanckGrid
+
+        for N in (4, 5, 381431, 3_000_001):
+            # a loaded state carries theta as floats only
+            _require_invariant_theta(arnold, PlanckGrid(N, choose_theta(arnold, N).theta))
+        with pytest.raises(NoInvariantTheta):
+            _require_invariant_theta(arnold, PlanckGrid(5, (0.0, 0.0)))
+
+    def test_exact_check_rejects_wrong_fractions(self, arnold):
+        from catlab import PlanckGrid
+
+        grid = PlanckGrid(5, (0.0, math.pi), (Fraction(0), Fraction(1)))
+        with pytest.raises(NoInvariantTheta):
+            _require_invariant_theta(arnold, grid)
 
 
 class TestTranslation:
@@ -127,6 +163,13 @@ class TestPropagator:
             psi = random_state(grid4096, seed).amplitudes
             assert abs(np.linalg.norm(u.apply(psi)) - 1.0) < 1e-10
 
+    def test_large_N_passes_self_check(self):
+        cat = validate_cat_map(5, 2, 2, 1)
+        grid = choose_theta(cat, 381431)
+        u = propagator(cat, grid)
+        psi = random_state(grid, 6).amplitudes
+        assert abs(np.linalg.norm(u.apply(psi)) - 1.0) < 1e-10
+
     def test_incompatible_theta_rejected(self, arnold):
         from catlab import PlanckGrid
 
@@ -171,31 +214,69 @@ class TestEgorovDefect:
     def test_zero_translation(self, arnold):
         grid = choose_theta(arnold, 128)
         u = propagator(arnold, grid)
-        assert egorov_defect(u, (0, 0), arnold, grid) < 1e-12
+        states = [random_state(grid, s).amplitudes for s in range(3)]
+        assert egorov_defect(u, arnold, grid, states, 0) < 1e-12
 
     def test_against_dense_norm(self, arnold):
         N = 256
         grid = choose_theta(arnold, N)
         u = propagator(arnold, grid)
-        est = egorov_defect(u, (1, 0), arnold, grid)
+        states = [random_state(grid, s).amplitudes for s in range(5)]
+        est = egorov_defect(u, arnold, grid, states, 1)
         U = u.to_dense()
-        mn = (arnold.a, arnold.c)
-        D = (
-            U @ translation_entries((1, 0), grid) @ U.conj().T
-            - translation_entries(mn, grid)
-        )
-        exact = np.linalg.norm(D, 2)
+        exact = 0.0
+        for n in [(n1, n2) for n1 in (-1, 0, 1) for n2 in (-1, 0, 1)]:
+            mn = (arnold.a * n[0] + arnold.b * n[1], arnold.c * n[0] + arnold.d * n[1])
+            D = U @ translation_entries(n, grid) @ U.conj().T - translation_entries(mn, grid)
+            exact = max(exact, np.linalg.norm(D, 2))
         assert est < 1e-8 and exact < 1e-8
+
+    def test_detects_a_wrong_map(self, arnold):
+        grid = choose_theta(arnold, 64)
+        u = translation((1, 0), grid)  # not the propagator
+        states = [random_state(grid, 0).amplitudes]
+        assert egorov_defect(u, arnold, grid, states, 1) > 0.1
 
     def test_arnold_1024(self, arnold, grid1024):
         u = propagator(arnold, grid1024)
-        assert egorov_defect(u, (1, 0), arnold, grid1024) < 1e-8
+        states = [random_state(grid1024, s).amplitudes for s in range(2)]
+        assert egorov_defect(u, arnold, grid1024, states, 1) < 1e-8
 
     def test_trace4_matrix(self):
         cat = validate_cat_map(1, 2, 1, 3)
         grid = choose_theta(cat, 512)
         u = propagator(cat, grid)
-        assert egorov_defect(u, (2, -1), cat, grid) < 1e-8
+        states = [random_state(grid, s).amplitudes for s in range(2)]
+        assert egorov_defect(u, cat, grid, states, 2) < 1e-8
+
+
+def _hyperbolic_maps():
+    r = range(-5, 6)
+    return [
+        (a, b, c, d)
+        for a in r for b in r for c in r for d in r
+        if a * d - b * c == 1 and abs(a + d) > 2
+    ]
+
+
+class TestRandomMapsProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.sampled_from(_hyperbolic_maps()),
+        N=st.integers(7, 4096),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_parity_theta_propagator_and_conjugation(self, entries, N, seed):
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        _require_invariant_theta(cat, grid)
+        u = propagator(cat, grid)
+        rng = np.random.default_rng(seed)
+        states = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        for psi in states:
+            assert abs(np.linalg.norm(u.apply(psi)) - 1.0) < 1e-10
+        assert egorov_defect(u, cat, grid, states, 1) < 1e-8
 
 
 class TestStateBasics:

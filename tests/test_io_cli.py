@@ -173,6 +173,18 @@ class TestCli:
         assert doc["unitarity_defect"] < 1e-10
         assert doc["egorov_defect"] < 1e-8
 
+    @pytest.mark.parametrize("matrix, N", [("1,1,8,9", 49231), ("4,3,9,7", 58488)])
+    def test_propagator_check_large_cd(self, matrix, N, tmp_path, capsys):
+        # large |cd|: the float compatibility residual exceeds 1e-9 here
+        out = tmp_path / "check.json"
+        argv = ["propagator-check", "--matrix", matrix, "--N", str(N)]
+        argv += ["--states", "1", "--nmax", "1", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["theta"] == ([np.pi, np.pi] if N % 2 else [0.0, 0.0])
+        assert doc["unitarity_defect"] < 1e-10
+        assert doc["egorov_defect"] < 1e-8
+
     def test_husimi_command(self, arnold, tmp_path):
         grid = choose_theta(arnold, 256)
         st = torus_coherent((0.5, 0.5), arnold, grid)
@@ -332,6 +344,14 @@ class TestQuasimodePipeline:
         assert np.array_equal(
             load_state(tmp_path / "report.state.bin").amplitudes, psi_n.amplitudes
         )
+
+    def test_overlapping_balls_refused_before_building(self, tmp_path, monkeypatch, capsys):
+        # with N omitted the schedule gives N = 485, where 2 rho > 1/l
+        calls = record_calls(monkeypatch, "propagator", "husimi")
+        cfg = write_config(tmp_path, "matrix = 2,1,1,1\nT = 2\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        assert "error[BallsOverlap]" in capsys.readouterr().err
+        assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
 
     def test_resolution_warning_once(self, tmp_path, recwarn):
         # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ class TestBumps:
         # the difference lives in the annulus between the inner and outer
         # supports, so it is bounded by its area
         assert 0.0 < hi - lo <= vol * (9.0 / 4.0 - 4.0 / 9.0)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-310])
+    def test_subnormal_radius_without_warnings(self, r):
+        # r_in == r_out after rounding (5e-324), or a ramp argument that
+        # overflows (1e-310): neither may divide by zero or overflow
+        x0 = (0.3, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper = bump_symbols(x0, r)
+            for bump in (lower, upper):
+                assert bump.fn(*x0) == 1.0
+                assert bump.fn(0.3, 0.2) == 0.0
+                assert np.all(bump.sample(64).real == 0.0)
 
     def test_quadrature_grid_convergence(self):
         lower, _ = bump_symbols((0.3, 0.7), 0.12)

@@ -6,6 +6,7 @@ import pytest
 
 from catlab import (
     BallsOverlap,
+    NoInvariantTheta,
     NTooLarge,
     PreconditionError,
     QuantumState,
@@ -71,11 +72,16 @@ class TestSpec:
         with pytest.raises(PreconditionError):
             t2_spec(arnold, 256)  # delta T_E = 1.84 < 2
 
+    def test_large_N_accepted(self, arnold):
+        # the float compatibility residual exceeds 1e-9 here
+        spec = t2_spec(arnold, 3_000_001)
+        assert spec.grid.theta == (math.pi, math.pi)
+
     def test_incompatible_theta(self, arnold):
         from catlab import PlanckGrid
 
         orbit = enumerate_prime_orbits(arnold, 2)[0]
-        with pytest.raises(PreconditionError):
+        with pytest.raises(NoInvariantTheta):
             QuasimodeSpec(
                 orbit=orbit,
                 phi=0.0,
