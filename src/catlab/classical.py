@@ -33,9 +33,13 @@ __all__ = [
     "boost_matrix",
 ]
 
-# Lattice guard: enumerating L_l scans l^2 points; l <= 10^4 keeps runs
-# under a minute on one core.
+# Lattice guard on l: enumeration costs O(T l), and the guard bounds the l
+# periodic points, the RationalPoint objects built for them and the JSON that
+# `catlab orbits` writes.
 DEFAULT_LATTICE_GUARD = 10_000
+
+# Codes j*l + k and products of entries reduced mod l fit in int64 only below.
+_INT64_LATTICE_LIMIT = 2**31
 
 
 def rotation_matrix(phi: float) -> np.ndarray:
@@ -279,19 +283,42 @@ def fixed_point_count(catmap: CatMap, T: int) -> int:
     return a + d - 2
 
 
-def _lattice_fixed_points(catmap: CatMap, T: int, l: int) -> List[Tuple[int, int]]:
-    """All (j, k) in Z_l^2 with (M^T - Id)(j, k) = 0 mod l."""
-    a, b, c, d = catmap.matrix_power(T)
-    k00, k01 = (a - 1) % l, b % l
-    k10, k11 = c % l, (d - 1) % l
-    out: List[Tuple[int, int]] = []
-    ks = np.arange(l, dtype=np.int64)
-    for j in range(l):
-        r1 = (k00 * j + k01 * ks) % l
-        r2 = (k10 * j + k11 * ks) % l
-        for k in ks[(r1 == 0) & (r2 == 0)]:
-            out.append((j, int(k)))
-    return out
+def _ext_gcd(x: int, y: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) = s x + t y, for x, y >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return x, s0, t0
+
+
+def _lattice_fixed_points(catmap: CatMap, T: int, l: int) -> np.ndarray:
+    """All (j, k) in Z_l^2 with (M^T - Id)(j, k) = 0 mod l, as an (l, 2) array.
+
+    A = M^T - Id has det A = -l, so A adj(A) = -l Id and the solutions are
+    exactly the order-l subgroup H = adj(A) Z^2 mod l.  H has the Hermite
+    basis (g, h), (0, l/g), where g is the gcd of l and the first coordinates
+    of the columns of adj(A), so its rows come out in lexicographic order
+    without a scan of Z_l^2.
+    """
+    a, b, c, d = (x % l for x in catmap.matrix_power(T))
+    # columns of adj(A) = [[d - 1, -b], [-c, a - 1]], reduced mod l
+    u0, u1 = (d - 1) % l, -c % l
+    v0, v1 = -b % l, (a - 1) % l
+    g1, s1, t1 = _ext_gcd(u0, v0)
+    g, s2, _ = _ext_gcd(g1, l)
+    m = l // g
+    h = s2 * (s1 * u1 + t1 * v1) % m
+    i = np.arange(m, dtype=np.int64)[:, None]
+    j = np.broadcast_to(i * g, (m, g))
+    k = (i * h) % m + m * np.arange(g, dtype=np.int64)
+    points = np.column_stack([j.ravel(), k.ravel()])
+    kernel = np.array([[(a - 1) % l, b], [c, (d - 1) % l]], dtype=np.int64)
+    if len(points) != l or ((points @ kernel.T) % l).any():
+        raise RuntimeError(f"{catmap} at T={T}: lattice rows fail (M^T - Id) x = 0 mod {l}")
+    return points
 
 
 def enumerate_prime_orbits(
@@ -299,15 +326,18 @@ def enumerate_prime_orbits(
 ) -> List[Orbit]:
     """All prime closed orbits of exact length T, canonically ordered.
 
-    Fixed points of M^T live on the lattice L_l with l = trace(M^T) - 2;
-    the scan over L_l uses exact arithmetic mod l.  Each orbit is rotated
-    to start at its lexicographically smallest (j, k) and the list is
-    sorted by that starting point.
+    Fixed points of M^T live on the lattice L_l with l = trace(M^T) - 2.
+    Since A = M^T - Id has A adj(A) = -l Id, they are exactly adj(A) Z^2 mod
+    l, which `_lattice_fixed_points` lists in O(l); iterating M on all of them
+    at once finds the orbits in O(T l) exact int64 arithmetic mod l.  Each
+    orbit is rotated to start at its lexicographically smallest (j, k) and
+    the list is sorted by that starting point.
 
     Raises
     ------
     EnumerationTooLarge
-        If l exceeds the lattice guard.
+        If l exceeds the lattice guard, or is 2^31 or more, where the int64
+        arithmetic mod l would overflow.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -316,31 +346,26 @@ def enumerate_prime_orbits(
         raise EnumerationTooLarge(
             f"lattice denominator l = {l} exceeds guard {lattice_guard}"
         )
-    a1, b1_, c1, d1 = catmap.entries
-    fixed = set(_lattice_fixed_points(catmap, T, l))
-    orbits: List[Orbit] = []
-    seen = set()
-    for start in sorted(fixed):
-        if start in seen:
-            continue
-        cycle = [start]
-        j, k = start
-        while True:
-            j, k = (a1 * j + b1_ * k) % l, (c1 * j + d1 * k) % l
-            if (j, k) == start:
-                break
-            cycle.append((j, k))
-        for pt in cycle:
-            seen.add(pt)
-        if len(cycle) != T:
-            continue  # exact period is a proper divisor of T
-        pivot = cycle.index(min(cycle))
-        cycle = cycle[pivot:] + cycle[:pivot]
-        orbits.append(
-            Orbit(tuple(RationalPoint(j, k, l) for j, k in cycle), l=l, prime=True)
+    if l >= _INT64_LATTICE_LIMIT:
+        raise EnumerationTooLarge(
+            f"lattice denominator l = {l} is not below 2^31, the int64 limit"
         )
-    orbits.sort(key=lambda o: (o.start().j, o.start().k))
-    return orbits
+    a, b, c, d = (x % l for x in catmap.entries)
+    points = _lattice_fixed_points(catmap, T, l)
+    j, k = points[:, 0], points[:, 1]
+    # codes[t] holds j*l + k of M^t x for every fixed point x of M^T
+    codes = np.empty((T, l), dtype=np.int64)
+    for t in range(T):
+        codes[t] = j * l + k
+        j, k = (a * j + b * k) % l, (c * j + d * k) % l
+    prime = (codes[1:] != codes[0]).all(axis=0)
+    starts = codes[:, prime & (codes[0] == codes.min(axis=0))].T
+    return [
+        Orbit(
+            tuple(RationalPoint(x, y, l) for x, y in zip(js, ks)), l=l, prime=True
+        )
+        for js, ks in zip((starts // l).tolist(), (starts % l).tolist())
+    ]
 
 
 def delta_measure_integrate(orbit: Orbit, f: Callable[[float, float], complex]) -> complex:

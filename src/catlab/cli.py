@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .classical import enumerate_prime_orbits, validate_cat_map
+from .classical import DEFAULT_LATTICE_GUARD, enumerate_prime_orbits, validate_cat_map
 from .coherent import axis_variances, husimi, torus_coherent
 from .errors import CatlabError, ConfigError, PreconditionError
 from .hilbert import QuantumState, choose_theta, egorov_defect, propagator
@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="enumerate prime closed orbits")
     p.add_argument("--matrix", required=True, help="A,B,C,D integer entries")
     p.add_argument("--T", type=int, required=True, help="orbit length")
-    p.add_argument("--guard", type=int, default=10_000, help="lattice guard on l")
+    p.add_argument(
+        "--guard", type=int, default=DEFAULT_LATTICE_GUARD, help="lattice guard on l"
+    )
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(fn=cmd_orbits)
 

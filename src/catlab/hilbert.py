@@ -18,6 +18,7 @@ solves the compatibility condition K theta = N pi (cd, ab) mod 2 pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,15 +238,20 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
     Acts as a cyclic shift by n1 sites combined with the momentum phase
     exp(2 pi i n2 q_j) referenced to half-integer shifted sites, with
     exp(-i theta1) twists at position wraparound.  Composition satisfies
-    T(n) T(m) = exp(i pi (n2 m1 - n1 m2)/N) T(n + m) exactly.
+    T(n) T(m) = exp(i pi (n2 m1 - n1 m2)/N) T(n + m) exactly.  The adjoint
+    T(-n) builds its phases on its first use, since most callers only apply.
     """
     n1, phase = _translation_data(n, grid)
-    n1_adj, phase_adj = _translation_data((-n[0], -n[1]), grid)
+
+    @functools.cache
+    def adjoint_data():
+        return _translation_data((-n[0], -n[1]), grid)
 
     def apply(vec: np.ndarray) -> np.ndarray:
         return phase * np.roll(vec, n1)
 
     def adjoint(vec: np.ndarray) -> np.ndarray:
+        n1_adj, phase_adj = adjoint_data()
         return phase_adj * np.roll(vec, n1_adj)
 
     return LinearMap(grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})")

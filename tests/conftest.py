@@ -19,6 +19,16 @@ def grid4096(arnold):
     return choose_theta(arnold, 4096)
 
 
+def hyperbolic_maps():
+    """Entries (a, b, c, d) of every hyperbolic SL(2, Z) map with |entries| <= 5."""
+    r = range(-5, 6)
+    return [
+        (a, b, c, d)
+        for a in r for b in r for c in r for d in r
+        if a * d - b * c == 1 and abs(a + d) > 2
+    ]
+
+
 def random_state(grid, seed=0):
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catlab import (
     EnumerationTooLarge,
     NotHyperbolic,
     NotUnimodular,
+    Orbit,
+    RationalPoint,
     best_orbit_for_measure,
     decompose_hyperbolic,
     delta_measure_integrate,
@@ -16,7 +19,14 @@ from catlab import (
     orbit_fourier_coefficient,
     validate_cat_map,
 )
-from catlab.classical import boost_matrix, rotation_matrix, torus_distance
+from catlab.classical import (
+    _lattice_fixed_points,
+    boost_matrix,
+    rotation_matrix,
+    torus_distance,
+)
+
+from conftest import hyperbolic_maps
 
 LAMBDA_ARNOLD = math.log((3 + math.sqrt(5)) / 2)
 
@@ -115,6 +125,34 @@ class TestOrbits:
             )
             assert hits == l
 
+    @pytest.mark.parametrize(
+        "entries, T, l, g",
+        [
+            ((2, 1, 1, 1), 1, 1, 1),  # l = 1
+            ((2, 1, 1, 1), 2, 5, 1),  # g = 1
+            ((2, 1, 1, 1), 3, 16, 4),  # 1 < g < l
+            ((1, 2, 1, 3), 1, 2, 2),  # g = l
+        ],
+    )
+    def test_lattice_basis_shapes(self, entries, T, l, g):
+        cat = validate_cat_map(*entries)
+        assert fixed_point_count(cat, T) == l
+        points = _lattice_fixed_points(cat, T, l)
+        assert points.dtype == np.int64 and points.shape == (l, 2)
+        assert [tuple(p) for p in points.tolist()] == scan_fixed_points(cat, T, l)
+        assert sorted(set(points[:, 0].tolist())) == list(range(0, l, g))
+        assert enumerate_prime_orbits(cat, T) == reference_orbits(cat, T)
+
+    def test_large_lattice(self, arnold):
+        orbits = enumerate_prime_orbits(arnold, 12, lattice_guard=200_000)
+        assert orbits[0].l == 103680
+        assert len(orbits) == 8610 == prime_orbit_count(arnold, 12)
+
+    def test_int64_limit_ignores_guard(self, arnold):
+        assert fixed_point_count(arnold, 23) > 4 * 10**9
+        with pytest.raises(EnumerationTooLarge, match="2\\^31"):
+            enumerate_prime_orbits(arnold, 23, lattice_guard=10**12)
+
     def test_prime_counts_and_divisor_identity(self, arnold):
         counts = {T: len(enumerate_prime_orbits(arnold, T)) for T in (1, 2, 3, 4)}
         assert counts == {1: 1, 2: 2, 3: 5, 4: 10}
@@ -153,6 +191,96 @@ class TestOrbits:
     def test_enumeration_guard(self, arnold):
         with pytest.raises(EnumerationTooLarge):
             enumerate_prime_orbits(arnold, 4, lattice_guard=10)
+
+
+def scan_fixed_points(cat, T, l):
+    """Oracle: every (j, k) of Z_l^2 with (M^T - Id)(j, k) = 0 mod l, by scan."""
+    a, b, c, d = cat.matrix_power(T)
+    k00, k01 = (a - 1) % l, b % l
+    k10, k11 = c % l, (d - 1) % l
+    out = []
+    ks = np.arange(l, dtype=np.int64)
+    for j in range(l):
+        r1 = (k00 * j + k01 * ks) % l
+        r2 = (k10 * j + k11 * ks) % l
+        for k in ks[(r1 == 0) & (r2 == 0)]:
+            out.append((j, int(k)))
+    return out
+
+
+def reference_orbits(cat, T):
+    """Oracle: walk M from each scanned fixed point, keep the exact-period-T cycles."""
+    l = fixed_point_count(cat, T)
+    a, b, c, d = cat.entries
+    seen = set()
+    cycles = []
+    for start in scan_fixed_points(cat, T, l):
+        if start in seen:
+            continue
+        cycle = [start]
+        j, k = start
+        while True:
+            j, k = (a * j + b * k) % l, (c * j + d * k) % l
+            if (j, k) == start:
+                break
+            cycle.append((j, k))
+        seen.update(cycle)
+        if len(cycle) == T:
+            pivot = cycle.index(min(cycle))
+            cycles.append(cycle[pivot:] + cycle[:pivot])
+    return [
+        Orbit(tuple(RationalPoint(j, k, l) for j, k in cyc), l=l, prime=True)
+        for cyc in sorted(cycles)
+    ]
+
+
+def mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def prime_orbit_count(cat, T):
+    """Moebius inversion of the fixed-point counts over the divisors of T."""
+    total = sum(
+        mobius(T // s) * fixed_point_count(cat, s) for s in range(1, T + 1) if T % s == 0
+    )
+    assert total % T == 0
+    return total // T
+
+
+def _small_lattice_cases():
+    """(map, T) for |entries| <= 5 and T in 1..6 with l <= 2000."""
+    return [
+        (entries, T)
+        for entries in hyperbolic_maps()
+        for T in range(1, 7)
+        if fixed_point_count(validate_cat_map(*entries), T) <= 2000
+    ]
+
+
+class TestLatticeProperty:
+    @settings(deadline=None)
+    @given(case=st.sampled_from(_small_lattice_cases()))
+    def test_matches_scan_oracle(self, case):
+        entries, T = case
+        cat = validate_cat_map(*entries)
+        l = fixed_point_count(cat, T)
+        points = [tuple(p) for p in _lattice_fixed_points(cat, T, l).tolist()]
+        assert set(points) == set(scan_fixed_points(cat, T, l))
+        orbits = enumerate_prime_orbits(cat, T)
+        assert orbits == reference_orbits(cat, T)
+        assert len(orbits) == prime_orbit_count(cat, T)
+        for o in orbits:
+            for p in o.points:
+                periods = [t for t in range(1, T + 1) if cat.apply(p, t) == p]
+                assert periods == [T]
 
 
 class TestMeasures:

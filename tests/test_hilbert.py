@@ -18,13 +18,14 @@ from catlab import (
     translation,
     validate_cat_map,
 )
+from catlab import hilbert
 from catlab.hilbert import (
     _require_invariant_theta,
     propagator_dense,
     translation_entries,
 )
 
-from conftest import random_state
+from conftest import hyperbolic_maps, random_state
 
 NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)]
 
@@ -115,6 +116,26 @@ class TestTranslation:
             tn = translation_entries(n, grid)
             tmn = translation_entries((-n[0], -n[1]), grid)
             assert np.max(np.abs(tn.conj().T - tmn)) < 1e-14
+
+    def test_adjoint_built_on_first_use(self, arnold, monkeypatch):
+        grid = choose_theta(arnold, 21)
+        calls = []
+        build = hilbert._translation_data
+
+        def counting(n, g):
+            calls.append(n)
+            return build(n, g)
+
+        monkeypatch.setattr(hilbert, "_translation_data", counting)
+        psi = random_state(grid, 4).amplitudes
+        t = translation((3, -2), grid)
+        t.apply(psi)
+        assert calls == [(3, -2)]
+        first = t.apply_adjoint(psi)
+        second = t.apply_adjoint(psi)
+        assert calls == [(3, -2), (-3, 2)]
+        expect = translation((-3, 2), grid).apply(psi)
+        assert np.array_equal(first, expect) and np.array_equal(second, expect)
 
     def test_integer_translation_eigenrelations(self):
         cat = validate_cat_map(1, 2, 1, 3)
@@ -250,19 +271,10 @@ class TestEgorovDefect:
         assert egorov_defect(u, cat, grid, states, 2) < 1e-8
 
 
-def _hyperbolic_maps():
-    r = range(-5, 6)
-    return [
-        (a, b, c, d)
-        for a in r for b in r for c in r for d in r
-        if a * d - b * c == 1 and abs(a + d) > 2
-    ]
-
-
 class TestRandomMapsProperty:
     @settings(max_examples=40, deadline=None)
     @given(
-        entries=st.sampled_from(_hyperbolic_maps()),
+        entries=st.sampled_from(hyperbolic_maps()),
         N=st.integers(7, 4096),
         seed=st.integers(0, 2**31 - 1),
     )
