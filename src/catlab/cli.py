@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .classical import DEFAULT_LATTICE_GUARD, enumerate_prime_orbits, validate_cat_map
 from .coherent import axis_variances, husimi, torus_coherent
-from .errors import CatlabError, ConfigError, PreconditionError
+from .errors import CatlabError, ConfigError, DimensionTooLarge, PreconditionError
 from .hilbert import QuantumState, choose_theta, egorov_defect, propagator
 from .io import (
     canonical_json,
@@ -32,7 +32,13 @@ from .io import (
     save_orbits_json,
     save_state,
 )
-from .quantize import Symbol, antiwick_expectation, weyl_antiwick_gap, weyl_quantize
+from .quantize import (
+    MAX_DENSE_N,
+    Symbol,
+    antiwick_expectation,
+    weyl_antiwick_gap,
+    weyl_quantize,
+)
 from .quasimodes import (
     DEFAULT_FREQUENCIES,
     QuasimodeSpec,
@@ -225,6 +231,11 @@ def _sweep_rows(args) -> Tuple[List[List[float]], List[str], float]:
     if args.kind == "waw-gap":
         from .selftest import GAP_SYMBOL
 
+        # refuse the whole ladder before the first dense gap is built
+        if max(ladder) > MAX_DENSE_N:
+            raise DimensionTooLarge(
+                f"ladder reaches N = {max(ladder)} > {MAX_DENSE_N} for the dense gap path"
+            )
         sym = Symbol.from_fourier(GAP_SYMBOL, real=True)
         rows = []
         for N in ladder:

@@ -194,6 +194,21 @@ def torus_coherent(x0: Point, catmap: CatMap, grid: PlanckGrid) -> QuantumState:
     return QuantumState(amp / math.sqrt(grid.N), grid)
 
 
+def _check_resolution(G: int, grid: PlanckGrid) -> None:
+    """Warn, at the caller's caller, when G < sqrt(2 pi N) = 1/sqrt(hbar).
+
+    Midpoint quadrature over coherent states (Husimi grids, anti-Wick
+    operators) aliases once the grid step stops resolving the coherent
+    width sqrt(hbar).
+    """
+    if G < 1.0 / math.sqrt(grid.hbar):
+        warnings.warn(
+            f"Husimi grid G={G} does not resolve sqrt(hbar) at N={grid.N}; "
+            "quadrature identities may degrade",
+            stacklevel=3,
+        )
+
+
 def _extended(psi: np.ndarray, grid: PlanckGrid, m: np.ndarray) -> np.ndarray:
     """Amplitudes continued to extended indices with the theta1 twist."""
     return np.exp(-1j * grid.theta[0] * (m // grid.N)) * psi[m % grid.N]
@@ -212,14 +227,8 @@ def husimi(
     if G < 16:
         raise ResolutionTooCoarse(f"G = {G} < 16")
     grid = psi.grid
-    # midpoint quadrature of the Husimi density aliases once the grid step
-    # stops resolving the coherent width sqrt(hbar)
-    if warn_resolution and G < 1.0 / math.sqrt(grid.hbar):
-        warnings.warn(
-            f"Husimi grid G={G} does not resolve sqrt(hbar) at N={grid.N}; "
-            "quadrature identities may degrade",
-            stacklevel=2,
-        )
+    if warn_resolution:
+        _check_resolution(G, grid)
     z0 = z_parameter(catmap)
     cut = _truncation_cut(grid, z0.imag)
     c0 = (2.0 * grid.N * z0.imag) ** 0.25

@@ -7,9 +7,12 @@ per frequency and no G^2 exp: sum_n c_n e_q(n2)^T H e_p(-n1) with
 length-G exponential vectors.  A bump symbol costs O(support cells): it
 is evaluated only on the cells of its support ball.  Other symbols are
 sampled on the full grid.  The dense anti-Wick operator is materialized
-only for the Weyl/anti-Wick comparison at moderate N, assembled by
+only for the Weyl/anti-Wick comparison at N <= MAX_DENSE_N, assembled by
 midpoint quadrature of coherent projectors with a windowed column
-algorithm.
+algorithm: the symbol rows go through one batched inverse DFT, and each
+column's K x K block is added by one cyclic scatter, windows that wrap
+the torus folded onto Z_N first.  The gap negates that array in place and
+adds the Weyl translations into it, so it holds one N x N array.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ import numpy as np
 from .classical import CatMap
 from .coherent import (
     HusimiGrid,
+    _check_resolution,
     _min_image,
     _truncation_cut,
-    _window_indices,
     husimi,
     z_parameter,
 )
 from .errors import DimensionTooLarge, RadiusOutOfRange, ResolutionTooCoarse
-from .hilbert import LinearMap, PlanckGrid, QuantumState, translation, translation_entries
+from .hilbert import LinearMap, PlanckGrid, QuantumState, _translation_data, translation
 
 __all__ = [
     "Symbol",
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 Freq = Tuple[int, int]
+
+# largest N for which the dense N x N gap path is built
+MAX_DENSE_N = 2048
 
 
 @dataclass
@@ -137,8 +143,7 @@ def weyl_quantize(symbol: Symbol, grid: PlanckGrid) -> LinearMap:
 
 def weyl_dense(symbol: Symbol, grid: PlanckGrid) -> np.ndarray:
     W = np.zeros((grid.N, grid.N), dtype=complex)
-    for n, c in sorted(symbol.fourier.items()):
-        W += c * translation_entries(n, grid)
+    _add_weyl_terms(W, symbol, grid)
     return W
 
 
@@ -297,49 +302,91 @@ def antiwick_quantize_dense(
 
     N integral a(x) |x><x| dx over the G x G grid.  Coherent columns are
     windowed; for each position column the momentum sum is carried by the
-    symbol row's inverse DFT, so assembly costs O(G (K^2 + G log G)) with
-    K the window size.
+    symbol row's inverse DFT, taken for all rows in one batched FFT.  The
+    window starts and Gaussian weights of all G columns are (G, K) arrays
+    with one common window length K (cells past a column's own window
+    weigh 0), and the K x K index-difference table is built once.  Each
+    column's block is added by one cyclic scatter into the accumulator;
+    a window longer than N wraps the torus and is first folded onto Z_N.
+    Assembly costs O(G (K^2 + G log G)) and holds one N x N array.  Warns
+    like husimi when G does not resolve sqrt(hbar).
     """
     N = grid.N
     if G < 16:
         raise ResolutionTooCoarse(f"G = {G} < 16")
+    _check_resolution(G, grid)
     z0 = z_parameter(catmap)
     cut = _truncation_cut(grid, z0.imag)
     c0 = (2.0 * N * z0.imag) ** 0.25
-    th1 = grid.theta[0]
-    eta = grid.eta
-    vals = symbol.sample(G)
+    # the windows of _window_indices, for all position columns at once
+    qa = (np.arange(G) + 0.5) / G
+    lo = np.floor(N * (qa - cut) - grid.eta).astype(np.int64)
+    length = np.ceil(N * (qa + cut) - grid.eta).astype(np.int64) - lo + 1
+    K = int(length.max())
+    if K > N:
+        K = -(-K // N) * N
+    k = np.arange(K)
+    m = lo[:, None] + k
+    dy = (m + grid.eta) / N - qa[:, None]
+    w = c0 * np.exp(1j * math.pi * N * z0 * dy * dy)
+    w = w * np.exp(-1j * grid.theta[0] * (m // N))
+    # the common K must not widen the Gaussian truncation of any column
+    w[k[None, :] >= length[:, None]] = 0.0
+    wc = np.conj(w)
+    # beta[a, d] = sum_b vals[a, b] e^{2 pi i (b + 1/2) d / G} for the
+    # differences |d| < K of two window cells, from one batched inverse DFT
+    # of the symbol rows; each column reads it as a K x K Toeplitz block
+    d = np.arange(1 - K, K)
+    base = np.fft.ifft(symbol.sample(G), axis=1) * G
+    beta = np.exp(1j * np.pi * d / G) * base[:, d % G]
+    toeplitz = k[:, None] - k[None, :] + (K - 1)
+    starts = lo % N
     acc = np.zeros((N, N), dtype=complex)
-    # index-difference tables depend only on the window length, so they are
-    # shared across columns
-    d_idx_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for a in range(G):
-        qa = (a + 0.5) / G
-        m = _window_indices(grid, qa, cut)
-        K = len(m)
-        dy = (m + eta) / N - qa
-        w = c0 * np.exp(1j * math.pi * N * z0 * dy * dy)
-        w = w * np.exp(-1j * th1 * (m // N))
-        # beta(d) = sum_b vals[a,b] e^{2 pi i (b + 1/2) d / G}
-        base = np.fft.ifft(vals[a, :]) * G
-        if K not in d_idx_cache:
-            dd = m[:, None] - m[None, :]
-            d_idx_cache[K] = (np.mod(dd, G), dd)
-        dmod, dd = d_idx_cache[K]
-        beta = np.exp(1j * np.pi * dd / G) * base[dmod]
-        block = (w[:, None] * np.conj(w)[None, :]) * beta
-        np.add.at(acc, (np.repeat(m % N, K), np.tile(m % N, K)), block.reshape(-1))
-    return acc / (G * G)
+        block = (w[a, :, None] * wc[a, None, :]) * beta[a][toeplitz]
+        if K > N:
+            block = block.reshape(K // N, N, K // N, N).sum(axis=(0, 2))
+        _add_cyclic(acc, block, int(starts[a]))
+    acc /= G * G
+    return acc
+
+
+def _add_cyclic(acc: np.ndarray, block: np.ndarray, start: int) -> None:
+    """acc[(start + i) % N, (start + j) % N] += block[i, j], block side <= N.
+
+    The cyclic range splits at the seam into at most two slices per axis,
+    so the block is added through views, with no index arrays.
+    """
+    L = len(block)
+    c = min(L, len(acc) - start)
+    parts = ((slice(0, c), slice(start, start + c)), (slice(c, L), slice(0, L - c)))
+    for bi, ai in parts:
+        for bj, aj in parts:
+            acc[ai, aj] += block[bi, bj]
+
+
+def _add_weyl_terms(out: np.ndarray, symbol: Symbol, grid: PlanckGrid) -> None:
+    """out += sum_n a~(n) T_N(n) in place, N entries per frequency."""
+    rows = np.arange(grid.N)
+    for n, c in sorted(symbol.fourier.items()):
+        n1, phase = _translation_data(n, grid)
+        out[rows, (rows - n1) % grid.N] += c * phase
 
 
 def _operator_norm(mat: np.ndarray, iters: int = 80, seed: int = 0) -> float:
-    """Largest singular value by power iteration on A*A, fixed seed."""
+    """Fixed-step lower estimate of the largest singular value.
+
+    Power iteration on A*A for a fixed number of steps from a seeded start,
+    with no convergence test, so the result never exceeds the true norm
+    and may fall short of it when the top singular values are close.
+    A* is applied as conj(conj(A v) A): no conjugate copy of A is made.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
-        w = mat.conj().T @ (mat @ v)
+        w = ((mat @ v).conj() @ mat).conj()
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -353,13 +400,14 @@ def weyl_antiwick_gap(
     catmap: CatMap,
     grid: PlanckGrid,
     G: int = 256,
-    max_dense: int = 2048,
+    max_dense: int = MAX_DENSE_N,
 ) -> float:
     """Operator norm of a^w - a^aw, dense path.
 
-    The Weyl side is assembled from translations, the anti-Wick side from
-    the coherent-projector quadrature; the two routes share no code beyond
-    the symbol's Fourier data.  Scales like hbar^(1 - 2 rho).
+    The anti-Wick side comes from the coherent-projector quadrature; it is
+    negated in place and the Weyl translations are added into it, so the
+    gap holds one N x N array.  The two routes share no code beyond the
+    symbol's Fourier data.  Scales like hbar^(1 - 2 rho).
 
     Raises
     ------
@@ -370,6 +418,7 @@ def weyl_antiwick_gap(
         raise DimensionTooLarge(f"N = {grid.N} > {max_dense} for the dense gap path")
     if symbol.fourier is None:
         raise ValueError("gap computation needs Fourier data for the Weyl side")
-    W = weyl_dense(symbol, grid)
-    AW = antiwick_quantize_dense(symbol, catmap, grid, G)
-    return _operator_norm(W - AW)
+    D = antiwick_quantize_dense(symbol, catmap, grid, G)
+    np.negative(D, out=D)
+    _add_weyl_terms(D, symbol, grid)
+    return _operator_norm(D)

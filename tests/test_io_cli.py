@@ -413,6 +413,21 @@ class TestCliSweepKinds:
         slope = float(lines[-1].split(",")[1])
         assert slope <= -(0.5 - 0.24) + 0.1
 
+    def test_oversized_ladder_refused_before_any_gap(self, tmp_path, monkeypatch, capsys):
+        calls = record_calls(monkeypatch, "antiwick_quantize_dense")
+        rc = main(
+            [
+                "sweep",
+                "--kind", "waw-gap",
+                "--matrix", "2,1,1,1",
+                "--ladder", "64,128,4096",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert rc == 3
+        assert "error[DimensionTooLarge]" in capsys.readouterr().err
+        assert calls["antiwick_quantize_dense"] == []
+
     def test_ladder_too_short(self, tmp_path):
         rc = main(
             [

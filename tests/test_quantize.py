@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,10 +21,14 @@ from catlab import (
     propagator,
     torus_coherent,
     translation,
+    validate_cat_map,
     weyl_antiwick_gap,
     weyl_quantize,
 )
-from catlab.quantize import weyl_dense
+from catlab.coherent import _truncation_cut, _window_indices, z_parameter
+from catlab.hilbert import translation_entries
+from catlab.quantize import _operator_norm, weyl_dense
+from catlab.selftest import GAP_SYMBOL
 
 from conftest import random_state
 
@@ -370,3 +375,102 @@ class TestWAWGap:
             weyl_antiwick_gap(
                 Symbol.from_fourier({(0, 0): 1.0}), arnold, grid4096
             )
+
+
+def reference_antiwick_dense(symbol, catmap, grid, G):
+    """Oracle: the column algorithm one window at a time, scattered with
+    np.add.at, so wrapped windows (K > N) pile up site by site."""
+    N = grid.N
+    z0 = z_parameter(catmap)
+    cut = _truncation_cut(grid, z0.imag)
+    c0 = (2.0 * N * z0.imag) ** 0.25
+    vals = symbol.sample(G)
+    acc = np.zeros((N, N), dtype=complex)
+    for a in range(G):
+        qa = (a + 0.5) / G
+        m = _window_indices(grid, qa, cut)
+        K = len(m)
+        dy = (m + grid.eta) / N - qa
+        w = c0 * np.exp(1j * math.pi * N * z0 * dy * dy)
+        w = w * np.exp(-1j * grid.theta[0] * (m // N))
+        base = np.fft.ifft(vals[a, :]) * G
+        dd = m[:, None] - m[None, :]
+        beta = np.exp(1j * np.pi * dd / G) * base[np.mod(dd, G)]
+        block = (w[:, None] * np.conj(w)[None, :]) * beta
+        np.add.at(acc, (np.repeat(m % N, K), np.tile(m % N, K)), block.reshape(-1))
+    return acc / (G * G)
+
+
+def oracle_symbols():
+    rng = np.random.default_rng(21)
+    coeffs = {
+        (int(rng.integers(-3, 4)), int(rng.integers(-3, 4))): complex(
+            rng.standard_normal(), rng.standard_normal()
+        )
+        for _ in range(5)
+    }
+    lower, _ = bump_symbols((0.02, 0.97), 0.2)
+    return {
+        "gap": Symbol.from_fourier(GAP_SYMBOL, real=True),
+        "complex": Symbol.from_fourier(coeffs),
+        "bump": lower,
+    }
+
+
+def unresolved(G, grid):
+    return G < math.sqrt(2.0 * math.pi * grid.N)
+
+
+class TestDenseAssembly:
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (3, 1, 2, 1)])
+    @pytest.mark.parametrize("N", [16, 24, 25, 64, 200])
+    @pytest.mark.parametrize("G", [16, 48, 256])
+    def test_matches_column_oracle(self, entries, N, G):
+        # windows wrap the torus at N = 16, 24 and 25; N = 25 has theta = (pi, pi)
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        for name, sym in oracle_symbols().items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = antiwick_quantize_dense(sym, cat, grid, G)
+            hits = [w for w in caught if "does not resolve sqrt(hbar)" in str(w.message)]
+            assert len(hits) == unresolved(G, grid)
+            want = reference_antiwick_dense(sym, cat, grid, G)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_weyl_dense_is_the_translation_sum(self, arnold):
+        grid = choose_theta(arnold, 96)
+        sym = oracle_symbols()["complex"]
+        want = np.zeros((96, 96), dtype=complex)
+        for n, c in sorted(sym.fourier.items()):
+            want += c * translation_entries(n, grid)
+        assert np.array_equal(weyl_dense(sym, grid), want)
+
+    @pytest.mark.parametrize("N", [24, 200])
+    def test_gap_matches_oracle(self, N):
+        cat = validate_cat_map(3, 1, 2, 1)
+        grid = choose_theta(cat, N)
+        for sym in (oracle_symbols()["gap"], oracle_symbols()["complex"]):
+            D = weyl_dense(sym, grid) - reference_antiwick_dense(sym, cat, grid, 256)
+            want = _operator_norm(D)
+            assert weyl_antiwick_gap(sym, cat, grid, G=256) == pytest.approx(want, rel=1e-12)
+
+    def test_gap_holds_one_dense_array(self, arnold, grid1024):
+        sym = oracle_symbols()["gap"]
+        tracemalloc.start()
+        try:
+            weyl_antiwick_gap(sym, arnold, grid1024, G=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 1024**2
+
+    @pytest.mark.parametrize("G, warns", [(64, 1), (256, 0)])
+    def test_resolution_warning(self, arnold, G, warns):
+        # sqrt(2 pi N) = 113.4 at N = 2048
+        grid = choose_theta(arnold, 2048)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            weyl_antiwick_gap(oracle_symbols()["gap"], arnold, grid, G=G)
+        hits = [w for w in caught if "does not resolve sqrt(hbar)" in str(w.message)]
+        assert len(hits) == warns
