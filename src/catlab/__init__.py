@@ -14,12 +14,11 @@ from .classical import (
     CatMap,
     Orbit,
     RationalPoint,
-    best_orbit_for_measure,
     decompose_hyperbolic,
-    delta_measure_integrate,
     enumerate_prime_orbits,
     fixed_point_count,
     orbit_fourier_coefficient,
+    orbit_through,
     validate_cat_map,
 )
 from .coherent import (

@@ -12,11 +12,12 @@ import math
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, NotHyperbolic, NotUnimodular
+from .errors import EnumerationTooLarge, NotHyperbolic, NotUnimodular, PreconditionError
 
 __all__ = [
     "CatMap",
@@ -26,16 +27,15 @@ __all__ = [
     "decompose_hyperbolic",
     "fixed_point_count",
     "enumerate_prime_orbits",
-    "delta_measure_integrate",
+    "orbit_through",
     "orbit_fourier_coefficient",
-    "best_orbit_for_measure",
     "rotation_matrix",
     "boost_matrix",
 ]
 
-# Lattice guard on l: enumeration costs O(T l), and the guard bounds the l
-# periodic points, the RationalPoint objects built for them and the JSON that
-# `catlab orbits` writes.
+# Lattice guard on l: enumeration costs O(T l) int64 work and memory, and the
+# guard bounds the l periodic points and the JSON that `catlab orbits` writes
+# for them (about 40 bytes per point); no per-point Python object is built.
 DEFAULT_LATTICE_GUARD = 10_000
 
 # Codes j*l + k and products of entries reduced mod l fit in int64 only below.
@@ -246,27 +246,40 @@ def torus_distance(x: Sequence[float], y: Sequence[float]) -> float:
     return math.hypot(dq, dp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
-    """A closed orbit on the lattice L_l, stored from its canonical point.
+    """A closed orbit on the lattice L_l.
 
-    points[t+1] = M points[t] mod 1 exactly, and the first point is the
-    lexicographically smallest (j, k) pair on the orbit.
+    jk is a (T, 2) int64 array of numerators: the orbit's points are
+    x_t = (jk[t, 0] / l, jk[t, 1] / l), with x_{t+1} = M x_t mod 1 exactly.
+    Enumerated orbits start at their lexicographically smallest (j, k).
     """
 
-    points: Tuple[RationalPoint, ...]
+    jk: np.ndarray
     l: int
     prime: bool = True
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Orbit):
+            return NotImplemented
+        same = self.l == other.l and self.prime == other.prime
+        return same and np.array_equal(self.jk, other.jk)
+
     @property
     def length(self) -> int:
-        return len(self.points)
+        return len(self.jk)
+
+    @cached_property
+    def points(self) -> Tuple[RationalPoint, ...]:
+        """The points as exact RationalPoints, built on first use."""
+        return tuple(RationalPoint(j, k, self.l) for j, k in self.jk.tolist())
 
     def start(self) -> RationalPoint:
-        return self.points[0]
+        j, k = self.jk[0].tolist()
+        return RationalPoint(j, k, self.l)
 
     def min_separation(self) -> float:
-        pts = [p.as_floats() for p in self.points]
+        pts = (self.jk / self.l).tolist()
         n = len(pts)
         if n < 2:
             return math.inf
@@ -360,63 +373,54 @@ def enumerate_prime_orbits(
         j, k = (a * j + b * k) % l, (c * j + d * k) % l
     prime = (codes[1:] != codes[0]).all(axis=0)
     starts = codes[:, prime & (codes[0] == codes.min(axis=0))].T
-    return [
-        Orbit(
-            tuple(RationalPoint(x, y, l) for x, y in zip(js, ks)), l=l, prime=True
+    jk = np.stack([starts // l, starts % l], axis=-1)
+    jk.flags.writeable = False
+    return [Orbit(orbit, l=l, prime=True) for orbit in jk]
+
+
+def orbit_through(catmap: CatMap, j: int, k: int, l: int) -> Orbit:
+    """The closed orbit of M through (j/l, k/l), walked exactly mod l.
+
+    It starts at (j mod l, k mod l).  Raises ValueError if l <= 0,
+    EnumerationTooLarge if l >= 2^31 (the int64 limit) and PreconditionError
+    if the period exceeds 10^6.
+    """
+    if l <= 0:
+        raise ValueError("denominator must be positive")
+    if l >= _INT64_LATTICE_LIMIT:
+        raise EnumerationTooLarge(
+            f"lattice denominator l = {l} is not below 2^31, the int64 limit"
         )
-        for js, ks in zip((starts // l).tolist(), (starts % l).tolist())
-    ]
-
-
-def delta_measure_integrate(orbit: Orbit, f: Callable[[float, float], complex]) -> complex:
-    """Integral of f against the normalized delta measure on the orbit."""
-    total = 0.0 + 0.0j
-    for p in orbit.points:
-        q, pp = p.as_floats()
-        total += f(q, pp)
-    return total / orbit.length
+    a, b, c, d = (x % l for x in catmap.entries)
+    start = (j % l, k % l)
+    pts = [start]
+    x, y = start
+    while True:
+        x, y = (a * x + b * y) % l, (c * x + d * y) % l
+        if (x, y) == start:
+            break
+        pts.append((x, y))
+        if len(pts) > 10**6:
+            raise PreconditionError(
+                f"orbit through ({j}/{l}, {k}/{l}) has period above 1e6"
+            )
+    jk = np.array(pts, dtype=np.int64)
+    jk.flags.writeable = False
+    return Orbit(jk, l=l, prime=True)
 
 
 def orbit_fourier_coefficient(orbit: Orbit, n: Tuple[int, int]) -> complex:
     """mu_gamma(e_n) with e_n(x) = exp(2 pi i (n2 x1 - n1 x2)), exact phases.
 
     The phase argument (n2 j - n1 k)/l is reduced mod 1 in integer
-    arithmetic before exponentiating.
+    arithmetic before exponentiating, and the terms are summed in orbit
+    order.
     """
     n1, n2 = n
-    total = 0.0 + 0.0j
     l = orbit.l
-    for p in orbit.points:
-        r = (n2 * p.j - n1 * p.k) % l
+    # n reduced mod l keeps every product below l^2 < 2^62
+    phases = ((n2 % l) * orbit.jk[:, 0] - (n1 % l) * orbit.jk[:, 1]) % l
+    total = 0.0 + 0.0j
+    for r in phases.tolist():
         total += cmath.exp(2j * math.pi * r / l)
     return total / orbit.length
-
-
-def best_orbit_for_measure(
-    catmap: CatMap,
-    target: Dict[Tuple[int, int], complex],
-    T_max: int,
-    lattice_guard: int = DEFAULT_LATTICE_GUARD,
-) -> Tuple[Orbit, float]:
-    """Prime orbit of length <= T_max whose delta measure best matches target.
-
-    target maps frequencies n to desired Fourier coefficients mu(e_n); the
-    discrepancy is the l1 distance over those frequencies.  Ties break
-    toward shorter orbits, then the canonical starting point.  Returns the
-    winning orbit and its discrepancy.
-    """
-    if T_max < 1:
-        raise ValueError("T_max must be >= 1")
-    best: Tuple[Orbit, float] | None = None
-    best_key = None
-    for T in range(1, T_max + 1):
-        for orbit in enumerate_prime_orbits(catmap, T, lattice_guard):
-            disc = sum(
-                abs(orbit_fourier_coefficient(orbit, n) - target[n]) for n in target
-            )
-            key = (disc, T, orbit.start().j, orbit.start().k)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (orbit, float(disc))
-    assert best is not None
-    return best

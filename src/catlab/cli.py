@@ -70,9 +70,18 @@ def _parse_ladder(text: str) -> List[int]:
 def _write_manifest(out: Path, config: Dict) -> None:
     clean = {k: v for k, v in config.items() if not callable(v)}
     doc = {"tool": "catlab", "version": __version__, "resolved_config": clean}
-    out.parent.mkdir(parents=True, exist_ok=True)
     manifest = out.parent / (out.stem + ".manifest.json")
     manifest.write_text(canonical_json(doc))
+
+
+def _make_out_dir(args) -> None:
+    """Create the parent directory of --out, for every subcommand that has one."""
+    out = getattr(args, "out", None)
+    if out:
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the directory of --out {out}: {exc}") from exc
 
 
 def parse_config_file(path: str) -> Dict:
@@ -202,7 +211,6 @@ def cmd_quasimode(args) -> int:
     exp = run_pipeline(cfg)
     t1 = time.perf_counter()
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(canonical_json(exp.report))
     _write_manifest(out, cfg)
     outputs = cfg.get("outputs", ["state", "husimi", "orbit"])
@@ -279,7 +287,6 @@ def _sweep_rows(args) -> Tuple[List[List[float]], List[str], float]:
 def cmd_sweep(args) -> int:
     rows, header, slope = _sweep_rows(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row))
@@ -294,7 +301,6 @@ def cmd_selftest(args) -> int:
     report, ok = selftest(seed=args.seed)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(canonical_json(report))
         _write_manifest(out, {"seed": args.seed})
     return 0 if ok else 1
@@ -375,6 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors, matching our config-error code
         return int(exc.code or 0)
     try:
+        _make_out_dir(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)

@@ -4,6 +4,9 @@ States travel as little-endian binary with a fixed 32-byte header, or as
 JSON for small N.  Husimi grids are CSV (17 significant digits, row major)
 with a JSON sidecar.  Report JSON uses sorted keys and Python's shortest
 round-trip float representation, so identical inputs give identical bytes.
+Orbit files hold only integers; they are written straight from the orbits'
+int64 arrays in the canonical_json layout, byte for byte, and every orbit
+read back is checked against the file's matrix.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import CatMap, Orbit, RationalPoint
+from .classical import _INT64_LATTICE_LIMIT, CatMap, Orbit
 from .coherent import HusimiGrid
 from .errors import ConfigError
 from .hilbert import PlanckGrid, QuantumState
@@ -106,28 +109,70 @@ def save_husimi_csv(path: Union[str, Path], hgrid: HusimiGrid) -> None:
     path.with_suffix(path.suffix + ".json").write_text(canonical_json(sidecar))
 
 
-def orbit_doc(orbit: Orbit, catmap: CatMap) -> Dict:
-    return {
-        "matrix": list(catmap.entries),
-        "T": orbit.length,
-        "l": orbit.l,
-        "points": [[p.j, p.k] for p in orbit.points],
-    }
+# One orbit in the canonical_json layout: sorted keys T, l, matrix, points,
+# with indent 1 inside the top-level list.
+_ORBIT_HEAD = (
+    ' {\n  "T": %d,\n  "l": %d,\n  "matrix": [\n   %d,\n   %d,\n   %d,\n   %d\n  ],'
+    '\n  "points": [\n'
+)
+_ORBIT_POINT = "   [\n    %d,\n    %d\n   ]"
+_ORBIT_TAIL = "\n  ]\n }"
 
 
 def save_orbits_json(
     path: Union[str, Path], orbits: Sequence[Orbit], catmap: CatMap
 ) -> None:
-    Path(path).write_text(canonical_json([orbit_doc(o, catmap) for o in orbits]))
+    """A JSON list of {"T", "l", "matrix", "points": [[j, k], ...]}.
+
+    The bytes equal canonical_json of that list; each orbit is formatted
+    from its jk array with one %d template.
+    """
+    parts = [
+        (_ORBIT_HEAD + ",\n".join([_ORBIT_POINT] * o.length) + _ORBIT_TAIL)
+        % (o.length, o.l, *catmap.entries, *o.jk.ravel().tolist())
+        for o in orbits
+    ]
+    Path(path).write_text("[\n" + ",\n".join(parts) + "\n]\n" if parts else "[]\n")
+
+
+def _orbit_defect(jk: np.ndarray, l: int, T: int, matrix) -> Optional[str]:
+    """Why jk is not a closed orbit of exact period T of matrix on L_l, or None."""
+    if not 1 <= l < _INT64_LATTICE_LIMIT:
+        return f"l = {l} outside [1, 2^31)"
+    if len(jk) != T:
+        return f"{len(jk)} points, T = {T}"
+    if ((jk < 0) | (jk >= l)).any():
+        return f"a point lies outside [0, {l})^2"
+    a, b, c, d = (v % l for v in matrix)
+    j, k = jk[:, 0], jk[:, 1]
+    image = np.column_stack([(a * j + b * k) % l, (c * j + d * k) % l])
+    if not np.array_equal(image, np.roll(jk, -1, axis=0)):
+        return "M x_t != x_{t+1} mod l"
+    if len(np.unique(j * l + k)) != T:
+        return f"the period is shorter than T = {T}"
+    return None
 
 
 def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
-    docs = json.loads(Path(path).read_text())
+    """Orbits from a file in save_orbits_json's layout.
+
+    Each orbit is checked against the file's matrix (points in [0, l)^2,
+    M x_t = x_{t+1} mod l cyclically, T points, no shorter period); a
+    failure raises ConfigError naming the file and the orbit index.
+    """
     out = []
-    for doc in docs:
-        l = int(doc["l"])
-        pts = tuple(RationalPoint(int(j), int(k), l) for j, k in doc["points"])
-        out.append(Orbit(pts, l=l, prime=True))
+    for i, doc in enumerate(json.loads(Path(path).read_text())):
+        try:
+            l, T = int(doc["l"]), int(doc["T"])
+            a, b, c, d = (int(v) for v in doc["matrix"])
+            jk = np.array(doc["points"], dtype=np.int64).reshape(len(doc["points"]), 2)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}: orbit {i}: malformed ({exc})") from exc
+        defect = _orbit_defect(jk, l, T, (a, b, c, d))
+        if defect is not None:
+            raise ConfigError(f"{path}: orbit {i}: {defect}")
+        jk.flags.writeable = False
+        out.append(Orbit(jk, l=l, prime=True))
     return out
 
 

@@ -184,7 +184,7 @@ def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
             "increase N or decrease C",
             pair=None,
         )
-    pts = [p.as_floats() for p in spec.orbit.points]
+    pts = (spec.orbit.jk / spec.orbit.l).tolist()
     for s in range(len(pts)):
         for t in range(s + 1, len(pts)):
             if torus_distance(pts[s], pts[t]) < 2.0 * rho:
@@ -213,7 +213,7 @@ def husimi_ball_report(
         With the offending pair when the separation precondition fails.
     """
     rho = _checked_ball_radius(spec, C)
-    pts = [p.as_floats() for p in spec.orbit.points]
+    pts = (spec.orbit.jk / spec.orbit.l).tolist()
     if hgrid is None:
         hgrid = husimi(psi, spec.catmap, G)
     balls = []
@@ -318,7 +318,7 @@ def nonequidistribution_report(
             f"{space} space at T={T}, N={spec.grid.N}",
             admissible=(r_lo, r_hi),
         )
-    orbit_pts = [p.as_floats() for p in spec.orbit.points]
+    orbit_pts = (spec.orbit.jk / spec.orbit.l).tolist()
 
     if space == "physical":
         centers = [q for q, _ in orbit_pts] + list(_net_centers_1d(r))
@@ -412,7 +412,7 @@ def run_pipeline(config: Dict) -> Experiment:
     and the Husimi grid of psi_n are built once and shared by every
     diagnostic; file emission is the CLI's job.
     """
-    from .classical import enumerate_prime_orbits, validate_cat_map, RationalPoint
+    from .classical import enumerate_prime_orbits, orbit_through, validate_cat_map
     from .hilbert import choose_theta
 
     timings: Dict[str, float] = {}
@@ -434,17 +434,7 @@ def run_pipeline(config: Dict) -> Experiment:
 
     if "orbit_start" in config:
         j, k, l = (int(v) for v in config["orbit_start"])
-        start = RationalPoint(j, k, l)
-        pts = [start]
-        cur = cat.apply(start)
-        while cur != start:
-            pts.append(cur)
-            cur = cat.apply(cur)
-            if len(pts) > 10**6:
-                raise PreconditionError(
-                    f"orbit through ({j}/{l}, {k}/{l}) has period above 1e6"
-                )
-        orbit = Orbit(tuple(pts), l=l, prime=True)
+        orbit = orbit_through(cat, j, k, l)
         T = orbit.length
     else:
         T = int(config["T"])
@@ -514,7 +504,7 @@ def run_pipeline(config: Dict) -> Experiment:
         "T": T,
         "orbit": {
             "l": orbit.l,
-            "points": [[p.j, p.k] for p in orbit.points],
+            "points": orbit.jk.tolist(),
         },
         "N": N,
         "theta": [grid.theta[0], grid.theta[1]],

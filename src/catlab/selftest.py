@@ -138,7 +138,7 @@ def criterion_5(seed: int = 0) -> Dict:
         ok = ok and total == expect_l[T]
     orbits2 = enumerate_prime_orbits(cat, 2)
     found = any(
-        {(p.j, p.k) for p in o.points} == {(4, 3), (1, 2)} and o.l == 5
+        {tuple(x) for x in o.jk.tolist()} == {(4, 3), (1, 2)} and o.l == 5
         for o in orbits2
     )
     ok = ok and found

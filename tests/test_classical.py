@@ -10,13 +10,13 @@ from catlab import (
     NotHyperbolic,
     NotUnimodular,
     Orbit,
+    PreconditionError,
     RationalPoint,
-    best_orbit_for_measure,
     decompose_hyperbolic,
-    delta_measure_integrate,
     enumerate_prime_orbits,
     fixed_point_count,
     orbit_fourier_coefficient,
+    orbit_through,
     validate_cat_map,
 )
 from catlab.classical import (
@@ -192,6 +192,46 @@ class TestOrbits:
         with pytest.raises(EnumerationTooLarge):
             enumerate_prime_orbits(arnold, 4, lattice_guard=10)
 
+    def test_array_layout(self, arnold):
+        for o in enumerate_prime_orbits(arnold, 3):
+            assert o.jk.dtype == np.int64 and o.jk.shape == (3, 2)
+            assert not o.jk.flags.writeable
+            assert o.points == tuple(RationalPoint(j, k, o.l) for j, k in o.jk.tolist())
+            assert o.start() == o.points[0]
+
+    def test_equality(self, arnold):
+        o = enumerate_prime_orbits(arnold, 2)[0]
+        assert o == Orbit(o.jk.copy(), l=o.l)
+        assert o != Orbit(o.jk[::-1].copy(), l=o.l)
+        assert o != Orbit(o.jk, l=o.l + 1)
+        assert o != Orbit(o.jk, l=o.l, prime=False)
+        assert o != o.points
+
+
+class TestOrbitThrough:
+    def test_matches_enumeration(self, arnold):
+        for T in range(1, 7):
+            for o in enumerate_prime_orbits(arnold, T):
+                assert orbit_through(arnold, *o.jk[0].tolist(), o.l) == o
+
+    def test_starts_at_reduced_point(self, arnold):
+        o = orbit_through(arnold, 6, -8, 5)
+        assert o.jk.tolist() == [[1, 2], [4, 3]] and o.l == 5
+
+    def test_period_cap(self, arnold):
+        # (1, 0) has period 1000004 mod 1000003, just above the cap
+        with pytest.raises(
+            PreconditionError, match=r"orbit through \(1/1000003, 0/1000003\) has period above 1e6"
+        ):
+            orbit_through(arnold, 1, 0, 1000003)
+
+    def test_denominator_limits(self, arnold):
+        with pytest.raises(ValueError, match="positive"):
+            orbit_through(arnold, 0, 0, 0)
+        with pytest.raises(EnumerationTooLarge, match="2\\^31"):
+            orbit_through(arnold, 0, 0, 2**31)
+        assert orbit_through(arnold, 0, 0, 2**31 - 1).jk.tolist() == [[0, 0]]
+
 
 def scan_fixed_points(cat, T, l):
     """Oracle: every (j, k) of Z_l^2 with (M^T - Id)(j, k) = 0 mod l, by scan."""
@@ -228,10 +268,7 @@ def reference_orbits(cat, T):
         if len(cycle) == T:
             pivot = cycle.index(min(cycle))
             cycles.append(cycle[pivot:] + cycle[:pivot])
-    return [
-        Orbit(tuple(RationalPoint(j, k, l) for j, k in cyc), l=l, prime=True)
-        for cyc in sorted(cycles)
-    ]
+    return [Orbit(np.array(cyc, dtype=np.int64), l=l, prime=True) for cyc in sorted(cycles)]
 
 
 def mobius(n):
@@ -278,6 +315,7 @@ class TestLatticeProperty:
         assert orbits == reference_orbits(cat, T)
         assert len(orbits) == prime_orbit_count(cat, T)
         for o in orbits:
+            assert orbit_through(cat, *o.jk[0].tolist(), l) == o
             for p in o.points:
                 periods = [t for t in range(1, T + 1) if cat.apply(p, t) == p]
                 assert periods == [T]
@@ -285,8 +323,9 @@ class TestLatticeProperty:
 
 class TestMeasures:
     def test_probability(self, arnold):
-        o = enumerate_prime_orbits(arnold, 2)[0]
-        assert delta_measure_integrate(o, lambda q, p: 1.0) == pytest.approx(1.0)
+        # mu_gamma(e_0) is the total mass of the delta measure
+        for o in enumerate_prime_orbits(arnold, 3):
+            assert orbit_fourier_coefficient(o, (0, 0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_origin_orbit(self, arnold):
         (o,) = enumerate_prime_orbits(arnold, 1)
@@ -299,32 +338,17 @@ class TestMeasures:
         # n = (1,0): n ^ x = -p, points (4/5,3/5) and (1/5,2/5)
         expect = (cmath.exp(-2j * math.pi * 3 / 5) + cmath.exp(-2j * math.pi * 2 / 5)) / 2
         assert orbit_fourier_coefficient(o, (1, 0)) == pytest.approx(expect, abs=1e-14)
-        via_float = delta_measure_integrate(
-            o, lambda q, p: cmath.exp(2j * math.pi * (-p))
-        )
+        via_float = sum(cmath.exp(2j * math.pi * (-p.as_floats()[1])) for p in o.points) / 2
         assert via_float == pytest.approx(expect, abs=1e-12)
 
-
-class TestBestOrbit:
-    def test_single_candidate(self, arnold):
-        target = {(1, 0): 0.0, (0, 1): 0.0}
-        orbit, disc = best_orbit_for_measure(arnold, target, T_max=1)
-        assert orbit.length == 1 and orbit.points[0].j == 0
-
-    def test_exact_match(self, arnold):
-        o2 = enumerate_prime_orbits(arnold, 2)[1]
-        freqs = [(n1, n2) for n1 in range(-2, 3) for n2 in range(-2, 3) if (n1, n2) != (0, 0)]
-        target = {n: orbit_fourier_coefficient(o2, n) for n in freqs}
-        found, disc = best_orbit_for_measure(arnold, target, T_max=3)
-        assert disc < 1e-12
-        assert {(p.j, p.k) for p in found.points} == {(p.j, p.k) for p in o2.points}
-
-    def test_lebesgue_discrepancy_monotone(self, arnold):
-        freqs = [(n1, n2) for n1 in range(-2, 3) for n2 in range(-2, 3) if (n1, n2) != (0, 0)]
-        target = {n: 0.0 for n in freqs}
-        discs = [best_orbit_for_measure(arnold, target, T_max=T)[1] for T in (1, 2, 4, 6)]
-        assert all(b <= a + 1e-15 for a, b in zip(discs, discs[1:]))
-        assert discs[-1] < discs[0]
+    @pytest.mark.parametrize("n", [(1, 0), (0, 1), (3, -2), (-8, 7), (10**12, -(10**15))])
+    def test_matches_exact_point_sum(self, arnold, n):
+        # oracle: the sequential sum over RationalPoints with Python-int phases
+        for o in enumerate_prime_orbits(arnold, 4):
+            total = 0.0 + 0.0j
+            for p in o.points:
+                total += cmath.exp(2j * math.pi * ((n[1] * p.j - n[0] * p.k) % o.l) / o.l)
+            assert orbit_fourier_coefficient(o, n) == total / o.length
 
 
 def test_torus_distance():

@@ -3,19 +3,25 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from catlab import (
     ConfigError,
+    RationalPoint,
     Symbol,
     antiwick_expectation,
     choose_theta,
+    enumerate_prime_orbits,
+    fixed_point_count,
     husimi,
     torus_coherent,
+    validate_cat_map,
     weyl_quantize,
 )
 from catlab.cli import main, parse_config_file
 from catlab.io import (
     MAGIC,
+    canonical_json,
     load_orbits_json,
     load_state,
     load_state_json,
@@ -27,7 +33,7 @@ from catlab.io import (
     save_symbol_json,
 )
 
-from conftest import random_state
+from conftest import hyperbolic_maps, random_state
 
 
 class TestStateFormat:
@@ -87,10 +93,28 @@ class TestHusimiFormat:
         assert sidecar["norm_sq"] == pytest.approx(coh.norm2())
 
 
+def orbit_doc(orbit, catmap):
+    """Oracle: one orbit as the document canonical_json lays out in the file."""
+    return {
+        "matrix": list(catmap.entries),
+        "T": orbit.length,
+        "l": orbit.l,
+        "points": [[p.j, p.k] for p in orbit.points],
+    }
+
+
+def _small_orbit_cases():
+    """(map, T) for |entries| <= 5, T in 1..4 and l <= 400."""
+    return [
+        (entries, T)
+        for entries in hyperbolic_maps()
+        for T in range(1, 5)
+        if fixed_point_count(validate_cat_map(*entries), T) <= 400
+    ]
+
+
 class TestOrbitFormat:
     def test_roundtrip(self, arnold, tmp_path):
-        from catlab import enumerate_prime_orbits
-
         orbits = enumerate_prime_orbits(arnold, 2)
         path = tmp_path / "orbits.json"
         save_orbits_json(path, orbits, arnold)
@@ -102,6 +126,58 @@ class TestOrbitFormat:
         assert [(p.j, p.k) for p in back[0].points] == [
             (p.j, p.k) for p in orbits[0].points
         ]
+        assert back == orbits
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=st.sampled_from(_small_orbit_cases()))
+    @example(case=((2, 1, 1, 1), 1))  # l = 1
+    def test_bytes_match_canonical_json(self, case, tmp_path_factory):
+        entries, T = case
+        cat = validate_cat_map(*entries)
+        orbits = enumerate_prime_orbits(cat, T)
+        path = tmp_path_factory.mktemp("orbits") / "orbits.json"
+        save_orbits_json(path, orbits, cat)
+        assert path.read_text() == canonical_json([orbit_doc(o, cat) for o in orbits])
+
+    def test_empty_list(self, arnold, tmp_path):
+        save_orbits_json(tmp_path / "none.json", [], arnold)
+        assert (tmp_path / "none.json").read_text() == canonical_json([]) == "[]\n"
+        assert load_orbits_json(tmp_path / "none.json") == []
+
+    def test_no_rational_points_built(self, arnold, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("RationalPoint constructed")
+
+        monkeypatch.setattr(RationalPoint, "__post_init__", refuse)
+        orbits = enumerate_prime_orbits(arnold, 6)
+        save_orbits_json(tmp_path / "orbits.json", orbits, arnold)
+        assert len(json.loads((tmp_path / "orbits.json").read_text())) == len(orbits)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"points": [[2, 4], [3, 5]]}, "outside \\[0, 5\\)"),
+            ({"points": [[2, -1], [3, 1]]}, "outside \\[0, 5\\)"),
+            ({"points": [[2, 4], [3, 2]]}, "M x_t != x_\\{t\\+1\\}"),
+            ({"matrix": [3, 1, 2, 1]}, "M x_t != x_\\{t\\+1\\}"),
+            ({"T": 3}, "2 points, T = 3"),
+            ({"points": [[2, 4]]}, "1 points, T = 2"),
+            ({"points": [[2, 4], [3, 1]] * 2, "T": 4}, "shorter than T = 4"),
+            ({"points": [[0, 0], [0, 0]]}, "shorter than T = 2"),
+            ({"points": [[2, 4, 0], [3, 1, 0]]}, "malformed"),
+            ({"matrix": [2, 1, 1]}, "malformed"),
+            ({"l": 2**31}, "outside \\[1, 2\\^31\\)"),
+        ],
+    )
+    def test_load_rejects_corrupt_orbit(self, arnold, tmp_path, fields, message):
+        path = tmp_path / "orbits.json"
+        save_orbits_json(path, enumerate_prime_orbits(arnold, 2), arnold)
+        docs = json.loads(path.read_text())
+        assert docs[1]["points"] == [[2, 4], [3, 1]]
+        docs[1].update(fields)
+        path.write_text(json.dumps(docs))
+        with pytest.raises(ConfigError, match=f"orbits.json: orbit 1: .*{message}"):
+            load_orbits_json(path)
 
 
 class TestSymbolFormat:
@@ -283,6 +359,39 @@ class TestCli:
         )
         assert rc == 3
         assert "error[EnumerationTooLarge]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["orbits", "propagator-check", "husimi", "expect",
+                                         "quasimode", "sweep", "selftest"])
+    def test_out_into_new_directory(self, command, arnold, tmp_path, monkeypatch, capsys):
+        import catlab.selftest
+
+        monkeypatch.setattr(catlab.selftest, "CRITERIA", {1: lambda seed=0: {"pass": True}})
+        grid = choose_theta(arnold, 64)
+        save_state(tmp_path / "psi.bin", torus_coherent((0.5, 0.5), arnold, grid))
+        save_symbol_json(tmp_path / "sym.json", Symbol.from_fourier({(1, 0): 1.0}))
+        (tmp_path / "exp.cfg").write_text("matrix = 2,1,1,1\nT = 1\nN = 512\nG = 64\n")
+        state, matrix = ["--state", str(tmp_path / "psi.bin")], ["--matrix", "2,1,1,1"]
+        argv = {
+            "orbits": matrix + ["--T", "2"],
+            "propagator-check": matrix + ["--N", "64", "--states", "2"],
+            "husimi": state + matrix + ["--G", "32"],
+            "expect": state + matrix + ["--symbol", str(tmp_path / "sym.json"),
+                                        "--mode", "w"],
+            "quasimode": ["--config", str(tmp_path / "exp.cfg")],
+            "sweep": matrix + ["--kind", "husimi-width", "--ladder", "0,1,2",
+                               "--N", "64", "--G", "32"],
+            "selftest": [],
+        }[command]
+        out = tmp_path / "new" / "deeper" / "out.json"
+        assert main([command, *argv, "--out", str(out)]) == 0
+        assert out.exists()
+        assert (out.parent / "out.manifest.json").exists()
+
+    def test_out_directory_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "orbits.json"
+        assert main(["orbits", "--matrix", "2,1,1,1", "--T", "2", "--out", str(out)]) == 2
+        assert "cannot create the directory of --out" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
