@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .classical import (
     CatMap,
     Orbit,
-    RationalPoint,
     decompose_hyperbolic,
     enumerate_prime_orbits,
     fixed_point_count,

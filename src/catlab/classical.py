@@ -12,7 +12,6 @@ import math
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import EnumerationTooLarge, NotHyperbolic, NotUnimodular, Precondit
 
 __all__ = [
     "CatMap",
-    "RationalPoint",
     "Orbit",
     "validate_cat_map",
     "decompose_hyperbolic",
@@ -105,12 +103,6 @@ class CatMap:
     def matrix_power(self, t: int) -> Tuple[int, int, int, int]:
         """Exact integer entries of M^t (t may be negative)."""
         return _int_power(self.entries, t)
-
-    def apply(self, point: "RationalPoint", t: int = 1) -> "RationalPoint":
-        """M^t x on the torus, exactly."""
-        a, b, c, d = self.matrix_power(t)
-        j, k, l = point.j, point.k, point.l
-        return RationalPoint((a * j + b * k) % l, (c * j + d * k) % l, l)
 
     def __repr__(self) -> str:
         return f"CatMap({self.a},{self.b},{self.c},{self.d})"
@@ -204,39 +196,6 @@ def decompose_hyperbolic(matrix: np.ndarray):
     return lam, ang_u, ang_s, b1, b2, squeeze
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
-    """A rational torus point (j/l, k/l), canonically reduced mod l."""
-
-    j: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("denominator must be positive")
-        object.__setattr__(self, "j", self.j % self.l)
-        object.__setattr__(self, "k", self.k % self.l)
-
-    def as_floats(self) -> Tuple[float, float]:
-        return (self.j / self.l, self.k / self.l)
-
-    def as_fractions(self) -> Tuple[Fraction, Fraction]:
-        return (Fraction(self.j, self.l), Fraction(self.k, self.l))
-
-    def _reduced(self) -> Tuple[int, int, int, int]:
-        f1, f2 = self.as_fractions()
-        return (f1.numerator, f1.denominator, f2.numerator, f2.denominator)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPoint):
-            return NotImplemented
-        return self._reduced() == other._reduced()
-
-    def __hash__(self) -> int:
-        return hash(self._reduced())
-
-
 def torus_distance(x: Sequence[float], y: Sequence[float]) -> float:
     """Euclidean distance on the torus via minimal-image differences."""
     dq = abs(x[0] - y[0]) % 1.0
@@ -269,14 +228,10 @@ class Orbit:
     def length(self) -> int:
         return len(self.jk)
 
-    @cached_property
-    def points(self) -> Tuple[RationalPoint, ...]:
-        """The points as exact RationalPoints, built on first use."""
-        return tuple(RationalPoint(j, k, self.l) for j, k in self.jk.tolist())
-
-    def start(self) -> RationalPoint:
+    def start(self) -> Tuple[Fraction, Fraction]:
+        """The first point, exactly."""
         j, k = self.jk[0].tolist()
-        return RationalPoint(j, k, self.l)
+        return (Fraction(j, self.l), Fraction(k, self.l))
 
     def min_separation(self) -> float:
         pts = (self.jk / self.l).tolist()

@@ -4,8 +4,12 @@ The plane Gaussian adapted to a map has complex width parameter z0 (upper
 half plane), obtained from the frame parameters (b1, b2) by a Moebius
 transform; its wavefunction is sampled at the theta-shifted sites and
 periodized, which realizes the torus projector exactly up to a controlled
-Gaussian tail.  Husimi grids are evaluated column by column: a windowed
-gather around each position column followed by one G-point FFT over the
+Gaussian tail.  One windowed transform, _coherent_window, holds the
+window bounds, the Gaussian weights, the theta1 twist of wrapped sites
+and the resolution check; coherent states, Husimi grids, pointwise
+Husimi values and the dense anti-Wick operator (quantize.py) all read
+their windows from it.  Husimi grids are evaluated column by column: one
+window per position column, folded mod G, and one G-point FFT over the
 momentum row, so a full G x G grid costs O(G (K + G log G)) instead of
 O(G^2 N).
 """
@@ -17,11 +21,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classical import CatMap, RationalPoint
+from .classical import CatMap
 from .errors import ResolutionTooCoarse, TruncationFailure
 from .hilbert import PlanckGrid, QuantumState
 
@@ -38,8 +42,9 @@ __all__ = [
 
 TAIL_LOG = math.log(1e14)  # periodization tail threshold, relative to peak
 MAX_WRAPS = 64
-
-Point = Union[RationalPoint, Tuple[float, float], Sequence]
+# husimi takes the windows of this many columns per transform call: the
+# call's fixed cost is shared, and a block's (8, K) weights stay small
+_HUSIMI_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,6 @@ def plane_overlap_squeezed(x: Sequence[float], c_tilde: complex, hbar: float) ->
     return amp * cmath.exp(-1j * t * qt * pt / (2.0 * hbar))
 
 
-def _center_fractions(x0: Point) -> Tuple[Fraction, Fraction] | None:
-    if isinstance(x0, RationalPoint):
-        return x0.as_fractions()
-    if isinstance(x0[0], Fraction) and isinstance(x0[1], Fraction):
-        return (x0[0], x0[1])
-    return None
-
-
 def _truncation_cut(grid: PlanckGrid, im_z0: float) -> float:
     """Half-width (torus units) beyond which the Gaussian tail is < 1e-14."""
     cut = math.sqrt(TAIL_LOG / (math.pi * grid.N * im_z0))
@@ -128,29 +125,79 @@ def _truncation_cut(grid: PlanckGrid, im_z0: float) -> float:
     return cut
 
 
-def _window_indices(grid: PlanckGrid, q0: float, cut: float) -> np.ndarray:
-    lo = math.floor(grid.N * (q0 - cut) - grid.eta)
-    hi = math.ceil(grid.N * (q0 + cut) - grid.eta)
-    return np.arange(lo, hi + 1)
+def _coherent_window(
+    grid: PlanckGrid, catmap: CatMap, G: Optional[int] = None
+) -> Callable[..., Tuple[np.ndarray, np.ndarray]]:
+    """The windowed coherent-state transform behind every consumer.
+
+    Returns window(q), which maps an array of position centers q to the
+    extended site indices m and the twisted Gaussian weights, both (P, K):
+
+        w[i, k] = c0 exp(i pi N z0 (y_m - q_i)^2) exp(i theta1 (m // N)),
+
+    with m = m[i, k], y_m = (m + eta)/N, z0 = z_parameter(catmap) and
+    c0 = (2 N Im z0)^(1/4).  Row i starts at the first site of center i's
+    window, which holds the Gaussian down to 1e-14 of its peak; the rows
+    share the longest window's length K, and cells past a center's own
+    window weigh 0.  The twist undoes the exp(-i theta1) that an amplitude
+    picks up when its index wraps past N, so sum_k w[i, k] |m mod N> is
+    the plane Gaussian projected onto H_{N,theta}, and
+    sum_k conj(w[i, k]) psi[m mod N] is its overlap with psi.
+    window([q0], point) with the full center point = (q0, p0) also puts
+    the momentum phase into the weights: the row is the coherent state
+    at point.
+
+    With G the centers belong to a G x G midpoint quadrature: G < 16 is
+    refused, and a G below sqrt(2 pi N) = 1/sqrt(hbar), where the
+    quadrature aliases, warns once, at the caller's caller.
+    """
+    N, eta, theta1 = grid.N, grid.eta, grid.theta[0]
+    if G is not None:
+        if G < 16:
+            raise ResolutionTooCoarse(f"G = {G} < 16")
+        if G < 1.0 / math.sqrt(grid.hbar):
+            warnings.warn(
+                f"Husimi grid G={G} does not resolve sqrt(hbar) at N={N}; "
+                "quadrature identities may degrade",
+                stacklevel=3,
+            )
+    z0 = z_parameter(catmap)
+    cut = _truncation_cut(grid, z0.imag)
+    c0 = (2.0 * N * z0.imag) ** 0.25
+
+    def window(
+        q: Sequence[float], point: Optional[Sequence] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        q = np.asarray(q, dtype=float)[:, None]
+        lo = np.floor(N * (q - cut) - eta).astype(np.int64)
+        length = np.ceil(N * (q + cut) - eta).astype(np.int64) - lo + 1
+        k = np.arange(length.max())
+        m = lo + k
+        dy = (m + eta) / N - q
+        scale = c0 if point is None else c0 * _momentum_phase(grid, point, m)
+        w = scale * np.exp(1j * math.pi * N * z0 * dy * dy)
+        w = w * np.exp(1j * theta1 * (m // N))
+        w[k >= length] = 0.0
+        return m, w
+
+    return window
 
 
-def _gaussian_window(
-    grid: PlanckGrid, z0: complex, x0: Point, m: np.ndarray
-) -> np.ndarray:
-    """g(y_m) for the plane Gaussian at x0, on extended sites y_m = (m+eta)/N.
+def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray:
+    """exp(2 pi i p0 (m + eta)) exp(-i pi N p0 q0) at extended sites m.
 
-    The momentum phase exp(2 pi i N p0 y) has an argument that grows with
-    m; when both the center and eta are rational it is reduced mod 1 in
-    integer arithmetic.
+    The momentum half of the coherent state at x0 = (q0, p0).  The
+    argument grows with m; when both coordinates of the center are
+    Fractions and eta is rational it is reduced mod 1 in integer
+    arithmetic.
     """
     N = grid.N
-    eta = grid.eta
-    y = (m + eta) / N
-    fr = _center_fractions(x0)
-    c0 = (2.0 * N * z0.imag) ** 0.25
-    if fr is not None and grid.theta_over_pi is not None:
-        q0f, p0f = fr
-        q0 = float(q0f)
+    q0f, p0f = x0[0], x0[1]
+    if (
+        isinstance(q0f, Fraction)
+        and isinstance(p0f, Fraction)
+        and grid.theta_over_pi is not None
+    ):
         f = grid.theta_over_pi[1]
         # p0 (m + eta) = kp (qe m + pe) / (lp qe), reduced mod 1 exactly
         kp, lp = p0f.numerator, p0f.denominator
@@ -160,92 +207,55 @@ def _gaussian_window(
         mom = np.exp(2j * np.pi * s.astype(np.float64) / denom)
         # constant phase exp(-i pi N p0 q0), reduced exactly
         num = (N * kp * q0f.numerator) % (2 * lp * q0f.denominator)
-        mom = mom * cmath.exp(-1j * math.pi * float(num) / (lp * q0f.denominator))
-    else:
-        q0, p0 = float(x0[0]), float(x0[1])
-        mom = np.exp(2j * np.pi * np.mod(p0 * (m + eta), 1.0))
-        mom = mom * cmath.exp(-1j * math.pi * N * p0 * q0)
-    dy = y - q0
-    return c0 * mom * np.exp(1j * math.pi * N * z0 * dy * dy)
+        return mom * cmath.exp(-1j * math.pi * float(num) / (lp * q0f.denominator))
+    q0, p0 = float(q0f), float(p0f)
+    mom = np.exp(2j * np.pi * np.mod(p0 * (m + grid.eta), 1.0))
+    return mom * cmath.exp(-1j * math.pi * N * p0 * q0)
 
 
-def torus_coherent(x0: Point, catmap: CatMap, grid: PlanckGrid) -> QuantumState:
+def torus_coherent(x0: Sequence, catmap: CatMap, grid: PlanckGrid) -> QuantumState:
     """Torus coherent state at x0, adapted to the map's squeeze.
 
-    Amplitudes are a_j = N^{-1/2} sum_w exp(-i theta1 w) g(q_j - w) with g
+    Amplitudes are a_j = N^{-1/2} sum_w exp(i theta1 w) g(q_j + w) with g
     the plane Gaussian of width parameter z_parameter(catmap); the sum is
-    truncated where the tail drops below 1e-14 of the peak.  The result is
-    not normalized; its squared norm is 1 up to an exponentially small
-    error.
+    truncated where the tail drops below 1e-14 of the peak.  Exact
+    centers, as Orbit.start() gives, are (Fraction, Fraction) pairs.  The
+    result is not normalized; its squared norm is 1 up to an
+    exponentially small error.
 
     Raises
     ------
     TruncationFailure
         If the truncated sum would need more than 64 lattice translates.
     """
-    z0 = z_parameter(catmap)
-    cut = _truncation_cut(grid, z0.imag)
-    q0 = float(x0.as_floats()[0]) if isinstance(x0, RationalPoint) else float(x0[0])
-    m = _window_indices(grid, q0, cut)
-    g = _gaussian_window(grid, z0, x0, m)
-    g = g * np.exp(-1j * grid.theta[0] * (m // grid.N))
+    m, w = _coherent_window(grid, catmap)([x0[0]], x0)
     amp = np.zeros(grid.N, dtype=complex)
-    np.add.at(amp, m % grid.N, g)
+    np.add.at(amp, m[0] % grid.N, w[0])
     return QuantumState(amp / math.sqrt(grid.N), grid)
 
 
-def _check_resolution(G: int, grid: PlanckGrid) -> None:
-    """Warn, at the caller's caller, when G < sqrt(2 pi N) = 1/sqrt(hbar).
-
-    Midpoint quadrature over coherent states (Husimi grids, anti-Wick
-    operators) aliases once the grid step stops resolving the coherent
-    width sqrt(hbar).
-    """
-    if G < 1.0 / math.sqrt(grid.hbar):
-        warnings.warn(
-            f"Husimi grid G={G} does not resolve sqrt(hbar) at N={grid.N}; "
-            "quadrature identities may degrade",
-            stacklevel=3,
-        )
-
-
-def _extended(psi: np.ndarray, grid: PlanckGrid, m: np.ndarray) -> np.ndarray:
-    """Amplitudes continued to extended indices with the theta1 twist."""
-    return np.exp(-1j * grid.theta[0] * (m // grid.N)) * psi[m % grid.N]
-
-
-def husimi(
-    psi: QuantumState, catmap: CatMap, G: int, warn_resolution: bool = True
-) -> HusimiGrid:
+def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
     """Husimi density of psi on a G x G grid, analyzed with the map squeeze.
 
-    Column algorithm: for the position column at q_a the windowed sites are
-    gathered once, folded mod G with alternating signs, and a single
-    G-point FFT produces the whole momentum row.  Identical (to roundoff)
-    to evaluating N |<x, c0, theta | psi>|^2 pointwise.
+    Column algorithm: for the position column at q_a the window's
+    overlaps conj(w) psi are folded mod G with alternating signs, and a
+    single G-point FFT produces the whole momentum row.  Identical (to
+    roundoff) to evaluating N |<x, c0, theta | psi>|^2 pointwise.  Warns
+    when G does not resolve sqrt(hbar).
     """
-    if G < 16:
-        raise ResolutionTooCoarse(f"G = {G} < 16")
     grid = psi.grid
-    if warn_resolution:
-        _check_resolution(G, grid)
-    z0 = z_parameter(catmap)
-    cut = _truncation_cut(grid, z0.imag)
-    c0 = (2.0 * grid.N * z0.imag) ** 0.25
-    zc = z0.conjugate()
+    window = _coherent_window(grid, catmap, G)
+    centers = (np.arange(G) + 0.5) / G
     half_phase = np.exp(-1j * np.pi * np.arange(G) / G)
     values = np.empty((G, G))
     amp = psi.amplitudes
-    for a in range(G):
-        qa = (a + 0.5) / G
-        m = _window_indices(grid, qa, cut)
-        dy = (m + grid.eta) / grid.N - qa
-        w = c0 * np.exp(-1j * math.pi * grid.N * zc * dy * dy)
-        w = w * _extended(amp, grid, m)
-        folded = np.zeros(G, dtype=complex)
-        sign = 1.0 - 2.0 * ((m // G) % 2)
-        np.add.at(folded, m % G, w * sign)
-        values[a, :] = np.abs(np.fft.fft(folded * half_phase)) ** 2
+    for first in range(0, G, _HUSIMI_BLOCK):
+        block = window(centers[first : first + _HUSIMI_BLOCK])
+        for a, (m, w) in enumerate(zip(*block), first):
+            folded = np.zeros(G, dtype=complex)
+            sign = 1.0 - 2.0 * ((m // G) % 2)
+            np.add.at(folded, m % G, np.conj(w) * amp[m % grid.N] * sign)
+            values[a, :] = np.abs(np.fft.fft(folded * half_phase)) ** 2
     return HusimiGrid(
         values=values,
         G=G,
@@ -261,15 +271,13 @@ def husimi_at_points(
 ) -> np.ndarray:
     """Husimi values at arbitrary phase-space points (pointwise evaluator)."""
     grid = psi.grid
-    z0 = z_parameter(catmap)
-    cut = _truncation_cut(grid, z0.imag)
+    window = _coherent_window(grid, catmap)
     amp = psi.amplitudes
     out = []
     for x in points:
-        m = _window_indices(grid, float(x[0]), cut)
-        g = _gaussian_window(grid, z0, (float(x[0]), float(x[1])), m)
-        overlap = np.sum(np.conj(g) * _extended(amp, grid, m))
-        out.append(abs(overlap) ** 2)
+        x = (float(x[0]), float(x[1]))
+        m, w = window([x[0]], x)
+        out.append(abs(np.sum(np.conj(w[0]) * amp[m[0] % grid.N])) ** 2)
     return np.asarray(out)
 
 

@@ -8,11 +8,13 @@ length-G exponential vectors.  A bump symbol costs O(support cells): it
 is evaluated only on the cells of its support ball.  Other symbols are
 sampled on the full grid.  The dense anti-Wick operator is materialized
 only for the Weyl/anti-Wick comparison at N <= MAX_DENSE_N, assembled by
-midpoint quadrature of coherent projectors with a windowed column
-algorithm: the symbol rows go through one batched inverse DFT, and each
-column's K x K block is added by one cyclic scatter, windows that wrap
-the torus folded onto Z_N first.  The gap negates that array in place and
-adds the Weyl translations into it, so it holds one N x N array.
+midpoint quadrature of coherent projectors over the windows of the one
+coherent-state transform that also gives coherent states and Husimi grids
+(coherent._coherent_window): the symbol rows go through one batched
+inverse DFT, and each column's K x K block is added by one cyclic
+scatter, windows that wrap the torus folded onto Z_N first.  The gap
+negates that array in place and adds the Weyl translations into it, so
+it holds one N x N array.
 """
 
 from __future__ import annotations
@@ -24,15 +26,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .classical import CatMap
-from .coherent import (
-    HusimiGrid,
-    _check_resolution,
-    _min_image,
-    _truncation_cut,
-    husimi,
-    z_parameter,
-)
-from .errors import DimensionTooLarge, RadiusOutOfRange, ResolutionTooCoarse
+from .coherent import HusimiGrid, _coherent_window, _min_image, husimi
+from .errors import DimensionTooLarge, RadiusOutOfRange
 from .hilbert import LinearMap, PlanckGrid, QuantumState, _translation_data, translation
 
 __all__ = [
@@ -108,11 +103,6 @@ class Symbol:
         """Values on the G x G grid of cell centers, a-index = position."""
         c = (np.arange(G) + 0.5) / G
         return self.evaluate(c[:, None], c[None, :])
-
-    def sup_norm_bound(self) -> float:
-        if self.fourier is not None:
-            return float(sum(abs(c) for c in self.fourier.values()))
-        return float(np.max(np.abs(self.sample(256))))
 
 
 def weyl_quantize(symbol: Symbol, grid: PlanckGrid) -> LinearMap:
@@ -261,34 +251,13 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
 # Position-space masses
 # ---------------------------------------------------------------------------
 
-def position_interval_mass(
-    psi: QuantumState,
-    q0: float,
-    r: float,
-    via: str = "direct",
-    catmap: Optional[CatMap] = None,
-    G: int = 256,
-    hgrid: Optional[HusimiGrid] = None,
-) -> float:
-    """Mass of psi in the circle interval B1(q0, r).
-
-    "direct" sums squared amplitudes over sites in the interval (exact);
-    "husimi" integrates the Husimi density over the strip B1(q0, r) x T^1,
-    which agrees up to boundary smoothing at the coherent width scale.
-    """
+def position_interval_mass(psi: QuantumState, q0: float, r: float) -> float:
+    """Mass of psi in the circle interval B1(q0, r): the squared amplitudes
+    of the sites in the interval (exact)."""
     if not (0.0 < r <= 0.5):
         raise RadiusOutOfRange(f"interval radius {r} outside (0, 1/2]", admissible=(0.0, 0.5))
-    if via == "direct":
-        d = np.abs(np.mod(psi.grid.sites() - q0 + 0.5, 1.0) - 0.5)
-        return float(np.sum(np.abs(psi.amplitudes[d <= r]) ** 2))
-    if via == "husimi":
-        if catmap is None and hgrid is None:
-            raise ValueError("husimi path needs the catmap or a HusimiGrid")
-        if hgrid is None:
-            hgrid = husimi(psi, catmap, G)
-        d = np.abs(np.mod(hgrid.centers() - q0 + 0.5, 1.0) - 0.5)
-        return float(hgrid.values[d <= r, :].sum() * hgrid.weight)
-    raise ValueError(f"unknown path {via!r}; use 'direct' or 'husimi'")
+    d = np.abs(np.mod(psi.grid.sites() - q0 + 0.5, 1.0) - 0.5)
+    return float(np.sum(np.abs(psi.amplitudes[d <= r]) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -303,35 +272,22 @@ def antiwick_quantize_dense(
     N integral a(x) |x><x| dx over the G x G grid.  Coherent columns are
     windowed; for each position column the momentum sum is carried by the
     symbol row's inverse DFT, taken for all rows in one batched FFT.  The
-    window starts and Gaussian weights of all G columns are (G, K) arrays
-    with one common window length K (cells past a column's own window
-    weigh 0), and the K x K index-difference table is built once.  Each
-    column's block is added by one cyclic scatter into the accumulator;
-    a window longer than N wraps the torus and is first folded onto Z_N.
-    Assembly costs O(G (K^2 + G log G)) and holds one N x N array.  Warns
-    like husimi when G does not resolve sqrt(hbar).
+    windows of all G columns come from one call of the coherent-state
+    transform, as (G, K) arrays with one common window length K, and the
+    K x K index-difference table is built once.  Each column's block is
+    added by one cyclic scatter into the accumulator; a window longer than
+    N wraps the torus and is first folded onto Z_N.  Assembly costs
+    O(G (K^2 + G log G)) and holds one N x N array.  Warns like husimi
+    when G does not resolve sqrt(hbar).
     """
     N = grid.N
-    if G < 16:
-        raise ResolutionTooCoarse(f"G = {G} < 16")
-    _check_resolution(G, grid)
-    z0 = z_parameter(catmap)
-    cut = _truncation_cut(grid, z0.imag)
-    c0 = (2.0 * N * z0.imag) ** 0.25
-    # the windows of _window_indices, for all position columns at once
-    qa = (np.arange(G) + 0.5) / G
-    lo = np.floor(N * (qa - cut) - grid.eta).astype(np.int64)
-    length = np.ceil(N * (qa + cut) - grid.eta).astype(np.int64) - lo + 1
-    K = int(length.max())
+    m, w = _coherent_window(grid, catmap, G)((np.arange(G) + 0.5) / G)
+    K = m.shape[1]
     if K > N:
-        K = -(-K // N) * N
+        # zero cells up to a whole number of turns, for the fold below
+        w = np.pad(w, ((0, 0), (0, -K % N)))
+        K = w.shape[1]
     k = np.arange(K)
-    m = lo[:, None] + k
-    dy = (m + grid.eta) / N - qa[:, None]
-    w = c0 * np.exp(1j * math.pi * N * z0 * dy * dy)
-    w = w * np.exp(-1j * grid.theta[0] * (m // N))
-    # the common K must not widen the Gaussian truncation of any column
-    w[k[None, :] >= length[:, None]] = 0.0
     wc = np.conj(w)
     # beta[a, d] = sum_b vals[a, b] e^{2 pi i (b + 1/2) d / G} for the
     # differences |d| < K of two window cells, from one batched inverse DFT
@@ -340,7 +296,7 @@ def antiwick_quantize_dense(
     base = np.fft.ifft(symbol.sample(G), axis=1) * G
     beta = np.exp(1j * np.pi * d / G) * base[:, d % G]
     toeplitz = k[:, None] - k[None, :] + (K - 1)
-    starts = lo % N
+    starts = m[:, 0] % N
     acc = np.zeros((N, N), dtype=complex)
     for a in range(G):
         block = (w[a, :, None] * wc[a, None, :]) * beta[a][toeplitz]
@@ -400,7 +356,6 @@ def weyl_antiwick_gap(
     catmap: CatMap,
     grid: PlanckGrid,
     G: int = 256,
-    max_dense: int = MAX_DENSE_N,
 ) -> float:
     """Operator norm of a^w - a^aw, dense path.
 
@@ -412,10 +367,10 @@ def weyl_antiwick_gap(
     Raises
     ------
     DimensionTooLarge
-        If grid.N exceeds max_dense.
+        If grid.N exceeds MAX_DENSE_N.
     """
-    if grid.N > max_dense:
-        raise DimensionTooLarge(f"N = {grid.N} > {max_dense} for the dense gap path")
+    if grid.N > MAX_DENSE_N:
+        raise DimensionTooLarge(f"N = {grid.N} > {MAX_DENSE_N} for the dense gap path")
     if symbol.fourier is None:
         raise ValueError("gap computation needs Fourier data for the Weyl side")
     D = antiwick_quantize_dense(symbol, catmap, grid, G)

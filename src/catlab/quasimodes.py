@@ -325,7 +325,7 @@ def nonequidistribution_report(
         cells = len(_net_centers_1d(r))
         vol = 2.0 * r
         masses = [
-            position_interval_mass(psi_n, q, r, via="direct") for q in centers
+            position_interval_mass(psi_n, q, r) for q in centers
         ]
         hits = misses = masses
     elif space == "phase":

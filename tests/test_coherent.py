@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from catlab import (
     z_parameter,
 )
 
-from conftest import husimi_slow, random_state
+from conftest import coarse_husimi, husimi_slow, random_state, twisted_grid
 
 
 def plane_overlap_quadrature(x, mu, hbar, M=100_000, span=40.0):
@@ -101,16 +102,22 @@ class TestTorusCoherent:
         assert peak == pytest.approx(grid4096.N, rel=1e-6)
 
     def test_translation_covariance(self, arnold):
-        grid = choose_theta(arnold, 512)
-        n = (3, 5)
-        base = torus_coherent((0.7 - 3 / 512, 0.2 - 5 / 512), arnold, grid)
-        shifted = translation(n, grid)(base)
-        direct = torus_coherent((0.7, 0.2), arnold, grid)
-        ip = direct.inner(shifted)
-        assert abs(abs(ip) - direct.norm() * shifted.norm()) < 1e-10
-        phase = np.conj(ip) / abs(ip)
-        err = np.max(np.abs(direct.amplitudes - phase * shifted.amplitudes))
-        assert err < 1e-8
+        # T(n)|x - n/N> = |x> up to a phase; the second input's windows
+        # wrap the seam at an angle off the parity rule
+        cases = [
+            (arnold, choose_theta(arnold, 512), (0.7, 0.2)),
+            (*twisted_grid(), (0.002, 0.3)),
+        ]
+        for cat, grid, x in cases:
+            n, N = (3, 5), grid.N
+            base = torus_coherent((x[0] - n[0] / N, x[1] - n[1] / N), cat, grid)
+            shifted = translation(n, grid)(base)
+            direct = torus_coherent(x, cat, grid)
+            ip = direct.inner(shifted)
+            assert abs(abs(ip) - direct.norm() * shifted.norm()) < 1e-10
+            phase = np.conj(ip) / abs(ip)
+            err = np.max(np.abs(direct.amplitudes - phase * shifted.amplitudes))
+            assert err < 1e-8
 
     def test_translation_covariance_random_shifts(self, arnold):
         grid = choose_theta(arnold, 256)
@@ -125,12 +132,21 @@ class TestTorusCoherent:
             assert abs(abs(ip) - direct.norm() * shifted.norm()) < 1e-9
 
     def test_rational_center_matches_float(self, arnold):
-        from catlab import RationalPoint
-
         grid = choose_theta(arnold, 512)
-        exact = torus_coherent(RationalPoint(4, 3, 5), arnold, grid)
+        exact = torus_coherent((Fraction(4, 5), Fraction(3, 5)), arnold, grid)
         approx = torus_coherent((0.8, 0.6), arnold, grid)
         assert np.max(np.abs(exact.amplitudes - approx.amplitudes)) < 1e-10
+
+    def test_husimi_at_own_center_off_parity(self):
+        # N |<x|x>|^2 = N only when the state and the analysis twist
+        # wrapped sites alike; centers on the seam: the origin, an exact
+        # one, and a Husimi grid cell center, checked on the grid too
+        cat, grid = twisted_grid()
+        G = 64
+        for x0 in [(0.0, 0.0), (Fraction(599, 600), Fraction(1, 3)), (63.5 / G, 0.5 / G)]:
+            coh = torus_coherent(x0, cat, grid)
+            assert abs(husimi_at_points(coh, cat, [x0])[0] - grid.N) < 1e-9
+        assert abs(husimi(coh, cat, G).values[G - 1, 0] - grid.N) < 1e-9
 
     def test_truncation_failure(self):
         # an extreme squeeze makes the Gaussian wider than 64 cells
@@ -147,7 +163,7 @@ class TestHusimi:
         grid = choose_theta(arnold, 256)
         psi = random_state(grid, 7)
         G = 24
-        fast = husimi(psi, arnold, G, warn_resolution=False).values
+        fast = coarse_husimi(psi, arnold, G).values
         slow = husimi_slow(psi, arnold, G)
         assert np.max(np.abs(fast - slow)) / np.max(slow) < 1e-12
 
@@ -155,7 +171,7 @@ class TestHusimi:
         cat = validate_cat_map(2, 3, 1, 2)
         grid = choose_theta(cat, 128)
         psi = random_state(grid, 8)
-        fast = husimi(psi, cat, 16, warn_resolution=False).values
+        fast = coarse_husimi(psi, cat, 16).values
         slow = husimi_slow(psi, cat, 16)
         assert np.max(np.abs(fast - slow)) / np.max(slow) < 1e-12
 
@@ -176,7 +192,7 @@ class TestHusimi:
         grid = choose_theta(arnold, 256)
         psi = random_state(grid, 11)
         G = 16
-        h = husimi(psi, arnold, G, warn_resolution=False)
+        h = coarse_husimi(psi, arnold, G)
         pts = [((a + 0.5) / G, (b + 0.5) / G) for a in (2, 9) for b in (4, 13)]
         vals = grid.N * np.array(
             [abs(torus_coherent(x, arnold, grid).inner(psi)) ** 2 for x in pts]
@@ -298,7 +314,7 @@ class TestBallMass:
 
     def test_small_radius_needs_state(self, arnold, grid1024):
         psi = random_state(grid1024, 2)
-        h = husimi(psi, arnold, 64, warn_resolution=False)
+        h = coarse_husimi(psi, arnold, 64)
         with pytest.raises(ResolutionTooCoarse):
             ball_mass(h, (0.5, 0.5), 0.01)
 
@@ -320,7 +336,7 @@ def test_husimi_fast_matches_slow_odd_N():
     grid = choose_theta(cat, 255)
     assert grid.theta == (math.pi, math.pi)
     psi = random_state(grid, 13)
-    fast = husimi(psi, cat, 20, warn_resolution=False).values
+    fast = coarse_husimi(psi, cat, 20).values
     slow = husimi_slow(psi, cat, 20)
     assert np.max(np.abs(fast - slow)) / np.max(slow) < 1e-12
 

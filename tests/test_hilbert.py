@@ -25,7 +25,7 @@ from catlab.hilbert import (
     translation_entries,
 )
 
-from conftest import hyperbolic_maps, random_state
+from conftest import coarse_husimi, hyperbolic_maps, random_state
 
 NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)]
 
@@ -212,9 +212,10 @@ class TestPropagator:
         from catlab import enumerate_prime_orbits
 
         orbit = enumerate_prime_orbits(arnold, 2)[0]
-        x0 = orbit.points[0].as_floats()
+        start = orbit.start()
+        x0 = (float(start[0]), float(start[1]))
         u = propagator(arnold, grid4096)
-        st = torus_coherent(orbit.points[0], arnold, grid4096)
+        st = torus_coherent(start, arnold, grid4096)
         amp = st.amplitudes
         for _ in range(2):
             amp = u.apply(amp)
@@ -351,5 +352,5 @@ class TestCrossMatrixStress:
                 if N == 482:
                     coh = torus_coherent((0.0, 0.0), cat, grid)
                     assert abs(coh.norm2() - 1.0) < 1e-6
-                    h = husimi(coh, cat, 64, warn_resolution=False)
+                    h = coarse_husimi(coh, cat, 64)
                     assert abs(h.total() - coh.norm2()) < 0.01

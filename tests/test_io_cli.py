@@ -7,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from catlab import (
     ConfigError,
-    RationalPoint,
     Symbol,
     antiwick_expectation,
     choose_theta,
     enumerate_prime_orbits,
     fixed_point_count,
-    husimi,
     torus_coherent,
     validate_cat_map,
     weyl_quantize,
@@ -33,7 +31,7 @@ from catlab.io import (
     save_symbol_json,
 )
 
-from conftest import hyperbolic_maps, random_state
+from conftest import coarse_husimi, hyperbolic_maps, random_state
 
 
 class TestStateFormat:
@@ -81,7 +79,7 @@ class TestHusimiFormat:
     def test_csv_and_sidecar(self, arnold, tmp_path):
         grid = choose_theta(arnold, 256)
         coh = torus_coherent((0.5, 0.5), arnold, grid)
-        h = husimi(coh, arnold, 32, warn_resolution=False)
+        h = coarse_husimi(coh, arnold, 32)
         path = tmp_path / "h.csv"
         save_husimi_csv(path, h)
         vals = np.loadtxt(path, delimiter=",")
@@ -99,7 +97,7 @@ def orbit_doc(orbit, catmap):
         "matrix": list(catmap.entries),
         "T": orbit.length,
         "l": orbit.l,
-        "points": [[p.j, p.k] for p in orbit.points],
+        "points": orbit.jk.tolist(),
     }
 
 
@@ -123,9 +121,7 @@ class TestOrbitFormat:
         assert docs[0]["matrix"] == [2, 1, 1, 1]
         assert docs[0]["T"] == 2 and docs[0]["l"] == 5
         back = load_orbits_json(path)
-        assert [(p.j, p.k) for p in back[0].points] == [
-            (p.j, p.k) for p in orbits[0].points
-        ]
+        assert back[0].jk.tolist() == orbits[0].jk.tolist()
         assert back == orbits
 
     @settings(deadline=None, max_examples=60)
@@ -143,15 +139,6 @@ class TestOrbitFormat:
         save_orbits_json(tmp_path / "none.json", [], arnold)
         assert (tmp_path / "none.json").read_text() == canonical_json([]) == "[]\n"
         assert load_orbits_json(tmp_path / "none.json") == []
-
-    def test_no_rational_points_built(self, arnold, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("RationalPoint constructed")
-
-        monkeypatch.setattr(RationalPoint, "__post_init__", refuse)
-        orbits = enumerate_prime_orbits(arnold, 6)
-        save_orbits_json(tmp_path / "orbits.json", orbits, arnold)
-        assert len(json.loads((tmp_path / "orbits.json").read_text())) == len(orbits)
 
     @pytest.mark.parametrize(
         "fields, message",

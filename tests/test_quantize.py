@@ -25,12 +25,12 @@ from catlab import (
     weyl_antiwick_gap,
     weyl_quantize,
 )
-from catlab.coherent import _truncation_cut, _window_indices, z_parameter
+from catlab.coherent import _truncation_cut, z_parameter
 from catlab.hilbert import translation_entries
 from catlab.quantize import _operator_norm, weyl_dense
 from catlab.selftest import GAP_SYMBOL
 
-from conftest import random_state
+from conftest import coarse_husimi, hyperbolic_maps, random_state, twisted_grid
 
 
 def random_real_trig_poly(rng, nmax=3, terms=4):
@@ -98,7 +98,7 @@ class TestWeyl:
         for _ in range(5):
             sym = random_real_trig_poly(rng)
             op = weyl_quantize(sym, grid)
-            bound = sym.sup_norm_bound()
+            bound = sum(abs(c) for c in sym.fourier.values())
             for seed in range(3):
                 psi = random_state(grid, seed).amplitudes
                 val = abs(np.vdot(psi, op.apply(psi)))
@@ -190,7 +190,7 @@ class TestExpectationOracle:
     @pytest.fixture(scope="class")
     def hgrids(self, arnold, grid1024):
         psi = random_state(grid1024, 11)
-        return [husimi(psi, arnold, G, warn_resolution=False) for G in (16, 96, 256)]
+        return [coarse_husimi(psi, arnold, G) for G in (16, 96, 256)]
 
     def test_plane_waves(self, hgrids):
         for h in hgrids:
@@ -311,10 +311,13 @@ class TestPositionMass:
         )
 
     def test_coherent_interval_both_paths(self, arnold, grid4096):
+        # the sites in the interval, and the Husimi strip over it
         coh = torus_coherent((0.5, 0.25), arnold, grid4096)
         r = 10.0 * math.sqrt(grid4096.hbar)
         direct = position_interval_mass(coh, 0.5, r)
-        via_h = position_interval_mass(coh, 0.5, r, via="husimi", catmap=arnold)
+        h = husimi(coh, arnold, 256)
+        strip = np.abs(h.centers() - 0.5) <= r
+        via_h = h.values[strip, :].sum() * h.weight
         assert direct == pytest.approx(1.0, abs=0.01)
         assert via_h == pytest.approx(1.0, abs=0.01)
 
@@ -377,6 +380,12 @@ class TestWAWGap:
             )
 
 
+def window_indices(grid, q0, cut):
+    lo = math.floor(grid.N * (q0 - cut) - grid.eta)
+    hi = math.ceil(grid.N * (q0 + cut) - grid.eta)
+    return np.arange(lo, hi + 1)
+
+
 def reference_antiwick_dense(symbol, catmap, grid, G):
     """Oracle: the column algorithm one window at a time, scattered with
     np.add.at, so wrapped windows (K > N) pile up site by site."""
@@ -388,11 +397,11 @@ def reference_antiwick_dense(symbol, catmap, grid, G):
     acc = np.zeros((N, N), dtype=complex)
     for a in range(G):
         qa = (a + 0.5) / G
-        m = _window_indices(grid, qa, cut)
+        m = window_indices(grid, qa, cut)
         K = len(m)
         dy = (m + grid.eta) / N - qa
         w = c0 * np.exp(1j * math.pi * N * z0 * dy * dy)
-        w = w * np.exp(-1j * grid.theta[0] * (m // N))
+        w = w * np.exp(1j * grid.theta[0] * (m // N))
         base = np.fft.ifft(vals[a, :]) * G
         dd = m[:, None] - m[None, :]
         beta = np.exp(1j * np.pi * dd / G) * base[np.mod(dd, G)]
@@ -419,6 +428,35 @@ def oracle_symbols():
 
 def unresolved(G, grid):
     return G < math.sqrt(2.0 * math.pi * grid.N)
+
+
+def assert_dense_matches_quadrature(cat, grid, G, states):
+    """<psi|A_aw|psi> from the dense operator equals the Husimi quadrature
+    of the same symbol on the same G x G grid: both sum a(x) over the same
+    coherent projectors."""
+    for name, sym in oracle_symbols().items():
+        A = antiwick_quantize_dense(sym, cat, grid, G)
+        for psi in states:
+            dense = np.vdot(psi.amplitudes, A @ psi.amplitudes)
+            quad = antiwick_expectation(psi, sym, cat, G=G)
+            assert abs(dense - quad) <= 1e-12 * abs(quad), name
+
+
+class TestDenseMatchesHusimiQuadrature:
+    def test_off_parity_angle(self):
+        cat, grid = twisted_grid()
+        states = [random_state(grid, 3), torus_coherent((0.999, 0.02), cat, grid)]
+        assert_dense_matches_quadrature(cat, grid, 64, states)
+
+    @pytest.mark.parametrize("entries", hyperbolic_maps()[::60])
+    @pytest.mark.parametrize("N", [64, 75])
+    def test_parity_grids(self, entries, N):
+        # N = 75 has theta = (pi, pi); the squeezed maps' windows are
+        # longer than N at N = 64
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        states = [random_state(grid, 4), torus_coherent((0.02, 0.97), cat, grid)]
+        assert_dense_matches_quadrature(cat, grid, 32, states)
 
 
 class TestDenseAssembly:

@@ -97,7 +97,7 @@ class TestBuild:
         orbit = enumerate_prime_orbits(arnold, 1)[0]
         spec = QuasimodeSpec(orbit=orbit, phi=0.7, delta=0.24, grid=grid, catmap=arnold)
         psi, psi_n = build_quasimode(spec)
-        coh = torus_coherent(orbit.points[0], arnold, grid)
+        coh = torus_coherent(orbit.start(), arnold, grid)
         assert np.max(np.abs(psi.amplitudes - coh.amplitudes)) == 0.0
         assert abs(psi.norm2() - 1.0) < 1e-8
 
