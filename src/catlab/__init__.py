@@ -75,7 +75,6 @@ from .quasimodes import (
     husimi_ball_report,
     nonequidistribution_report,
     residual,
-    run_experiment,
     run_pipeline,
     scmeasure_error,
 )

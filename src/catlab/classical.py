@@ -16,7 +16,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, NotHyperbolic, NotUnimodular, PreconditionError
+from .errors import (
+    ConfigError,
+    EnumerationTooLarge,
+    NotHyperbolic,
+    NotUnimodular,
+    PreconditionError,
+)
 
 __all__ = [
     "CatMap",
@@ -246,7 +252,7 @@ class Orbit:
 def fixed_point_count(catmap: CatMap, T: int) -> int:
     """Number of fixed points of M^T on the torus: trace(M^T) - 2, exact."""
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError(f"T must be >= 1, got {T}")
     a, _, _, d = catmap.matrix_power(T)
     return a + d - 2
 
@@ -307,8 +313,6 @@ def enumerate_prime_orbits(
         If l exceeds the lattice guard, or is 2^31 or more, where the int64
         arithmetic mod l would overflow.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     l = fixed_point_count(catmap, T)
     if l > lattice_guard:
         raise EnumerationTooLarge(

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: orbits, propagator-check, husimi, expect, quasimode, sweep,
-selftest.  All I/O goes through files; every run that writes artifacts also
-writes a manifest echoing the resolved configuration and tool version.
+selftest.  Each parses its arguments, calls the library (the experiments
+live in quasimodes) and writes the result.  All I/O goes through files;
+every run that writes artifacts also writes a manifest echoing the
+resolved configuration and tool version.
 Exit codes: 0 ok, 2 configuration error, 3 numeric precondition violation,
 4 internal error.
 """
@@ -11,19 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
 from .classical import DEFAULT_LATTICE_GUARD, enumerate_prime_orbits, validate_cat_map
-from .coherent import axis_variances, husimi, torus_coherent
-from .errors import CatlabError, ConfigError, DimensionTooLarge, PreconditionError
-from .hilbert import QuantumState, choose_theta, egorov_defect, propagator
+from .coherent import husimi
+from .errors import CatlabError, ConfigError, PreconditionError
 from .io import (
     canonical_json,
     load_state,
@@ -32,20 +32,13 @@ from .io import (
     save_orbits_json,
     save_state,
 )
-from .quantize import (
-    MAX_DENSE_N,
-    Symbol,
-    antiwick_expectation,
-    weyl_antiwick_gap,
-    weyl_quantize,
-)
+from .quantize import antiwick_expectation, weyl_quantize
 from .quasimodes import (
-    DEFAULT_FREQUENCIES,
-    QuasimodeSpec,
-    build_quasimode,
-    loglog_slope,
+    husimi_width_sweep,
+    propagator_check,
     run_pipeline,
-    scmeasure_error,
+    scmeasure_sweep,
+    waw_gap_sweep,
 )
 from .selftest import selftest
 
@@ -62,9 +55,12 @@ def _parse_matrix(text: str):
 
 def _parse_ladder(text: str) -> List[int]:
     try:
-        return [int(v) for v in text.replace(" ", "").split(",")]
+        ladder = [int(v) for v in text.replace(" ", "").split(",")]
     except ValueError as exc:
         raise ConfigError(f"ladder must be comma-separated integers: {text!r}") from exc
+    if len(ladder) < 3:
+        raise PreconditionError("sweep ladder needs at least 3 points")
+    return ladder
 
 
 def _write_manifest(out: Path, config: Dict) -> None:
@@ -134,24 +130,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_propagator_check(args) -> int:
     cat = _parse_matrix(args.matrix)
-    grid = choose_theta(cat, args.N)
-    u = propagator(cat, grid)
-    rng = np.random.default_rng(args.seed)
-    states = rng.standard_normal((args.states, args.N)) + 1j * rng.standard_normal(
-        (args.states, args.N)
-    )
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    unit = max(abs(np.linalg.norm(u.apply(s)) - 1.0) for s in states)
-    egorov = egorov_defect(u, cat, grid, states[:5], args.nmax)
-    report = {
-        "matrix": list(cat.entries),
-        "N": args.N,
-        "theta": [grid.theta[0], grid.theta[1]],
-        "unitarity_defect": unit,
-        "egorov_defect": egorov,
-        "states": args.states,
-        "nmax": args.nmax,
-    }
+    report = propagator_check(cat, args.N, args.seed, args.states, args.nmax)
     text = canonical_json(report)
     if args.out:
         out = Path(args.out)
@@ -231,61 +210,15 @@ def cmd_quasimode(args) -> int:
     return 0
 
 
-def _sweep_rows(args) -> Tuple[List[List[float]], List[str], float]:
+def cmd_sweep(args) -> int:
     cat = _parse_matrix(args.matrix)
     ladder = _parse_ladder(args.ladder)
-    if len(ladder) < 3:
-        raise PreconditionError("sweep ladder needs at least 3 points")
     if args.kind == "waw-gap":
-        from .selftest import GAP_SYMBOL
-
-        # refuse the whole ladder before the first dense gap is built
-        if max(ladder) > MAX_DENSE_N:
-            raise DimensionTooLarge(
-                f"ladder reaches N = {max(ladder)} > {MAX_DENSE_N} for the dense gap path"
-            )
-        sym = Symbol.from_fourier(GAP_SYMBOL, real=True)
-        rows = []
-        for N in ladder:
-            grid = choose_theta(cat, N)
-            gap = weyl_antiwick_gap(sym, cat, grid, G=args.G)
-            rows.append([N, grid.hbar, gap])
-        slope = loglog_slope([r[0] for r in rows], [r[2] for r in rows])
-        return rows, ["N", "hbar", "gap"], slope
-    if args.kind == "husimi-width":
-        grid = choose_theta(cat, args.N)
-        u = propagator(cat, grid)
-        amp = torus_coherent((0.0, 0.0), cat, grid).amplitudes
-        rows = []
-        for t in range(0, max(ladder) + 1):
-            if t in ladder:
-                h = husimi(QuantumState(amp, grid), cat, args.G)
-                var_u, var_s = axis_variances(h, cat, (0.0, 0.0))
-                theory = grid.hbar / (1.0 - math.tanh(cat.lyapunov * t))
-                rows.append([t, var_u, var_s, theory])
-            amp = u.apply(amp)
-        slope = float(
-            np.polyfit([r[0] for r in rows], np.log([r[1] for r in rows]), 1)[0]
-        )
-        return rows, ["t", "var_unstable", "var_stable", "theory_unstable"], slope
-    if args.kind == "scmeasure":
-        orbit = enumerate_prime_orbits(cat, args.T)[0]
-        rows = []
-        for N in ladder:
-            grid = choose_theta(cat, N)
-            spec = QuasimodeSpec(
-                orbit=orbit, phi=0.0, delta=args.delta, grid=grid, catmap=cat
-            )
-            _, psi_n = build_quasimode(spec)
-            err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES, G=args.G).max_error
-            rows.append([N, grid.hbar, err])
-        slope = loglog_slope([r[0] for r in rows], [r[2] for r in rows])
-        return rows, ["N", "hbar", "max_error"], slope
-    raise ConfigError(f"unknown sweep kind {args.kind!r}")
-
-
-def cmd_sweep(args) -> int:
-    rows, header, slope = _sweep_rows(args)
+        header, rows, slope = waw_gap_sweep(cat, ladder, args.G)
+    elif args.kind == "husimi-width":
+        header, rows, slope = husimi_width_sweep(cat, args.N, ladder, args.G)
+    else:
+        header, rows, slope = scmeasure_sweep(cat, ladder, args.T, args.delta, args.G)
     out = Path(args.out)
     lines = [",".join(header)]
     for row in rows:

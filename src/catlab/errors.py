@@ -10,8 +10,10 @@ class CatlabError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(CatlabError):
-    """Malformed configuration, file, or command-line input."""
+class ConfigError(CatlabError, ValueError):
+    """Malformed or out-of-range configuration, file, or command-line input.
+
+    A ValueError too, so callers that catch bad values as ValueError catch it."""
 
 
 class NotUnimodular(ConfigError):

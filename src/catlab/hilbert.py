@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .classical import CatMap
-from .errors import NoInvariantTheta, UnsupportedMatrix
+from .errors import ConfigError, NoInvariantTheta, UnsupportedMatrix
 
 __all__ = [
     "PlanckGrid",
@@ -38,6 +38,7 @@ __all__ = [
     "translation",
     "propagator",
     "egorov_defect",
+    "random_states",
 ]
 
 
@@ -56,7 +57,7 @@ class PlanckGrid:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("N must be >= 1")
+            raise ConfigError(f"N must be >= 1, got {self.N}")
         t1, t2 = self.theta
         if not (0.0 <= t1 < 2 * math.pi and 0.0 <= t2 < 2 * math.pi):
             raise ValueError("theta components must lie in [0, 2 pi)")
@@ -403,6 +404,12 @@ def propagator_dense(catmap: CatMap, grid: PlanckGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Egorov defect
 # ---------------------------------------------------------------------------
+
+def random_states(rng: np.random.Generator, N: int, count: int) -> np.ndarray:
+    """count unit vectors of C^N with Gaussian real and imaginary parts, one per row."""
+    s = rng.standard_normal((count, N)) + 1j * rng.standard_normal((count, N))
+    return s / np.linalg.norm(s, axis=1, keepdims=True)
+
 
 def egorov_defect(
     u: LinearMap,

@@ -18,17 +18,42 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classical import CatMap, Orbit, orbit_fourier_coefficient, torus_distance
-from .coherent import HusimiGrid, ball_mass, husimi, torus_coherent
-from .errors import BallsOverlap, NTooLarge, PreconditionError, RadiusOutOfRange
+from .classical import (
+    CatMap,
+    Orbit,
+    enumerate_prime_orbits,
+    orbit_fourier_coefficient,
+    orbit_through,
+    torus_distance,
+    validate_cat_map,
+)
+from .coherent import HusimiGrid, axis_variances, ball_mass, husimi, torus_coherent
+from .errors import (
+    BallsOverlap,
+    ConfigError,
+    DimensionTooLarge,
+    NTooLarge,
+    PreconditionError,
+    RadiusOutOfRange,
+)
 from .hilbert import (
     LinearMap,
     PlanckGrid,
     QuantumState,
     _require_invariant_theta,
+    choose_theta,
+    egorov_defect,
     propagator,
+    random_states,
 )
-from .quantize import Symbol, antiwick_expectation, bump_symbols, position_interval_mass
+from .quantize import (
+    MAX_DENSE_N,
+    Symbol,
+    antiwick_expectation,
+    bump_symbols,
+    position_interval_mass,
+    weyl_antiwick_gap,
+)
 
 __all__ = [
     "QuasimodeSpec",
@@ -44,7 +69,10 @@ __all__ = [
     "nonequidistribution_report",
     "Experiment",
     "run_pipeline",
-    "run_experiment",
+    "propagator_check",
+    "waw_gap_sweep",
+    "husimi_width_sweep",
+    "scmeasure_sweep",
     "loglog_slope",
 ]
 
@@ -63,6 +91,11 @@ def ehrenfest_time(N: int, lyapunov: float) -> float:
     return math.log(2.0 * math.pi * N) / lyapunov
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 0.25:
+        raise ConfigError(f"delta must lie in (0, 1/4), got {delta}")
+
+
 class ChosenN(NamedTuple):
     N: int
     ehrenfest_ok: bool
@@ -79,10 +112,9 @@ def choose_N(T: int, delta: float, lyapunov: float, cap: int = N_CAP) -> ChosenN
     NTooLarge
         If the schedule exceeds cap; choose (T, delta) or N manually.
     """
-    if not (0.0 < delta < 0.25):
-        raise ValueError("delta must lie in (0, 1/4)")
+    _check_delta(delta)
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError(f"T must be >= 1, got {T}")
     N = math.ceil(math.exp(lyapunov * T / delta) / (2.0 * math.pi))
     if N > cap:
         raise NTooLarge(
@@ -108,8 +140,7 @@ class QuasimodeSpec:
     catmap: CatMap
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 0.25):
-            raise ValueError("delta must lie in (0, 1/4)")
+        _check_delta(self.delta)
         T = self.orbit.length
         te = ehrenfest_time(self.grid.N, self.catmap.lyapunov)
         if T > self.delta * te + 1e-12:
@@ -155,7 +186,6 @@ class BallReport:
 
     balls: Tuple[Dict, ...]
     off_support: float
-    disjoint: bool
     radius: float
     constant: float
     total: float
@@ -196,6 +226,11 @@ def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
     return rho
 
 
+def _radius_floor(spec: QuasimodeSpec, C_sep: float) -> float:
+    """Smallest admissible non-equidistribution radius 2 C_sep sqrt(hbar) e^{lambda T}."""
+    return 2.0 * C_sep * math.sqrt(spec.grid.hbar) * math.exp(spec.catmap.lyapunov * spec.T)
+
+
 def husimi_ball_report(
     psi: QuantumState,
     spec: QuasimodeSpec,
@@ -226,7 +261,6 @@ def husimi_ball_report(
     return BallReport(
         balls=tuple(balls),
         off_support=off,
-        disjoint=True,
         radius=rho,
         constant=C,
         total=total,
@@ -309,8 +343,7 @@ def nonequidistribution_report(
         or [2 C_sep sqrt(hbar) e^{lambda T}, c1/sqrt(T)] (phase).
     """
     T = spec.T
-    lam = spec.catmap.lyapunov
-    r_lo = 2.0 * C_sep * math.sqrt(spec.grid.hbar) * math.exp(lam * T)
+    r_lo = _radius_floor(spec, C_sep)
     r_hi = c1 / T if space == "physical" else c1 / math.sqrt(T)
     if not (r_lo <= r <= r_hi):
         raise RadiusOutOfRange(
@@ -373,6 +406,12 @@ DEFAULT_FREQUENCIES = [
     (n1, n2) for n1 in range(-2, 3) for n2 in range(-2, 3) if (n1, n2) != (0, 0)
 ]
 
+# Fourier coefficients of the real symbol whose Weyl/anti-Wick gap the
+# waw-gap sweeps measure.
+GAP_SYMBOL = {
+    (0, 0): 1.0, (1, 0): 0.3, (-1, 0): 0.3, (0, 1): 0.2, (0, -1): 0.2, (1, 1): 0.1, (-1, -1): 0.1
+}
+
 
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     """Least-squares slope of log y against log x."""
@@ -391,16 +430,10 @@ class Experiment:
     catmap: CatMap
     orbit: Orbit
     grid: PlanckGrid
-    prop: LinearMap
     psi: QuantumState
     psi_n: QuantumState
     hgrid: HusimiGrid
     timings: Dict[str, float]
-
-
-def run_experiment(config: Dict) -> Dict:
-    """The deterministic report dict of run_pipeline(config)."""
-    return run_pipeline(config).report
 
 
 def run_pipeline(config: Dict) -> Experiment:
@@ -412,9 +445,6 @@ def run_pipeline(config: Dict) -> Experiment:
     and the Husimi grid of psi_n are built once and shared by every
     diagnostic; file emission is the CLI's job.
     """
-    from .classical import enumerate_prime_orbits, orbit_through, validate_cat_map
-    from .hilbert import choose_theta
-
     timings: Dict[str, float] = {}
     last = time.perf_counter()
 
@@ -480,8 +510,7 @@ def run_pipeline(config: Dict) -> Experiment:
     sc = scmeasure_error(psi_n, spec, freqs, G=G, hgrid=hgrid)
     lap("scmeasure")
 
-    lam = cat.lyapunov
-    r_lo = 2.0 * c_sep * math.sqrt(grid.hbar) * math.exp(lam * T)
+    r_lo = _radius_floor(spec, c_sep)
     r_phase = float(
         config.get("r_phase", min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T)))
     )
@@ -529,20 +558,14 @@ def run_pipeline(config: Dict) -> Experiment:
         "scmeasure_max_error": sc.max_error,
         "scmeasure_rate_bound": sc.rate_bound,
         "nonequi": {
-            "phase": {
-                "r": nq_phase.radius,
-                "sup_ratio": nq_phase.sup_ratio,
-                "inf_ratio": nq_phase.inf_ratio,
-                "witnesses": nq_phase.witnesses,
-                "cells": nq_phase.cells,
-            },
-            "physical": {
-                "r": nq_phys.radius,
-                "sup_ratio": nq_phys.sup_ratio,
-                "inf_ratio": nq_phys.inf_ratio,
-                "witnesses": nq_phys.witnesses,
-                "cells": nq_phys.cells,
-            },
+            nq.space: {
+                "r": nq.radius,
+                "sup_ratio": nq.sup_ratio,
+                "inf_ratio": nq.inf_ratio,
+                "witnesses": nq.witnesses,
+                "cells": nq.cells,
+            }
+            for nq in (nq_phase, nq_phys)
         },
     }
     return Experiment(
@@ -550,9 +573,99 @@ def run_pipeline(config: Dict) -> Experiment:
         catmap=cat,
         orbit=orbit,
         grid=grid,
-        prop=prop,
         psi=psi,
         psi_n=psi_n,
         hgrid=hgrid,
         timings=timings,
     )
+
+
+def propagator_check(catmap: CatMap, N: int, seed: int, states: int, nmax: int) -> Dict:
+    """Unitarity and conjugation (Egorov) defects of the propagator at N.
+
+    U is applied to `states` seeded random unit vectors; the conjugation
+    law is checked on the first five of them over n in [-nmax, nmax]^2.
+    """
+    if states < 1 or nmax < 0:
+        raise ConfigError(f"need states >= 1 and nmax >= 0, got states {states}, nmax {nmax}")
+    grid = choose_theta(catmap, N)
+    u = propagator(catmap, grid)
+    vecs = random_states(np.random.default_rng(seed), N, states)
+    unit = max(abs(np.linalg.norm(u.apply(s)) - 1.0) for s in vecs)
+    return {
+        "matrix": list(catmap.entries),
+        "N": N,
+        "theta": [grid.theta[0], grid.theta[1]],
+        "unitarity_defect": unit,
+        "egorov_defect": egorov_defect(u, catmap, grid, vecs[:5], nmax),
+        "states": states,
+        "nmax": nmax,
+    }
+
+
+_SweepTable = Tuple[List[str], List[List[float]], float]
+
+
+def waw_gap_sweep(catmap: CatMap, ladder: Sequence[int], G: int) -> _SweepTable:
+    """Dense Weyl/anti-Wick gap of GAP_SYMBOL at each N of the ladder.
+
+    Returns (header, rows, slope), the slope that of log gap against log N.
+    A ladder above MAX_DENSE_N, or with an N below 1, is refused before the
+    first gap is built.
+    """
+    if max(ladder) > MAX_DENSE_N:
+        raise DimensionTooLarge(
+            f"ladder reaches N = {max(ladder)} > {MAX_DENSE_N} for the dense gap path"
+        )
+    grids = [choose_theta(catmap, N) for N in ladder]
+    sym = Symbol.from_fourier(GAP_SYMBOL, real=True)
+    rows = [[g.N, g.hbar, weyl_antiwick_gap(sym, catmap, g, G=G)] for g in grids]
+    return ["N", "hbar", "gap"], rows, loglog_slope(ladder, [r[2] for r in rows])
+
+
+def husimi_width_sweep(catmap: CatMap, N: int, ladder: Sequence[int], G: int) -> _SweepTable:
+    """Husimi variances of U^t |0> along both axes at each time t of the ladder.
+
+    Each row carries the unstable-axis law hbar/(1 - tanh(lambda t)); the
+    slope is that of log var_unstable against t.
+    """
+    if min(ladder) < 0:
+        raise ConfigError(f"ladder times must be >= 0, got {min(ladder)}")
+    grid = choose_theta(catmap, N)
+    u = propagator(catmap, grid)
+    amp = torus_coherent((0.0, 0.0), catmap, grid).amplitudes
+    rows = []
+    for t in range(0, max(ladder) + 1):
+        if t > 0:
+            amp = u.apply(amp)
+        if t in ladder:
+            h = husimi(QuantumState(amp, grid), catmap, G)
+            var_u, var_s = axis_variances(h, catmap, (0.0, 0.0))
+            theory = grid.hbar / (1.0 - math.tanh(catmap.lyapunov * t))
+            rows.append([t, var_u, var_s, theory])
+    slope = float(np.polyfit([r[0] for r in rows], np.log([r[1] for r in rows]), 1)[0])
+    return ["t", "var_unstable", "var_stable", "theory_unstable"], rows, slope
+
+
+def scmeasure_sweep(
+    catmap: CatMap, ladder: Sequence[int], T: int, delta: float, G: int
+) -> _SweepTable:
+    """Semiclassical-measure error of the first prime T-orbit's quasimode at each N.
+
+    The error is max_n |<e_n^aw> - mu_gamma(e_n)| over DEFAULT_FREQUENCIES;
+    the slope is that of log error against log N.  Every ladder point's
+    spec is checked before the first quasimode is built.
+    """
+    orbit = enumerate_prime_orbits(catmap, T)[0]
+    specs = [
+        QuasimodeSpec(
+            orbit=orbit, phi=0.0, delta=delta, grid=choose_theta(catmap, N), catmap=catmap
+        )
+        for N in ladder
+    ]
+    rows = []
+    for spec in specs:
+        _, psi_n = build_quasimode(spec)
+        err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES, G=G).max_error
+        rows.append([spec.grid.N, spec.grid.hbar, err])
+    return ["N", "hbar", "max_error"], rows, loglog_slope(ladder, [r[2] for r in rows])

@@ -1,8 +1,21 @@
-"""Self-contained acceptance checks, runnable twice for byte determinism.
+"""Acceptance thresholds on catlab's experiments, runnable twice for byte determinism.
 
 Each criterion function returns a plain dict of deterministic values with a
 "pass" flag; run_all collects them, and selftest executes the whole bundle
-twice with the same seed and compares the serialized bytes.
+twice with the same seed and compares the serialized bytes.  On the Arnold
+map 2,1,1,1 the criteria read these experiments (``catlab`` subcommand):
+
+1. propagator_check (propagator-check) at N = 482, 1024, 4096, 20 states,
+   nmax 3, seed ``seed + N``;
+4. husimi_width_sweep (sweep --kind husimi-width), t = 0, 1, 2, N = 4096;
+6, 8. the norm, residual and ball fields, and the ``nonequi`` block, of
+   the run_pipeline report (quasimode) at T = 2, N = 4096;
+7. scmeasure_sweep (sweep --kind scmeasure), N = 1024, 2048, 4096;
+9. waw_gap_sweep (sweep --kind waw-gap), N = 512, 1024, 2048.
+
+Criteria 2 (translation composition), 3 (coherent normalization and the
+Husimi identity) and 5 (orbit counts) have no command-line counterpart
+and compute their values here.
 """
 
 from __future__ import annotations
@@ -17,42 +30,27 @@ from .classical import (
     fixed_point_count,
     validate_cat_map,
 )
-from .coherent import axis_variances, husimi, torus_coherent
-from .hilbert import QuantumState, choose_theta, egorov_defect, propagator, translation
+from .coherent import husimi, torus_coherent
+from .hilbert import QuantumState, choose_theta, random_states, translation
 from .io import canonical_json
-from .quantize import Symbol, weyl_antiwick_gap
 from .quasimodes import (
-    DEFAULT_FREQUENCIES,
-    QuasimodeSpec,
-    build_quasimode,
-    husimi_ball_report,
-    loglog_slope,
-    nonequidistribution_report,
-    residual,
-    scmeasure_error,
+    husimi_width_sweep,
+    propagator_check,
+    run_pipeline,
+    scmeasure_sweep,
+    waw_gap_sweep,
 )
 
 ARNOLD = (2, 1, 1, 1)
-
-
-def _random_states(rng: np.random.Generator, N: int, count: int) -> np.ndarray:
-    s = rng.standard_normal((count, N)) + 1j * rng.standard_normal((count, N))
-    return s / np.linalg.norm(s, axis=1, keepdims=True)
+DESK_CONFIG = {"matrix": list(ARNOLD), "T": 2, "N": 4096}
 
 
 def criterion_1(seed: int = 0) -> Dict:
     """Propagator unitarity < 1e-10 and Egorov defect < 1e-8, Arnold map."""
     cat = validate_cat_map(*ARNOLD)
-    worst_unit = 0.0
-    worst_egorov = 0.0
-    for N in (482, 1024, 4096):
-        grid = choose_theta(cat, N)
-        u = propagator(cat, grid)
-        rng = np.random.default_rng(seed + N)
-        states = _random_states(rng, N, 20)
-        for psi in states:
-            worst_unit = max(worst_unit, abs(np.linalg.norm(u.apply(psi)) - 1.0))
-        worst_egorov = max(worst_egorov, egorov_defect(u, cat, grid, states[:5], 3))
+    checks = [propagator_check(cat, N, seed + N, 20, 3) for N in (482, 1024, 4096)]
+    worst_unit = max(c["unitarity_defect"] for c in checks)
+    worst_egorov = max(c["egorov_defect"] for c in checks)
     return {
         "unitarity_defect": worst_unit,
         "egorov_defect": worst_egorov,
@@ -65,7 +63,7 @@ def criterion_2(seed: int = 0) -> Dict:
     cat = validate_cat_map(*ARNOLD)
     grid = choose_theta(cat, 512)
     rng = np.random.default_rng(seed + 2)
-    psi = _random_states(rng, 512, 1)[0]
+    psi = random_states(rng, 512, 1)[0]
     worst = 0.0
     for _ in range(50):
         n = tuple(int(v) for v in rng.integers(-8, 9, 2))
@@ -88,7 +86,7 @@ def criterion_3(seed: int = 0) -> Dict:
     h = husimi(coh, cat, 256)
     ident_coh = abs(h.total() - coh.norm2()) / coh.norm2()
     rng = np.random.default_rng(seed + 3)
-    psi = QuantumState(_random_states(rng, 4096, 1)[0], grid)
+    psi = QuantumState(random_states(rng, 4096, 1)[0], grid)
     h2 = husimi(psi, cat, 256)
     ident_rand = abs(h2.total() - 1.0)
     return {
@@ -103,24 +101,12 @@ def criterion_3(seed: int = 0) -> Dict:
 
 def criterion_4(seed: int = 0) -> Dict:
     """Unstable-axis Husimi variance matches hbar/(1 - tanh(lambda t)) to 5%."""
-    cat = validate_cat_map(*ARNOLD)
-    grid = choose_theta(cat, 4096)
-    u = propagator(cat, grid)
-    lam = cat.lyapunov
-    state = torus_coherent((0.0, 0.0), cat, grid)
-    rows = []
-    ok = True
-    amp = state.amplitudes
-    for t in range(0, 3):
-        if t > 0:
-            amp = u.apply(amp)
-        h = husimi(QuantumState(amp, grid), cat, 256)
-        var_u, var_s = axis_variances(h, cat, (0.0, 0.0))
-        theory = grid.hbar / (1.0 - math.tanh(lam * t))
-        rel = abs(var_u - theory) / theory
-        ok = ok and rel < 0.05
-        rows.append({"t": t, "variance": var_u, "theory": theory, "rel_error": rel})
-    return {"rows": rows, "pass": bool(ok)}
+    _, table, _ = husimi_width_sweep(validate_cat_map(*ARNOLD), 4096, [0, 1, 2], 256)
+    rows = [
+        {"t": t, "variance": var_u, "theory": theory, "rel_error": abs(var_u - theory) / theory}
+        for t, var_u, _, theory in table
+    ]
+    return {"rows": rows, "pass": all(row["rel_error"] < 0.05 for row in rows)}
 
 
 def criterion_5(seed: int = 0) -> Dict:
@@ -145,51 +131,29 @@ def criterion_5(seed: int = 0) -> Dict:
     return {"prime_counts": counts, "t2_orbit_found": found, "pass": bool(ok)}
 
 
-def _t2_spec(N: int) -> Tuple[QuasimodeSpec, object]:
-    cat = validate_cat_map(*ARNOLD)
-    grid = choose_theta(cat, N)
-    orbit = enumerate_prime_orbits(cat, 2)[0]
-    spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=cat)
-    return spec, propagator(cat, grid)
-
-
 def criterion_6(seed: int = 0) -> Dict:
     """Quasimode laws at T=2, N=4096: norm, residual, ball decomposition."""
-    spec, prop = _t2_spec(4096)
-    psi, psi_n = build_quasimode(spec, prop)
-    norm_sq = psi.norm2()
-    res = residual(psi_n, 0.0, prop)
-    report = husimi_ball_report(psi, spec, G=256)
-    masses = report.masses()
-    ok = (
-        abs(norm_sq - 2.0) <= 0.02
-        and res <= math.sqrt(2.0) + 0.01
+    report = run_pipeline(DESK_CONFIG).report
+    result = {k: report[k] for k in ("norm_sq", "residual", "ball_masses", "off_support")}
+    result["residual_bound"] = math.sqrt(2.0) + 0.01
+    masses = result["ball_masses"]
+    result["pass"] = bool(
+        abs(result["norm_sq"] - 2.0) <= 0.02
+        and result["residual"] <= result["residual_bound"]
         and len(masses) == 2
         and all(abs(m - 1.0) <= 0.02 for m in masses)
-        and abs(report.off_support) < 1e-6
-        and report.disjoint
+        and abs(result["off_support"]) < 1e-6
     )
-    return {
-        "norm_sq": norm_sq,
-        "residual": res,
-        "residual_bound": math.sqrt(2.0) + 0.01,
-        "ball_masses": masses,
-        "off_support": report.off_support,
-        "pass": bool(ok),
-    }
+    return result
 
 
 def criterion_7(seed: int = 0) -> Dict:
     """Semiclassical measure: error <= 0.05 at N=4096 and ladder slope <= -0.16."""
-    errors = {}
-    for N in (1024, 2048, 4096):
-        spec, prop = _t2_spec(N)
-        _, psi_n = build_quasimode(spec, prop)
-        errors[N] = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES, G=256).max_error
-    slope = loglog_slope(list(errors), list(errors.values()))
-    ok = errors[4096] <= 0.05 and slope <= -(0.5 - 0.24) + 0.1
+    _, rows, slope = scmeasure_sweep(validate_cat_map(*ARNOLD), [1024, 2048, 4096], 2, 0.24, 256)
+    errors = {str(N): err for N, _, err in rows}
+    ok = errors["4096"] <= 0.05 and slope <= -(0.5 - 0.24) + 0.1
     return {
-        "errors": {str(k): v for k, v in errors.items()},
+        "errors": errors,
         "slope": slope,
         "slope_bound": -(0.5 - 0.24) + 0.1,
         "pass": bool(ok),
@@ -198,51 +162,27 @@ def criterion_7(seed: int = 0) -> Dict:
 
 def criterion_8(seed: int = 0) -> Dict:
     """Non-equidistribution witnesses at T=2, N=4096 (phase and physical)."""
-    spec, prop = _t2_spec(4096)
-    _, psi_n = build_quasimode(spec, prop)
-    h = husimi(psi_n, spec.catmap, 256)
-    phase = nonequidistribution_report(psi_n, spec, "phase", 0.1, hgrid=h)
-    phys = nonequidistribution_report(psi_n, spec, "physical", 0.05)
-    ok = (
-        phase.witnesses["hit"]["mass"] >= 0.48
-        and phase.witnesses["miss"]["mass"] < 1e-6
-        and phys.witnesses["hit"]["mass"] >= 0.48
-        and phys.witnesses["miss"]["mass"] < 1e-6
-    )
-    return {
-        "phase_hit": phase.witnesses["hit"]["mass"],
-        "phase_miss": phase.witnesses["miss"]["mass"],
-        "phase_sup_ratio": phase.sup_ratio,
-        "phase_inf_ratio": phase.inf_ratio,
-        "physical_hit": phys.witnesses["hit"]["mass"],
-        "physical_miss": phys.witnesses["miss"]["mass"],
-        "pass": bool(ok),
+    nonequi = run_pipeline(DESK_CONFIG).report["nonequi"]
+    result = {
+        f"{space}_{w}": nonequi[space]["witnesses"][w]["mass"]
+        for space in ("phase", "physical")
+        for w in ("hit", "miss")
     }
-
-
-GAP_SYMBOL = {
-    (0, 0): 1.0,
-    (1, 0): 0.3,
-    (-1, 0): 0.3,
-    (0, 1): 0.2,
-    (0, -1): 0.2,
-    (1, 1): 0.1,
-    (-1, -1): 0.1,
-}
+    result["phase_sup_ratio"] = nonequi["phase"]["sup_ratio"]
+    result["phase_inf_ratio"] = nonequi["phase"]["inf_ratio"]
+    result["pass"] = all(
+        result[f"{space}_hit"] >= 0.48 and result[f"{space}_miss"] < 1e-6
+        for space in ("phase", "physical")
+    )
+    return result
 
 
 def criterion_9(seed: int = 0) -> Dict:
     """Weyl/anti-Wick gap log-log slope -1 +- 0.3 over N in {512, 1024, 2048}."""
-    cat = validate_cat_map(*ARNOLD)
-    sym = Symbol.from_fourier(GAP_SYMBOL, real=True, label="gap-test")
-    gaps = {}
-    for N in (512, 1024, 2048):
-        grid = choose_theta(cat, N)
-        gaps[N] = weyl_antiwick_gap(sym, cat, grid, G=256)
-    slope = loglog_slope(list(gaps), list(gaps.values()))
+    _, rows, slope = waw_gap_sweep(validate_cat_map(*ARNOLD), [512, 1024, 2048], 256)
     ok = abs(slope - (-1.0)) <= 0.3
     return {
-        "gaps": {str(k): v for k, v in gaps.items()},
+        "gaps": {str(N): gap for N, _, gap in rows},
         "slope": slope,
         "pass": bool(ok),
     }

@@ -5,10 +5,10 @@ Criterion 10 runs the bundled selftest, which executes criteria 1-9 twice
 with one seed and demands byte-identical serialized reports.
 """
 
+import json
 import math
 
-import pytest
-
+from catlab.cli import main
 from catlab.io import canonical_json
 from catlab.selftest import (
     criterion_1,
@@ -40,6 +40,18 @@ def test_criterion_1_propagator():
     )
     assert r["unitarity_defect"] < 1e-10
     assert r["egorov_defect"] < 1e-8
+
+
+def test_criterion_1_matches_propagator_check(tmp_path):
+    r = criterion_1()
+    checks = []
+    for N in (482, 1024, 4096):
+        out = tmp_path / f"check{N}.json"
+        argv = ["propagator-check", "--matrix", "2,1,1,1", "--N", str(N), "--seed", str(N)]
+        assert main(argv + ["--out", str(out)]) == 0
+        checks.append(json.loads(out.read_text()))
+    assert r["unitarity_defect"] == max(c["unitarity_defect"] for c in checks)
+    assert r["egorov_defect"] == max(c["egorov_defect"] for c in checks)
 
 
 def test_criterion_2_translation_algebra():
@@ -125,6 +137,23 @@ def test_criterion_8_nonequidistribution():
     assert r["phase_miss"] < 1e-6
     assert r["physical_hit"] >= 0.48
     assert r["physical_miss"] < 1e-6
+
+
+def test_criteria_6_and_8_match_quasimode_report(tmp_path):
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text("matrix = 2,1,1,1\nT = 2\nN = 4096\n")
+    out = tmp_path / "report.json"
+    assert main(["quasimode", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    r6, r8 = criterion_6(), criterion_8()
+    for key in ("norm_sq", "residual", "ball_masses", "off_support"):
+        assert r6[key] == report[key], key
+    nonequi = report["nonequi"]
+    for space in ("phase", "physical"):
+        for w in ("hit", "miss"):
+            assert r8[f"{space}_{w}"] == nonequi[space]["witnesses"][w]["mass"]
+    assert r8["phase_sup_ratio"] == nonequi["phase"]["sup_ratio"]
+    assert r8["phase_inf_ratio"] == nonequi["phase"]["inf_ratio"]
 
 
 def test_criterion_9_weyl_antiwick_gap():

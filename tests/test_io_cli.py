@@ -252,15 +252,17 @@ class TestCli:
         grid = choose_theta(arnold, 256)
         st = torus_coherent((0.5, 0.5), arnold, grid)
         save_state(tmp_path / "psi.bin", st)
-        rc = main(
-            [
-                "husimi",
-                "--state", str(tmp_path / "psi.bin"),
-                "--matrix", "2,1,1,1",
-                "--G", "32",
-                "--out", str(tmp_path / "h.csv"),
-            ]
-        )
+        # G = 32 < sqrt(2 pi 256): the grid is built, with a resolution warning
+        with pytest.warns(UserWarning, match="does not resolve"):
+            rc = main(
+                [
+                    "husimi",
+                    "--state", str(tmp_path / "psi.bin"),
+                    "--matrix", "2,1,1,1",
+                    "--G", "32",
+                    "--out", str(tmp_path / "h.csv"),
+                ]
+            )
         assert rc == 0
         assert np.loadtxt(tmp_path / "h.csv", delimiter=",").shape == (32, 32)
 
@@ -379,6 +381,41 @@ class TestCli:
         out = tmp_path / "file" / "orbits.json"
         assert main(["orbits", "--matrix", "2,1,1,1", "--T", "2", "--out", str(out)]) == 2
         assert "cannot create the directory of --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["orbits", "--T", "0"], "T must be >= 1, got 0"),
+            (["propagator-check", "--N", "64", "--states", "0"], "got states 0, nmax 3"),
+            (["propagator-check", "--N", "0"], "N must be >= 1, got 0"),
+            (["propagator-check", "--N", "64", "--nmax", "-1"], "got states 20, nmax -1"),
+            (["sweep", "--kind", "waw-gap", "--ladder", "0,64,128"], "N must be >= 1, got 0"),
+            (["sweep", "--kind", "husimi-width", "--ladder", "0,1,2", "--N", "0"],
+             "N must be >= 1, got 0"),
+            (["sweep", "--kind", "husimi-width", "--ladder", "0,1,-1", "--N", "64"],
+             "ladder times must be >= 0, got -1"),
+            (["sweep", "--kind", "scmeasure", "--ladder", "64,128,256", "--T", "0"],
+             "T must be >= 1, got 0"),
+            (["sweep", "--kind", "scmeasure", "--ladder", "64,128,256", "--delta", "0.3"],
+             "delta must lie in (0, 1/4), got 0.3"),
+            (["quasimode", "T = 2\nN = 0\n"], "N must be >= 1, got 0"),
+            (["quasimode", "T = 0\nN = 4096\n"], "T must be >= 1, got 0"),
+            (["quasimode", "T = 2\nN = 4096\ndelta = 0.3\n"],
+             "delta must lie in (0, 1/4), got 0.3"),
+        ],
+        ids=["orbits-T", "check-states", "check-N", "check-nmax", "gap-ladder", "width-N",
+             "width-ladder", "scmeasure-T", "scmeasure-delta", "quasimode-N", "quasimode-T",
+             "quasimode-delta"],
+    )
+    def test_out_of_range_input_is_config_error(self, argv, named, tmp_path, capsys):
+        if argv[0] == "quasimode":
+            cfg = write_config(tmp_path, "matrix = 2,1,1,1\n" + argv[1])
+            argv = ["quasimode", "--config", cfg]
+        else:
+            argv = argv + ["--matrix", "2,1,1,1"]
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and named in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -28,7 +28,7 @@ from catlab import (
 from catlab.coherent import _truncation_cut, z_parameter
 from catlab.hilbert import translation_entries
 from catlab.quantize import _operator_norm, weyl_dense
-from catlab.selftest import GAP_SYMBOL
+from catlab.quasimodes import GAP_SYMBOL
 
 from conftest import coarse_husimi, hyperbolic_maps, random_state, twisted_grid
 

@@ -22,7 +22,6 @@ from catlab import (
     nonequidistribution_report,
     propagator,
     residual,
-    run_experiment,
     run_pipeline,
     scmeasure_error,
     torus_coherent,
@@ -180,7 +179,6 @@ class TestBallReport:
         report = husimi_ball_report(psi, spec, G=256)
         assert len(report.balls) == 1
         assert report.balls[0]["mass"] == pytest.approx(1.0, abs=0.02)
-        assert report.disjoint
 
     def test_t2_two_balls(self, arnold, grid4096):
         spec = t2_spec(arnold, 4096)
@@ -297,7 +295,7 @@ class TestRunExperiment:
     def test_end_to_end(self, arnold):
         config = {"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "phi": 0.0, "G": 256,
                   "r_phase": 0.1, "r_physical": 0.05}
-        report = run_experiment(config)
+        report = run_pipeline(config).report
         assert report["norm_sq"] == pytest.approx(2.0, rel=0.01)
         assert report["residual"] <= report["residual_bound"] + 0.01
         assert len(report["ball_masses"]) == 2
@@ -308,14 +306,13 @@ class TestRunExperiment:
     def test_deterministic(self, arnold):
         config = {"matrix": [2, 1, 1, 1], "T": 1, "N": 512,
                   "r_phase": 0.1, "r_physical": 0.09}
-        a = canonical_json(run_experiment(config))
-        b = canonical_json(run_experiment(config))
+        a = canonical_json(run_pipeline(config).report)
+        b = canonical_json(run_pipeline(config).report)
         assert a == b
 
     def test_pipeline_objects_match_report(self, arnold):
         config = {"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "phi": 0.7}
         exp = run_pipeline(config)
-        assert canonical_json(exp.report) == canonical_json(run_experiment(config))
         assert exp.report["norm_sq"] == exp.psi.norm2()
         assert exp.hgrid.G == 256 and exp.hgrid.state_norm2 == exp.psi_n.norm2()
         # the ball report reuses psi_n's grid scaled by ||psi||^2; a second
@@ -329,22 +326,22 @@ class TestRunExperiment:
 
     def test_schedule_overflow_surfaced(self, arnold):
         with pytest.raises(NTooLarge):
-            run_experiment({"matrix": [2, 1, 1, 1], "T": 4})
+            run_pipeline({"matrix": [2, 1, 1, 1], "T": 4})
 
     def test_t1_degenerate(self, arnold):
-        report = run_experiment(
+        report = run_pipeline(
             {"matrix": [2, 1, 1, 1], "T": 1, "N": 512,
              "r_phase": 0.1, "r_physical": 0.09}
-        )
+        ).report
         assert len(report["ball_masses"]) == 1
         assert report["residual"] <= 2.0
         assert report["norm_sq"] == pytest.approx(1.0, abs=1e-6)
 
     def test_explicit_orbit_start(self, arnold):
-        report = run_experiment(
+        report = run_pipeline(
             {"matrix": [2, 1, 1, 1], "orbit_start": [1, 2, 5], "N": 4096,
              "r_phase": 0.1, "r_physical": 0.05}
-        )
+        ).report
         assert report["T"] == 2
         assert report["orbit"]["points"] == [[1, 2], [4, 3]]
 
