@@ -372,8 +372,9 @@ def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMa
         rng = np.random.default_rng(0)
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         v /= np.linalg.norm(v)
-        defect = abs(np.linalg.norm(u.apply(v)) - 1.0)
-        roundtrip = np.max(np.abs(u.apply_adjoint(u.apply(v)) - v))
+        w = u.apply(v)
+        defect = abs(np.linalg.norm(w) - 1.0)
+        roundtrip = np.max(np.abs(u.apply_adjoint(w) - v))
         if defect > 1e-9 or roundtrip > 1e-9:
             raise UnsupportedMatrix(
                 f"kernel not unitary for {catmap} at N={N} "
@@ -421,16 +422,18 @@ def egorov_defect(
     """max ||U T(n) U* psi - T(Mn) psi|| over n in [-nmax, nmax]^2 and the states.
 
     The conjugation law holds exactly, so this measures rounding error
-    only; all applications are matrix-free.  Each pair of translations is
-    built for its n and dropped after, so memory stays O(N) for any nmax.
+    only; all applications are matrix-free.  U* psi is computed once per
+    state.  Each pair of translations is built for its n and dropped after,
+    so memory stays O(N) per state for any nmax.
     """
     a, b, c, d = catmap.entries
+    pulled = [u.apply_adjoint(psi) for psi in states]
     worst = 0.0
     for n1 in range(-nmax, nmax + 1):
         for n2 in range(-nmax, nmax + 1):
             tn = translation((n1, n2), grid)
             tmn = translation((a * n1 + b * n2, c * n1 + d * n2), grid)
-            for psi in states:
-                lhs = u.apply(tn.apply(u.apply_adjoint(psi)))
+            for psi, back in zip(states, pulled):
+                lhs = u.apply(tn.apply(back))
                 worst = max(worst, float(np.linalg.norm(lhs - tmn.apply(psi))))
     return worst

@@ -2,7 +2,10 @@
 
 States travel as little-endian binary with a fixed 32-byte header, or as
 JSON for small N.  Husimi grids are CSV (17 significant digits, row major)
-with a JSON sidecar.  Report JSON uses sorted keys and Python's shortest
+with a JSON sidecar, as are sampled symbols.  The CSV bytes are those of
+np.savetxt(fmt="%.16e", delimiter=","); _write_csv formats them in numpy,
+one block of at most 2^15 cells at a time, and leaves only unusual rows
+to Python's '%'.  Report JSON uses sorted keys and Python's shortest
 round-trip float representation, so identical inputs give identical bytes.
 Orbit files hold only integers; they are written straight from the orbits'
 int64 arrays in the canonical_json layout, byte for byte, and every orbit
@@ -50,16 +53,12 @@ def canonical_json(obj) -> str:
 def save_state(path: Union[str, Path], state: QuantumState) -> None:
     """Binary state: 32-byte header (magic, N, theta1, theta2), then
     interleaved float64 (re, im) pairs, all little endian."""
-    amp = state.amplitudes
     header = MAGIC + struct.pack(
         "<Qdd", state.grid.N, state.grid.theta[0], state.grid.theta[1]
     )
-    inter = np.empty(2 * len(amp))
-    inter[0::2] = amp.real
-    inter[1::2] = amp.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.amplitudes, dtype="<c16"))
 
 
 def load_state(path: Union[str, Path]) -> QuantumState:
@@ -68,10 +67,12 @@ def load_state(path: Union[str, Path]) -> QuantumState:
         if len(header) != 32 or header[:8] != MAGIC:
             raise ConfigError(f"{path}: not a CATSTATE file")
         N, t1, t2 = struct.unpack("<Qdd", header[8:])
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if len(data) != 2 * N:
-        raise ConfigError(f"{path}: expected {2 * N} floats, found {len(data)}")
-    amp = data[0::2] + 1j * data[1::2]
+        data = fh.read()
+    if len(data) != 16 * N:
+        raise ConfigError(
+            f"{path}: expected {16 * N} bytes of amplitudes, found {len(data)}"
+        )
+    amp = np.frombuffer(data, dtype="<c16").astype(complex)
     return QuantumState(amp, PlanckGrid(int(N), (t1, t2)))
 
 
@@ -95,10 +96,128 @@ def load_state_json(path: Union[str, Path]) -> QuantumState:
     return QuantumState(amp, PlanckGrid(int(doc["N"]), tuple(doc["theta"])))
 
 
+# The CSV writer formats '%.16e' fields in numpy.  A cell that is +0.0 copies
+# _ZERO_FIELD; a positive cell x with decimal exponent e = floor(log10 x) in
+# [-99, 99] is the 17-digit integer round(x 10^(16-e)), spread into the fixed
+# 22-byte layout d.dddddddddddddddde+XX.  The product is a double-double:
+# Dekker's exact two-product of x and hi(10^k), plus x lo(10^k), where the
+# table pair (hi, lo) is 10^k to 2^-106.  A row holding any other cell (-0.0,
+# a negative or non-finite value, |e| >= 100, a cell within 1e-9 of a rounding
+# tie, or a log10 off by one) is formatted by Python's '%' instead.
+_FIELD = 23  # 22 characters and the delimiter
+_BLOCK_CELLS = 2**15
+_ZERO_FIELD = np.frombuffer(b"0.0000000000000000e+00,", dtype=np.uint8)
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for doubles
+_K_MIN = 16 - 99  # the table holds 10^k for k = 16 - e, e in [-99, 99]
+
+
+def _pow10_pairs():
+    """10^k = hi + lo for k in [_K_MIN, _K_MIN + 198], and hi split in two
+    26-bit halves: the arrays (hi, lo, hi_hi, hi_lo)."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MIN + 199):
+        P, Q = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = P / Q  # int true division rounds correctly
+        m, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((P * d - m * Q) / (Q * d))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    return hi, np.array(lo), hi_hi, hi - hi_hi
+
+
+_POW10_HI, _POW10_LO, _POW10_HI_HI, _POW10_HI_LO = _pow10_pairs()
+
+
+def _format_block(block: np.ndarray):
+    """The '%.16e' lines of a C-contiguous float64 block as (lines, python):
+    lines is a (rows, cols * 23) uint8 array, exact in every row where the
+    bool array python is False; python marks the rows for Python's '%'."""
+    rows, cols = block.shape
+    x = block.ravel()
+    out = np.empty((x.size, _FIELD), dtype=np.uint8)
+    out[:] = _ZERO_FIELD
+    # nan compares False, so pos holds finite positives only
+    pos = (x > 0.0) & (x < 1e100)
+    v = x[pos]
+    e = np.floor(np.log10(v)).astype(np.int64)
+    i = np.clip(16 - e - _K_MIN, 0, len(_POW10_HI) - 1)
+    p = v * _POW10_HI[i]
+    v_hi = _SPLIT * v
+    v_hi -= v_hi - v
+    v_lo = v - v_hi
+    hh, hl = _POW10_HI_HI[i], _POW10_HI_LO[i]
+    # tail = ((v_hi hh - p) + v_hi hl + v_lo hh) + v_lo hl + v lo, in place
+    tail = v_hi * hh
+    tail -= p
+    tail += v_hi * hl
+    tail += v_lo * hh
+    tail += v_lo * hl
+    tail += v * _POW10_LO[i]
+    # freed early, as the block's temporaries are the writer's peak memory
+    del v, i, v_hi, v_lo, hh, hl
+    # p >= 2^53 is an integer whenever e is right; a wrong e puts the digits
+    # outside (10^16, 10^17), and 10^16 itself is left to Python too
+    whole = np.floor(tail)
+    tail -= whole
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (tail > 0.5)
+    del p, whole
+    exact = (
+        (np.abs(tail - 0.5) >= 1e-9)
+        & (digits > 10**16)
+        & (digits < 10**17)
+        & (e >= -99)
+        & (e <= 99)
+    )
+    # the template's "0" columns take the digits: 9 + 8 of them, each part
+    # spread by uint32 divisions by 10 from its last digit
+    fields = np.empty((len(digits), _FIELD), dtype=np.uint8)
+    fields[:] = _ZERO_FIELD
+    top = digits // 10**8
+    for part, columns in (
+        (digits - top * 10**8, range(17, 9, -1)),
+        (top, (9, 8, 7, 6, 5, 4, 3, 2, 0)),
+    ):
+        q = part.astype(np.uint32)
+        for col in columns:
+            q10 = q // np.uint32(10)
+            fields[:, col] += (q - q10 * np.uint32(10)).astype(np.uint8)
+            q = q10
+    fields[:, 19] = np.where(e < 0, ord("-"), ord("+"))
+    ae = np.abs(e)
+    fields[:, 20] += (ae // 10).astype(np.uint8)
+    fields[:, 21] += (ae % 10).astype(np.uint8)
+    out[pos] = fields
+    out.reshape(rows, cols, _FIELD)[:, -1, -1] = ord("\n")
+    python = (x != 0.0) | np.signbit(x)
+    python[pos] = ~exact
+    return out.reshape(rows, cols * _FIELD), python.reshape(rows, cols).any(axis=1)
+
+
+def _write_csv(path: Union[str, Path], values: np.ndarray) -> None:
+    """The bytes of np.savetxt(path, values, fmt="%.16e", delimiter=",") for
+    a 2-D array with at least one column, formatted and written a block of
+    whole rows (at most 2^15 cells, or one longer row) at a time."""
+    rows, cols = values.shape
+    row_fmt = ",".join(["%.16e"] * cols) + "\n"
+    step = max(1, _BLOCK_CELLS // cols)
+    with open(path, "wb") as fh:
+        for start in range(0, rows, step):
+            block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
+            lines, python = _format_block(block)
+            done = 0
+            for r in np.flatnonzero(python):
+                fh.write(lines[done:r])
+                fh.write((row_fmt % tuple(block[r].tolist())).encode("ascii"))
+                done = r + 1
+            fh.write(lines[done:])
+
+
 def save_husimi_csv(path: Union[str, Path], hgrid: HusimiGrid) -> None:
     """G x G CSV, row major (rows = position index), plus a JSON sidecar."""
     path = Path(path)
-    np.savetxt(path, hgrid.values, fmt="%.16e", delimiter=",")
+    _write_csv(path, hgrid.values)
     sidecar = {
         "G": hgrid.G,
         "N": hgrid.grid.N,
@@ -191,7 +310,7 @@ def save_symbol_json(path: Union[str, Path], symbol: Symbol, G: int = 256) -> No
     else:
         vals = symbol.sample(G)
         csv_path = path.with_suffix(".csv")
-        np.savetxt(csv_path, np.real(vals), fmt="%.16e", delimiter=",")
+        _write_csv(csv_path, np.real(vals))
         doc = {"kind": "sampled", "rho": symbol.rho, "G": G, "grid_csv": csv_path.name}
         path.write_text(canonical_json(doc))
 

@@ -12,6 +12,7 @@ reports numbers; assertions live in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -436,14 +437,33 @@ class Experiment:
     timings: Dict[str, float]
 
 
+def _config_int(key: str, value, count: Optional[int] = None):
+    """A config value that must be exactly an integer, or with count given a
+    list of count of them (returned as a tuple).
+
+    Exactly an integer means an int other than a bool, or a float with no
+    fractional part; anything else is a ConfigError that names the key.
+    """
+    if count is not None:
+        if not isinstance(value, (list, tuple)) or len(value) != count:
+            raise ConfigError(f"config key {key} needs {count} integers, got {value!r}")
+        return tuple(_config_int(key, v) for v in value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+
+
 def run_pipeline(config: Dict) -> Experiment:
     """Build a quasimode per config and run every diagnostic.
 
     Recognized keys: matrix (4 ints), T or orbit_start ([j, k, l]), delta,
     N (optional, else the dimension schedule), phi, C0, c_sep, c1, G,
-    frequencies, r_phase, r_physical, seed.  The propagator, the quasimode
-    and the Husimi grid of psi_n are built once and shared by every
-    diagnostic; file emission is the CLI's job.
+    frequencies, r_phase, r_physical, seed.  N, T, G and the entries of
+    orbit_start and frequencies must be exactly integers (_config_int).
+    The propagator, the quasimode and the Husimi grid of psi_n are built
+    once and shared by every diagnostic; file emission is the CLI's job.
     """
     timings: Dict[str, float] = {}
     last = time.perf_counter()
@@ -460,21 +480,25 @@ def run_pipeline(config: Dict) -> Experiment:
     C0 = float(config.get("C0", BALL_CONSTANT))
     c_sep = float(config.get("c_sep", SEP_CONSTANT))
     c1 = float(config.get("c1", C1_CONSTANT))
-    G = int(config.get("G", 256))
+    G = _config_int("G", config.get("G", 256))
+    freqs = config.get("frequencies", DEFAULT_FREQUENCIES)
+    if not isinstance(freqs, (list, tuple)):
+        raise ConfigError(f"config key frequencies needs a list of pairs, got {freqs!r}")
+    freqs = [_config_int("frequencies", n, 2) for n in freqs]
 
     if "orbit_start" in config:
-        j, k, l = (int(v) for v in config["orbit_start"])
+        j, k, l = _config_int("orbit_start", config["orbit_start"], 3)
         orbit = orbit_through(cat, j, k, l)
         T = orbit.length
     else:
-        T = int(config["T"])
+        T = _config_int("T", config["T"])
         orbits = enumerate_prime_orbits(cat, T)
         if not orbits:
             raise PreconditionError(f"no prime orbit of length {T} for {cat}")
         orbit = orbits[0]
 
     if "N" in config and config["N"] is not None:
-        N = int(config["N"])
+        N = _config_int("N", config["N"])
         schedule = None
     else:
         chosen = choose_N(T, delta, cat.lyapunov)
@@ -506,7 +530,6 @@ def run_pipeline(config: Dict) -> Experiment:
         hgrid=replace(hgrid, values=hgrid.values * norm_sq, state_norm2=norm_sq),
     )
     lap("ball_report")
-    freqs = [tuple(int(v) for v in n) for n in config.get("frequencies", DEFAULT_FREQUENCIES)]
     sc = scmeasure_error(psi_n, spec, freqs, G=G, hgrid=hgrid)
     lap("scmeasure")
 

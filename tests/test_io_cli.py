@@ -1,9 +1,12 @@
 import json
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from catlab import (
     ConfigError,
@@ -16,6 +19,7 @@ from catlab import (
     validate_cat_map,
     weyl_quantize,
 )
+from catlab import io as catlab_io
 from catlab.cli import main, parse_config_file
 from catlab.io import (
     MAGIC,
@@ -54,6 +58,17 @@ class TestStateFormat:
         assert raw[:8] == MAGIC
         assert len(raw) == 32 + 16 * 16
         assert int.from_bytes(raw[8:16], "little") == 16
+        inter = np.empty(32)
+        inter[0::2] = st.amplitudes.real
+        inter[1::2] = st.amplitudes.imag
+        assert raw[32:] == inter.astype("<f8").tobytes()
+
+    def test_truncated_amplitudes_rejected(self, arnold, tmp_path):
+        path = tmp_path / "psi.bin"
+        save_state(path, random_state(choose_theta(arnold, 16), 0))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ConfigError, match="expected 256 bytes of amplitudes, found 253"):
+            load_state(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -89,6 +104,103 @@ class TestHusimiFormat:
         assert sidecar["G"] == 32 and sidecar["N"] == 256
         assert sidecar["matrix"] == [2, 1, 1, 1]
         assert sidecar["norm_sq"] == pytest.approx(coh.norm2())
+        np.savetxt(tmp_path / "oracle.csv", h.values, fmt="%.16e", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def savetxt_bytes(values, tmp_path):
+    """Oracle: the bytes np.savetxt writes with the Husimi CSV format."""
+    path = tmp_path / "oracle.csv"
+    np.savetxt(path, values, fmt="%.16e", delimiter=",")
+    return path.read_bytes()
+
+
+def writer_bytes(values, tmp_path):
+    path = tmp_path / "written.csv"
+    catlab_io._write_csv(path, values)
+    return path.read_bytes()
+
+
+def _named_cells():
+    """Cells at every edge of the numpy formatter, and on either side of it."""
+    cells = [
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1e-300, np.inf, -np.inf, np.nan, -np.nan, -1.5, -1e-5, 1.0, 0.1, 0.5,
+        1e99, 9.999999999999999e99, 1e100, 1e-99, 1e-100, 1.7976931348623157e308,
+        2.0**-25, 3 * 2.0**-25, 2.0**-25 * 7, 1.25e-6 + 2.0**-60,
+        9.99999999999999999e22, 1e23, 1e16, 1e17, 2.0**53, 2.0**53 + 2.0,
+        0.30000000000000004, 1 / 3, 2 / 3,
+    ]
+    for k in range(-105, 106):
+        p = float(f"1e{k}")
+        cells += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    return np.array(cells)
+
+
+class TestCsvWriter:
+    """catlab.io._write_csv against its oracle, np.savetxt with "%.16e"."""
+
+    NAMED = _named_cells()
+
+    def test_named_cells(self, tmp_path):
+        for values in (self.NAMED[None, :], self.NAMED[:, None], np.resize(self.NAMED, (100, 7))):
+            assert writer_bytes(values, tmp_path) == savetxt_bytes(values, tmp_path)
+
+    @pytest.mark.parametrize(
+        "cell, field",
+        [
+            (2.0**-25, "2.9802322387695312e-08"),  # 2.98023223876953125e-08, half to even
+            (3 * 2.0**-25, "8.9406967163085938e-08"),  # 8.94069671630859375e-08
+            (0.0, "0.0000000000000000e+00"),
+            (-0.0, "-0.0000000000000000e+00"),
+            (1e100, "1.0000000000000000e+100"),
+            (5e-324, "4.9406564584124654e-324"),
+        ],
+    )
+    def test_exact_fields(self, cell, field, tmp_path):
+        row = np.array([[cell, 1e-3, cell]])
+        assert writer_bytes(row, tmp_path) == f"{field},1.0000000000000000e-03,{field}\n".encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+            elements=st.one_of(
+                st.floats(),
+                st.floats(min_value=0.0, max_value=1e6),
+                st.just(0.0),
+            ),
+        ),
+        block=st.integers(1, 40),
+    )
+    def test_matches_savetxt(self, values, block, tmp_path_factory):
+        # a small block size makes most shapes span several blocks, the
+        # last one partial
+        tmp_path = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(catlab_io, "_BLOCK_CELLS", block):
+            assert writer_bytes(values, tmp_path) == savetxt_bytes(values, tmp_path)
+
+    def test_blocks_of_real_size(self, tmp_path):
+        # 2^15 // 47 = 697 rows a block: two full blocks and a partial one,
+        # a quarter of the cells exactly 0.0 and one row left to Python
+        rng = np.random.default_rng(3)
+        values = rng.random((1500, 47)) ** 6
+        values[rng.random(values.shape) < 0.25] = 0.0
+        values[800, 5] = -1.0
+        assert writer_bytes(values, tmp_path) == savetxt_bytes(values, tmp_path)
+
+    def test_streams_its_blocks(self, tmp_path):
+        values = np.random.default_rng(0).random((1024, 1024))
+        tracemalloc.start()
+        try:
+            catlab_io._write_csv(tmp_path / "grid.csv", values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = (tmp_path / "grid.csv").stat().st_size
+        assert text == 1024 * 1024 * 23
+        assert peak < text / 4
 
 
 def orbit_doc(orbit, catmap):
@@ -402,10 +514,19 @@ class TestCli:
             (["quasimode", "T = 0\nN = 4096\n"], "T must be >= 1, got 0"),
             (["quasimode", "T = 2\nN = 4096\ndelta = 0.3\n"],
              "delta must lie in (0, 1/4), got 0.3"),
+            (["quasimode", "T = 2\nN = abc\n"], "config key N must be an integer, got 'abc'"),
+            (["quasimode", "T = 2\nN = 4096.9\n"],
+             "config key N must be an integer, got 4096.9"),
+            (["quasimode", "T = 2.7\nN = 4096\n"], "config key T must be an integer, got 2.7"),
+            (["quasimode", "orbit_start = [1, 2.5, 5]\nN = 4096\n"],
+             "config key orbit_start must be an integer, got 2.5"),
+            (["quasimode", "T = 2\nN = 4096\nfrequencies = 7\n"],
+             "config key frequencies needs a list of pairs, got 7"),
         ],
         ids=["orbits-T", "check-states", "check-N", "check-nmax", "gap-ladder", "width-N",
              "width-ladder", "scmeasure-T", "scmeasure-delta", "quasimode-N", "quasimode-T",
-             "quasimode-delta"],
+             "quasimode-delta", "quasimode-N-text", "quasimode-N-fraction",
+             "quasimode-T-fraction", "quasimode-orbit-start", "quasimode-frequencies"],
     )
     def test_out_of_range_input_is_config_error(self, argv, named, tmp_path, capsys):
         if argv[0] == "quasimode":
