@@ -26,7 +26,6 @@ from .coherent import (
     ball_mass,
     husimi,
     husimi_at_points,
-    plane_overlap_squeezed,
     torus_coherent,
     z_parameter,
 )
@@ -34,7 +33,6 @@ from .errors import (
     BallsOverlap,
     CatlabError,
     ConfigError,
-    DimensionTooLarge,
     EnumerationTooLarge,
     NoInvariantTheta,
     NotHyperbolic,
@@ -59,7 +57,7 @@ from .hilbert import (
 from .quantize import (
     Symbol,
     antiwick_expectation,
-    antiwick_quantize_dense,
+    antiwick_plane_waves,
     bump_symbols,
     position_interval_mass,
     weyl_antiwick_gap,

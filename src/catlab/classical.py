@@ -133,15 +133,17 @@ def _int_power(entries: Tuple[int, int, int, int], t: int) -> Tuple[int, int, in
 def validate_cat_map(a: int, b: int, c: int, d: int) -> CatMap:
     """Validate raw integer entries and attach derived hyperbolic data.
 
-    A matrix with trace < -2 is replaced by its negative, which defines
-    the same torus map.
+    Only trace > 2 is supported.  A matrix M with trace < -2 is refused:
+    -M has the same hyperbolic frame, but it is a different torus map
+    (x = (1/3, 0) goes to (1/3, 2/3) under -(2,1,1,1) and to (2/3, 1/3)
+    under (2,1,1,1)), so its orbits and propagator are not those of M.
 
     Raises
     ------
     NotUnimodular
         If a*d - b*c != 1.
     NotHyperbolic
-        If |a + d| <= 2.
+        If |a + d| <= 2, or if a + d < -2.
     """
     a, b, c, d = int(a), int(b), int(c), int(d)
     det = a * d - b * c
@@ -151,7 +153,10 @@ def validate_cat_map(a: int, b: int, c: int, d: int) -> CatMap:
     if abs(tr) <= 2:
         raise NotHyperbolic(f"|trace| = {abs(tr)} <= 2, not hyperbolic")
     if tr < 0:
-        a, b, c, d = -a, -b, -c, -d
+        raise NotHyperbolic(
+            f"trace {tr} < -2 is not supported: the negated matrix "
+            f"{-a},{-b},{-c},{-d} is a different torus map"
+        )
     lam, ang_u, ang_s, b1, b2, squeeze = decompose_hyperbolic(
         np.array([[a, b], [c, d]], dtype=float)
     )

@@ -214,11 +214,11 @@ def cmd_sweep(args) -> int:
     cat = _parse_matrix(args.matrix)
     ladder = _parse_ladder(args.ladder)
     if args.kind == "waw-gap":
-        header, rows, slope = waw_gap_sweep(cat, ladder, args.G)
+        header, rows, slope = waw_gap_sweep(cat, ladder)
     elif args.kind == "husimi-width":
         header, rows, slope = husimi_width_sweep(cat, args.N, ladder, args.G)
     else:
-        header, rows, slope = scmeasure_sweep(cat, ladder, args.T, args.delta, args.G)
+        header, rows, slope = scmeasure_sweep(cat, ladder, args.T, args.delta)
     out = Path(args.out)
     lines = [",".join(header)]
     for row in rows:
@@ -279,7 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", required=True, help="symbol JSON path")
     p.add_argument("--mode", choices=["aw", "w"], required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--G", type=int, default=256)
+    p.add_argument(
+        "--G",
+        type=int,
+        default=256,
+        help="Husimi grid side for sampled symbols in mode aw; Fourier "
+        "symbols take the closed form and need no grid",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_expect)
 
@@ -295,7 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=4096, help="dimension for t-ladders")
     p.add_argument("--T", type=int, default=2, help="orbit length for scmeasure")
     p.add_argument("--delta", type=float, default=0.24)
-    p.add_argument("--G", type=int, default=256)
+    p.add_argument(
+        "--G",
+        type=int,
+        default=256,
+        help="Husimi grid side; only husimi-width reads it, the other kinds "
+        "accept and ignore it",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 

@@ -6,9 +6,9 @@ transform; its wavefunction is sampled at the theta-shifted sites and
 periodized, which realizes the torus projector exactly up to a controlled
 Gaussian tail.  One windowed transform, _coherent_window, holds the
 window bounds, the Gaussian weights, the theta1 twist of wrapped sites
-and the resolution check; coherent states, Husimi grids, pointwise
-Husimi values and the dense anti-Wick operator (quantize.py) all read
-their windows from it.  Husimi grids are evaluated column by column: one
+and the resolution check; coherent states, Husimi grids and pointwise
+Husimi values all read their windows from it.  (Anti-Wick values of
+Fourier symbols need no window: quantize.py takes them in closed form.)  Husimi grids are evaluated column by column: one
 window per position column, folded mod G, and one G-point FFT over the
 momentum row, so a full G x G grid costs O(G (K + G log G)) instead of
 O(G^2 N).
@@ -32,7 +32,6 @@ from .hilbert import PlanckGrid, QuantumState
 __all__ = [
     "HusimiGrid",
     "z_parameter",
-    "plane_overlap_squeezed",
     "torus_coherent",
     "husimi",
     "husimi_at_points",
@@ -86,32 +85,6 @@ def z_parameter(catmap: CatMap) -> complex:
     num = math.sin(b1) + math.cos(b1) * zb
     den = math.cos(b1) - math.sin(b1) * zb
     return num / den
-
-
-def plane_overlap_squeezed(x: Sequence[float], c_tilde: complex, hbar: float) -> complex:
-    """Bargmann value <x, 0 | c> of a centered squeezed state on the plane.
-
-    x is given in standard (q, p) coordinates and converted internally to
-    the orthogonal eigenframe of the squeeze; the closed form is
-
-        (cosh mu)^{-1/2} exp(-i tanh(mu) qt pt / (2 hbar))
-                         exp(-(qt^2/Dq2 + pt^2/Dp2)/2)
-
-    with mu = |c|, Dq2 = 2 hbar/(1 - tanh mu), Dp2 = 2 hbar/(1 + tanh mu).
-    """
-    mu = abs(c_tilde)
-    if mu == 0.0:
-        frame_angle = 0.0
-    else:
-        frame_angle = -cmath.phase(-c_tilde) / 2.0 + math.pi / 4.0
-    ca, sa = math.cos(frame_angle), math.sin(frame_angle)
-    qt = ca * x[0] + sa * x[1]
-    pt = -sa * x[0] + ca * x[1]
-    t = math.tanh(mu)
-    dq2 = 2.0 * hbar / (1.0 - t)
-    dp2 = 2.0 * hbar / (1.0 + t)
-    amp = math.exp(-0.5 * (qt * qt / dq2 + pt * pt / dp2)) / math.sqrt(math.cosh(mu))
-    return amp * cmath.exp(-1j * t * qt * pt / (2.0 * hbar))
 
 
 def _truncation_cut(grid: PlanckGrid, im_z0: float) -> float:

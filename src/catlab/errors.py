@@ -21,7 +21,7 @@ class NotUnimodular(ConfigError):
 
 
 class NotHyperbolic(ConfigError):
-    """Integer matrix with |trace| <= 2."""
+    """Integer matrix with |trace| <= 2, or with trace < -2 (unsupported)."""
 
 
 class PreconditionError(CatlabError):
@@ -54,10 +54,6 @@ class RadiusOutOfRange(PreconditionError):
     def __init__(self, msg, admissible=None):
         super().__init__(msg)
         self.admissible = admissible
-
-
-class DimensionTooLarge(PreconditionError):
-    """Dense-path operation requested above its dimension cap."""
 
 
 class NTooLarge(PreconditionError):

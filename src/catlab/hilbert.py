@@ -106,7 +106,7 @@ class QuantumState:
 
 
 class LinearMap:
-    """A linear operator on H_{N,theta}: dense or matrix-free.
+    """A matrix-free linear operator on H_{N,theta}: its action and adjoint.
 
     apply/apply_adjoint work on raw amplitude vectors; __call__ accepts and
     returns QuantumState.
@@ -116,32 +116,22 @@ class LinearMap:
         self,
         n: int,
         apply_fn: Callable[[np.ndarray], np.ndarray],
-        adjoint_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        dense: Optional[np.ndarray] = None,
+        adjoint_fn: Callable[[np.ndarray], np.ndarray],
         label: str = "",
     ):
         self.n = n
         self._apply = apply_fn
         self._adjoint = adjoint_fn
-        self._dense = dense
         self.label = label
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(vec, dtype=complex))
 
     def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        if self._adjoint is not None:
-            return self._adjoint(np.asarray(vec, dtype=complex))
-        return self.to_dense().conj().T @ np.asarray(vec, dtype=complex)
+        return self._adjoint(np.asarray(vec, dtype=complex))
 
     def __call__(self, state: QuantumState) -> QuantumState:
         return QuantumState(self.apply(state.amplitudes), state.grid)
-
-    def to_dense(self) -> np.ndarray:
-        if self._dense is None:
-            eye = np.eye(self.n, dtype=complex)
-            self._dense = np.column_stack([self.apply(eye[:, j]) for j in range(self.n)])
-        return self._dense
 
     def __repr__(self) -> str:
         return f"LinearMap({self.label or 'anonymous'}, n={self.n})"

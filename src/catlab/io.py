@@ -1,7 +1,6 @@
 """File formats: states, Husimi grids, orbits, symbols, reports.
 
-States travel as little-endian binary with a fixed 32-byte header, or as
-JSON for small N.  Husimi grids are CSV (17 significant digits, row major)
+States travel as little-endian binary with a fixed 32-byte header.  Husimi grids are CSV (17 significant digits, row major)
 with a JSON sidecar, as are sampled symbols.  The CSV bytes are those of
 np.savetxt(fmt="%.16e", delimiter=","); _write_csv formats them in numpy,
 one block of at most 2^15 cells at a time, and leaves only unusual rows
@@ -31,8 +30,6 @@ __all__ = [
     "MAGIC",
     "save_state",
     "load_state",
-    "save_state_json",
-    "load_state_json",
     "save_husimi_csv",
     "save_orbits_json",
     "load_orbits_json",
@@ -42,7 +39,6 @@ __all__ = [
 ]
 
 MAGIC = b"CATSTATE"
-JSON_STATE_MAX_N = 256
 
 
 def canonical_json(obj) -> str:
@@ -74,26 +70,6 @@ def load_state(path: Union[str, Path]) -> QuantumState:
         )
     amp = np.frombuffer(data, dtype="<c16").astype(complex)
     return QuantumState(amp, PlanckGrid(int(N), (t1, t2)))
-
-
-def save_state_json(path: Union[str, Path], state: QuantumState) -> None:
-    if state.grid.N > JSON_STATE_MAX_N:
-        raise ConfigError(
-            f"JSON state format is for N <= {JSON_STATE_MAX_N}; use the binary format"
-        )
-    doc = {
-        "N": state.grid.N,
-        "theta": [state.grid.theta[0], state.grid.theta[1]],
-        "re": state.amplitudes.real.tolist(),
-        "im": state.amplitudes.imag.tolist(),
-    }
-    Path(path).write_text(canonical_json(doc))
-
-
-def load_state_json(path: Union[str, Path]) -> QuantumState:
-    doc = json.loads(Path(path).read_text())
-    amp = np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
-    return QuantumState(amp, PlanckGrid(int(doc["N"]), tuple(doc["theta"])))
 
 
 # The CSV writer formats '%.16e' fields in numpy.  A cell that is +0.0 copies

@@ -1,20 +1,20 @@
-"""Weyl and anti-Wick quantization of torus symbols.
+"""Weyl and anti-Wick quantization of torus symbols, matrix free.
 
-Weyl operators are finite sums of quantum translations and stay matrix
-free.  Anti-Wick values are always taken through the Husimi density
-(the defining integral) on a G x G grid H.  A Fourier symbol costs O(G^2)
-per frequency and no G^2 exp: sum_n c_n e_q(n2)^T H e_p(-n1) with
-length-G exponential vectors.  A bump symbol costs O(support cells): it
-is evaluated only on the cells of its support ball.  Other symbols are
-sampled on the full grid.  The dense anti-Wick operator is materialized
-only for the Weyl/anti-Wick comparison at N <= MAX_DENSE_N, assembled by
-midpoint quadrature of coherent projectors over the windows of the one
-coherent-state transform that also gives coherent states and Husimi grids
-(coherent._coherent_window): the symbol rows go through one batched
-inverse DFT, and each column's K x K block is added by one cyclic
-scatter, windows that wrap the torus folded onto Z_N first.  The gap
-negates that array in place and adds the Weyl translations into it, so
-it holds one N x N array.
+Weyl operators are finite sums of quantum translations.  For a plane wave
+the anti-Wick operator is a damped translation,
+
+    A^aw(e_n) = d_z(n) T(n),  d_z(n) = exp(-pi |n1 z0 - n2|^2 / (2 N Im z0)),
+
+with z0 = coherent.z_parameter(catmap): the coherent projector's Fourier
+coefficients are Gaussian in n.  So anti-Wick values of Fourier symbols
+come from the state alone, sum_n c_n d_z(n) <psi|T(n) psi>, in O(N) per
+distinct n1 and per frequency, with no Husimi grid and no aliasing; see
+antiwick_plane_waves.  Other symbols are integrated against the Husimi
+density on a G x G grid: a bump symbol is evaluated only on the cells of
+its support ball, any other symbol on the full grid.  The Weyl/anti-Wick
+gap is the norm of the translation sum sum_n c_n (1 - d_z(n)) T(n),
+found by Lanczos iteration through the translations' apply and adjoint;
+no N x N array is built anywhere.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .classical import CatMap
-from .coherent import HusimiGrid, _coherent_window, _min_image, husimi
-from .errors import DimensionTooLarge, RadiusOutOfRange
-from .hilbert import LinearMap, PlanckGrid, QuantumState, _translation_data, translation
+from .coherent import HusimiGrid, _min_image, husimi, z_parameter
+from .errors import RadiusOutOfRange
+from .hilbert import LinearMap, PlanckGrid, QuantumState, translation
 
 __all__ = [
     "Symbol",
     "weyl_quantize",
+    "antiwick_plane_waves",
     "antiwick_expectation",
-    "antiwick_quantize_dense",
     "bump_symbols",
     "position_interval_mass",
     "weyl_antiwick_gap",
@@ -42,8 +42,10 @@ __all__ = [
 
 Freq = Tuple[int, int]
 
-# largest N for which the dense N x N gap path is built
-MAX_DENSE_N = 2048
+# the gap's Lanczos iteration stops once its top Ritz pair has a residual
+# below this fraction of the Ritz value, checked every _LANCZOS_CHECK steps
+_LANCZOS_TOL = 1e-10
+_LANCZOS_CHECK = 10
 
 
 @dataclass
@@ -131,10 +133,82 @@ def weyl_quantize(symbol: Symbol, grid: PlanckGrid) -> LinearMap:
     )
 
 
-def weyl_dense(symbol: Symbol, grid: PlanckGrid) -> np.ndarray:
-    W = np.zeros((grid.N, grid.N), dtype=complex)
-    _add_weyl_terms(W, symbol, grid)
-    return W
+def _damping(catmap: CatMap, N: int, freqs: Sequence[Freq]) -> np.ndarray:
+    """d_z(n) = exp(-pi |n1 z0 - n2|^2 / (2 N Im z0)) for each frequency."""
+    z0 = z_parameter(catmap)
+    n = np.asarray(freqs, dtype=float).reshape(-1, 2)
+    return np.exp(-math.pi * np.abs(n[:, 0] * z0 - n[:, 1]) ** 2 / (2.0 * N * z0.imag))
+
+
+def _roots_of_unity(N: int) -> np.ndarray:
+    """exp(2 pi i j / N) for j in [0, N), to about 2 ulp.
+
+    The outer product of two tables of about sqrt(N) exponentials: one
+    length-N complex multiplication instead of N complex exps.
+    """
+    B = math.isqrt(N - 1) + 1
+    coarse = np.exp(2j * math.pi * (B * np.arange(-(-N // B))) / N)
+    fine = np.exp(2j * math.pi * np.arange(B) / N)
+    return np.outer(coarse, fine).ravel()[:N]
+
+
+def antiwick_plane_waves(
+    psi: QuantumState, catmap: CatMap, freqs: Sequence[Freq]
+) -> np.ndarray:
+    """<psi| e_n^aw |psi> = d_z(n) <psi|T(n) psi> for each frequency n.
+
+    T(n) psi at site j is exp(2 pi i n2 (j + eta - n1/2)/N) exp(-i theta1 w_j)
+    psi[j - n1 mod N], where w_j = floor((j - n1)/N) counts the wraps.  So
+    one product conj(psi[j]) psi[j - n1 mod N], twisted on the wrapped
+    sites, serves every frequency with that n1, and each n2 takes its dot
+    product with the powers omega^(n2 j) of one table of N-th roots of
+    unity: no translation and no exp of length N per frequency.  As
+    T(-n) = T(n)*, a pair n, -n costs one dot product.
+    """
+    grid = psi.grid
+    N, eta, theta1 = grid.N, grid.eta, grid.theta[0]
+    amp = psi.amplitudes
+    conj_amp = np.conj(amp)
+    j = np.arange(N)
+    roots = _roots_of_unity(N)
+    powers = {1: roots}
+    # each pair n, -n through its member with n1 > 0, or n1 = 0 and n2 >= 0
+    wanted: Dict[int, set] = {}
+    for n in freqs:
+        n1, n2 = max((int(n[0]), int(n[1])), (-int(n[0]), -int(n[1])))
+        wanted.setdefault(n1, set()).add(n2)
+    overlaps: Dict[Freq, complex] = {}
+    prod = np.empty(N, dtype=complex)
+    conj_prod = np.empty(N, dtype=complex)
+    for n1, n2s in wanted.items():
+        # w_j = -(q + 1) on the sites j < s and -q on the others
+        s, q = n1 % N, n1 // N
+        np.multiply(conj_amp[:s], amp[N - s :], out=prod[:s])
+        np.multiply(conj_amp[s:], amp[: N - s], out=prod[s:])
+        if theta1:
+            prod[:s] *= np.exp(1j * theta1 * (q + 1))
+            prod[s:] *= np.exp(1j * theta1 * q)
+        np.conj(prod, out=conj_prod)
+        for n2 in n2s:
+            k = abs(n2)
+            if k == 0:
+                dot = prod.sum()
+            else:
+                if k not in powers:
+                    powers[k] = roots.take(k * j, mode="wrap")
+                # omega^(-k j) = conj(omega^(k j)): a negative n2 reads
+                # conj(prod); einsum, not BLAS (see _real_inner)
+                if n2 > 0:
+                    dot = np.einsum("j,j->", prod, powers[k])
+                else:
+                    dot = np.conj(np.einsum("j,j->", conj_prod, powers[k]))
+            phase = np.exp(2j * math.pi * ((n2 * (eta - n1 / 2.0) / N) % 1.0))
+            overlaps[n1, n2] = phase * dot
+    values = [
+        overlaps[n] if n in overlaps else np.conj(overlaps[-n[0], -n[1]])
+        for n in ((int(n[0]), int(n[1])) for n in freqs)
+    ]
+    return _damping(catmap, N, freqs) * np.array(values, dtype=complex)
 
 
 def antiwick_expectation(
@@ -144,25 +218,23 @@ def antiwick_expectation(
     G: int = 256,
     hgrid: Optional[HusimiGrid] = None,
 ) -> complex:
-    """<psi| a^aw |psi> as the quadrature of a times the Husimi density.
+    """<psi| a^aw |psi>.
 
-    This integral is the sole access path to anti-Wick values at large N;
-    pass a precomputed HusimiGrid to amortize over many symbols.  Fourier
-    symbols never sample the grid, and symbols with a support ball are
-    evaluated only on the cells within its radius on both axes.
+    A Fourier symbol takes the closed form sum_n c_n d_z(n) <psi|T(n) psi>
+    (antiwick_plane_waves) and reads neither G nor hgrid.  Any other
+    symbol is integrated against the Husimi density of psi on a G x G grid;
+    pass a precomputed HusimiGrid to amortize it over many symbols.
+    Symbols with a support ball are evaluated only on the cells within its
+    radius on both axes.
     """
+    if symbol.fn is None:
+        freqs = sorted(symbol.fourier)
+        coefs = np.array([symbol.fourier[n] for n in freqs], dtype=complex)
+        return complex(np.dot(coefs, antiwick_plane_waves(psi, catmap, freqs)))
     if hgrid is None:
         hgrid = husimi(psi, catmap, G)
     H = hgrid.values
     c = hgrid.centers()
-    if symbol.fn is None:
-        total = 0j
-        for (n1, n2), coef in symbol.fourier.items():
-            ep = np.exp(-2j * np.pi * n1 * c)
-            # H is real: two real products, no complex copy of the grid
-            row = H @ ep.real + 1j * (H @ ep.imag)
-            total += coef * np.dot(np.exp(2j * np.pi * n2 * c), row)
-        return complex(total * hgrid.weight)
     if symbol.support_ball is not None:
         (q0, p0), radius = symbol.support_ball
         iq = np.flatnonzero(np.abs(_min_image(c - q0)) <= radius)
@@ -261,119 +333,52 @@ def position_interval_mass(psi: QuantumState, q0: float, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense anti-Wick assembly and the Weyl/anti-Wick gap
+# The Weyl/anti-Wick gap
 # ---------------------------------------------------------------------------
 
-def antiwick_quantize_dense(
-    symbol: Symbol, catmap: CatMap, grid: PlanckGrid, G: int = 256
-) -> np.ndarray:
-    """Dense N x N anti-Wick operator by midpoint quadrature.
+def _real_inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Re <x|y> of two contiguous complex vectors, as one real einsum: the
+    BLAS level-1 routines behind np.vdot and np.linalg.norm can be far
+    slower on some multithreaded builds."""
+    return float(np.einsum("i,i->", x.view(float), y.view(float)))
 
-    N integral a(x) |x><x| dx over the G x G grid.  Coherent columns are
-    windowed; for each position column the momentum sum is carried by the
-    symbol row's inverse DFT, taken for all rows in one batched FFT.  The
-    windows of all G columns come from one call of the coherent-state
-    transform, as (G, K) arrays with one common window length K, and the
-    K x K index-difference table is built once.  Each column's block is
-    added by one cyclic scatter into the accumulator; a window longer than
-    N wraps the torus and is first folded onto Z_N.  Assembly costs
-    O(G (K^2 + G log G)) and holds one N x N array.  Warns like husimi
-    when G does not resolve sqrt(hbar).
+
+def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float:
+    """Operator norm of a^w - a^aw, matrix free.
+
+    The difference is the translation sum D = sum_n c_n (1 - d_z(n)) T(n).
+    Its norm is the square root of the top eigenvalue of D* D, found by a
+    three-term Lanczos recurrence from a seeded random start, D and D*
+    applied through the translations.  The iteration stops when the top
+    Ritz pair's residual is below _LANCZOS_TOL of its Ritz value, or after
+    N steps, when the Krylov space is all of H_N.  Scales like
+    hbar^(1 - 2 rho).
     """
-    N = grid.N
-    m, w = _coherent_window(grid, catmap, G)((np.arange(G) + 0.5) / G)
-    K = m.shape[1]
-    if K > N:
-        # zero cells up to a whole number of turns, for the fold below
-        w = np.pad(w, ((0, 0), (0, -K % N)))
-        K = w.shape[1]
-    k = np.arange(K)
-    wc = np.conj(w)
-    # beta[a, d] = sum_b vals[a, b] e^{2 pi i (b + 1/2) d / G} for the
-    # differences |d| < K of two window cells, from one batched inverse DFT
-    # of the symbol rows; each column reads it as a K x K Toeplitz block
-    d = np.arange(1 - K, K)
-    base = np.fft.ifft(symbol.sample(G), axis=1) * G
-    beta = np.exp(1j * np.pi * d / G) * base[:, d % G]
-    toeplitz = k[:, None] - k[None, :] + (K - 1)
-    starts = m[:, 0] % N
-    acc = np.zeros((N, N), dtype=complex)
-    for a in range(G):
-        block = (w[a, :, None] * wc[a, None, :]) * beta[a][toeplitz]
-        if K > N:
-            block = block.reshape(K // N, N, K // N, N).sum(axis=(0, 2))
-        _add_cyclic(acc, block, int(starts[a]))
-    acc /= G * G
-    return acc
-
-
-def _add_cyclic(acc: np.ndarray, block: np.ndarray, start: int) -> None:
-    """acc[(start + i) % N, (start + j) % N] += block[i, j], block side <= N.
-
-    The cyclic range splits at the seam into at most two slices per axis,
-    so the block is added through views, with no index arrays.
-    """
-    L = len(block)
-    c = min(L, len(acc) - start)
-    parts = ((slice(0, c), slice(start, start + c)), (slice(c, L), slice(0, L - c)))
-    for bi, ai in parts:
-        for bj, aj in parts:
-            acc[ai, aj] += block[bi, bj]
-
-
-def _add_weyl_terms(out: np.ndarray, symbol: Symbol, grid: PlanckGrid) -> None:
-    """out += sum_n a~(n) T_N(n) in place, N entries per frequency."""
-    rows = np.arange(grid.N)
-    for n, c in sorted(symbol.fourier.items()):
-        n1, phase = _translation_data(n, grid)
-        out[rows, (rows - n1) % grid.N] += c * phase
-
-
-def _operator_norm(mat: np.ndarray, iters: int = 80, seed: int = 0) -> float:
-    """Fixed-step lower estimate of the largest singular value.
-
-    Power iteration on A*A for a fixed number of steps from a seeded start,
-    with no convergence test, so the result never exceeds the true norm
-    and may fall short of it when the top singular values are close.
-    A* is applied as conj(conj(A v) A): no conjugate copy of A is made.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = ((mat @ v).conj() @ mat).conj()
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        sigma = math.sqrt(nw)
-        v = w / nw
-    return sigma
-
-
-def weyl_antiwick_gap(
-    symbol: Symbol,
-    catmap: CatMap,
-    grid: PlanckGrid,
-    G: int = 256,
-) -> float:
-    """Operator norm of a^w - a^aw, dense path.
-
-    The anti-Wick side comes from the coherent-projector quadrature; it is
-    negated in place and the Weyl translations are added into it, so the
-    gap holds one N x N array.  The two routes share no code beyond the
-    symbol's Fourier data.  Scales like hbar^(1 - 2 rho).
-
-    Raises
-    ------
-    DimensionTooLarge
-        If grid.N exceeds MAX_DENSE_N.
-    """
-    if grid.N > MAX_DENSE_N:
-        raise DimensionTooLarge(f"N = {grid.N} > {MAX_DENSE_N} for the dense gap path")
     if symbol.fourier is None:
         raise ValueError("gap computation needs Fourier data for the Weyl side")
-    D = antiwick_quantize_dense(symbol, catmap, grid, G)
-    np.negative(D, out=D)
-    _add_weyl_terms(D, symbol, grid)
-    return _operator_norm(D)
+    freqs = sorted(symbol.fourier)
+    damping = _damping(catmap, grid.N, freqs)
+    coeffs = {
+        n: symbol.fourier[n] * (1.0 - d) for n, d in zip(freqs, damping) if d != 1.0
+    }
+    D = weyl_quantize(Symbol.from_fourier(coeffs), grid)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+    v /= math.sqrt(_real_inner(v, v))
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for step in range(1, grid.N + 1):
+        w = D.apply_adjoint(D.apply(v))
+        alpha = _real_inner(v, w)
+        w -= alpha * v + beta * v_prev
+        beta = math.sqrt(_real_inner(w, w))
+        alphas.append(alpha)
+        if step % _LANCZOS_CHECK == 0 or step == grid.N or beta == 0.0:
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            ritz, vecs = np.linalg.eigh(tri)
+            if beta * abs(vecs[-1, -1]) <= _LANCZOS_TOL * ritz[-1] or beta == 0.0:
+                break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return math.sqrt(max(ritz[-1], 0.0))

@@ -32,7 +32,6 @@ from .coherent import HusimiGrid, axis_variances, ball_mass, husimi, torus_coher
 from .errors import (
     BallsOverlap,
     ConfigError,
-    DimensionTooLarge,
     NTooLarge,
     PreconditionError,
     RadiusOutOfRange,
@@ -48,9 +47,9 @@ from .hilbert import (
     random_states,
 )
 from .quantize import (
-    MAX_DENSE_N,
     Symbol,
     antiwick_expectation,
+    antiwick_plane_waves,
     bump_symbols,
     position_interval_mass,
     weyl_antiwick_gap,
@@ -281,19 +280,20 @@ def scmeasure_error(
     psi_n: QuantumState,
     spec: QuasimodeSpec,
     frequencies: Sequence[Tuple[int, int]],
-    G: int = 256,
-    hgrid: Optional[HusimiGrid] = None,
 ) -> ScMeasureReport:
-    """max_n | <psi| e_n^aw |psi> - mu_gamma(e_n) | over the given frequencies."""
+    """max_n | <psi| e_n^aw |psi> - mu_gamma(e_n) | over the given frequencies.
+
+    The anti-Wick values come from the state in closed form
+    (antiwick_plane_waves), all frequencies in one pass; no Husimi grid.
+    """
     for n in frequencies:
         if max(abs(n[0]), abs(n[1])) > 8:
             raise PreconditionError(f"frequency {n} outside |n|_inf <= 8")
-    if hgrid is None:
-        hgrid = husimi(psi_n, spec.catmap, G)
+    values = antiwick_plane_waves(psi_n, spec.catmap, frequencies)
     rows = []
     worst = 0.0
-    for n in frequencies:
-        lhs = antiwick_expectation(psi_n, Symbol.plane_wave(n), spec.catmap, hgrid=hgrid)
+    for n, value in zip(frequencies, values):
+        lhs = complex(value)
         rhs = orbit_fourier_coefficient(spec.orbit, n)
         err = abs(lhs - rhs)
         worst = max(worst, err)
@@ -455,15 +455,30 @@ def _config_int(key: str, value, count: Optional[int] = None):
     raise ConfigError(f"config key {key} must be an integer, got {value!r}")
 
 
+def _config_float(key: str, value) -> float:
+    """A config value that must be a finite real number.
+
+    An int or a float passes (not a bool); strings, nan, inf and anything
+    else are a ConfigError that names the key.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if math.isfinite(value):
+            return float(value)
+    raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
+
+
 def run_pipeline(config: Dict) -> Experiment:
     """Build a quasimode per config and run every diagnostic.
 
     Recognized keys: matrix (4 ints), T or orbit_start ([j, k, l]), delta,
     N (optional, else the dimension schedule), phi, C0, c_sep, c1, G,
     frequencies, r_phase, r_physical, seed.  N, T, G and the entries of
-    orbit_start and frequencies must be exactly integers (_config_int).
+    orbit_start and frequencies must be exactly integers (_config_int);
+    delta, phi, C0, c_sep, c1, r_phase and r_physical finite numbers
+    (_config_float).
     The propagator, the quasimode and the Husimi grid of psi_n are built
-    once and shared by every diagnostic; file emission is the CLI's job.
+    once and shared by the diagnostics that read them; file emission is
+    the CLI's job.
     """
     timings: Dict[str, float] = {}
     last = time.perf_counter()
@@ -475,11 +490,11 @@ def run_pipeline(config: Dict) -> Experiment:
         last = now
 
     cat = validate_cat_map(*config["matrix"])
-    delta = float(config.get("delta", 0.24))
-    phi = float(config.get("phi", 0.0))
-    C0 = float(config.get("C0", BALL_CONSTANT))
-    c_sep = float(config.get("c_sep", SEP_CONSTANT))
-    c1 = float(config.get("c1", C1_CONSTANT))
+    delta = _config_float("delta", config.get("delta", 0.24))
+    phi = _config_float("phi", config.get("phi", 0.0))
+    C0 = _config_float("C0", config.get("C0", BALL_CONSTANT))
+    c_sep = _config_float("c_sep", config.get("c_sep", SEP_CONSTANT))
+    c1 = _config_float("c1", config.get("c1", C1_CONSTANT))
     G = _config_int("G", config.get("G", 256))
     freqs = config.get("frequencies", DEFAULT_FREQUENCIES)
     if not isinstance(freqs, (list, tuple)):
@@ -530,14 +545,16 @@ def run_pipeline(config: Dict) -> Experiment:
         hgrid=replace(hgrid, values=hgrid.values * norm_sq, state_norm2=norm_sq),
     )
     lap("ball_report")
-    sc = scmeasure_error(psi_n, spec, freqs, G=G, hgrid=hgrid)
+    sc = scmeasure_error(psi_n, spec, freqs)
     lap("scmeasure")
 
     r_lo = _radius_floor(spec, c_sep)
-    r_phase = float(
-        config.get("r_phase", min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T)))
+    r_phase = _config_float(
+        "r_phase", config.get("r_phase", min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T)))
     )
-    r_physical = float(config.get("r_physical", min(max(0.05, r_lo), 0.99 * c1 / T)))
+    r_physical = _config_float(
+        "r_physical", config.get("r_physical", min(max(0.05, r_lo), 0.99 * c1 / T))
+    )
     nq_phase = nonequidistribution_report(
         psi_n, spec, "phase", r_phase, C_sep=c_sep, c1=c1, G=G, hgrid=hgrid
     )
@@ -629,20 +646,18 @@ def propagator_check(catmap: CatMap, N: int, seed: int, states: int, nmax: int) 
 _SweepTable = Tuple[List[str], List[List[float]], float]
 
 
-def waw_gap_sweep(catmap: CatMap, ladder: Sequence[int], G: int) -> _SweepTable:
-    """Dense Weyl/anti-Wick gap of GAP_SYMBOL at each N of the ladder.
+def waw_gap_sweep(catmap: CatMap, ladder: Sequence[int]) -> _SweepTable:
+    """Weyl/anti-Wick gap of GAP_SYMBOL at each N of the ladder.
 
-    Returns (header, rows, slope), the slope that of log gap against log N.
-    A ladder above MAX_DENSE_N, or with an N below 1, is refused before the
-    first gap is built.
+    Each gap is the norm of a sum of six damped translations, found matrix
+    free (weyl_antiwick_gap), so time and memory grow like N per Lanczos
+    step and no N is too large for memory.  Returns (header, rows, slope),
+    the slope that of log gap against log N.  A ladder with an N below 1
+    is refused before the first gap is computed.
     """
-    if max(ladder) > MAX_DENSE_N:
-        raise DimensionTooLarge(
-            f"ladder reaches N = {max(ladder)} > {MAX_DENSE_N} for the dense gap path"
-        )
     grids = [choose_theta(catmap, N) for N in ladder]
     sym = Symbol.from_fourier(GAP_SYMBOL, real=True)
-    rows = [[g.N, g.hbar, weyl_antiwick_gap(sym, catmap, g, G=G)] for g in grids]
+    rows = [[g.N, g.hbar, weyl_antiwick_gap(sym, catmap, g)] for g in grids]
     return ["N", "hbar", "gap"], rows, loglog_slope(ladder, [r[2] for r in rows])
 
 
@@ -671,7 +686,7 @@ def husimi_width_sweep(catmap: CatMap, N: int, ladder: Sequence[int], G: int) ->
 
 
 def scmeasure_sweep(
-    catmap: CatMap, ladder: Sequence[int], T: int, delta: float, G: int
+    catmap: CatMap, ladder: Sequence[int], T: int, delta: float
 ) -> _SweepTable:
     """Semiclassical-measure error of the first prime T-orbit's quasimode at each N.
 
@@ -689,6 +704,6 @@ def scmeasure_sweep(
     rows = []
     for spec in specs:
         _, psi_n = build_quasimode(spec)
-        err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES, G=G).max_error
+        err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES).max_error
         rows.append([spec.grid.N, spec.grid.hbar, err])
     return ["N", "hbar", "max_error"], rows, loglog_slope(ladder, [r[2] for r in rows])

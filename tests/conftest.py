@@ -24,12 +24,14 @@ def grid4096(arnold):
 
 
 def hyperbolic_maps():
-    """Entries (a, b, c, d) of every hyperbolic SL(2, Z) map with |entries| <= 5."""
+    """Entries (a, b, c, d) of every SL(2, Z) map with trace > 2 and
+    |entries| <= 5: the hyperbolic maps catlab accepts (it refuses
+    trace < -2)."""
     r = range(-5, 6)
     return [
         (a, b, c, d)
         for a in r for b in r for c in r for d in r
-        if a * d - b * c == 1 and abs(a + d) > 2
+        if a * d - b * c == 1 and a + d > 2
     ]
 
 

@@ -68,9 +68,10 @@ class TestValidate:
         with pytest.raises(NotHyperbolic):
             validate_cat_map(1, 1, 0, 1)
 
-    def test_negative_trace_normalized(self):
-        cat = validate_cat_map(-2, -1, -1, -1)
-        assert cat.entries == (2, 1, 1, 1)
+    def test_negative_trace_refused(self):
+        # -M is a different torus map from M, so it is not silently used
+        with pytest.raises(NotHyperbolic, match="negated matrix 2,1,1,1"):
+            validate_cat_map(-2, -1, -1, -1)
 
     def test_trace_identity(self, arnold):
         lam = arnold.lyapunov

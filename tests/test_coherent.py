@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from catlab import (
     choose_theta,
     husimi,
     husimi_at_points,
-    plane_overlap_squeezed,
     propagator,
     torus_coherent,
     translation,
@@ -23,66 +21,6 @@ from catlab import (
 )
 
 from conftest import coarse_husimi, husimi_slow, random_state, twisted_grid
-
-
-def plane_overlap_quadrature(x, mu, hbar, M=100_000, span=40.0):
-    """Oracle: <x,0|c> for c = -i mu by direct integration on the line.
-
-    |c> = D(mu)|0> has wavefunction e^(-mu/2) psi0(e^(-mu) q); the analyzing
-    state is the standard Gaussian translated to x = (q0, p0).
-    """
-    q0, p0 = x
-    w = math.sqrt(hbar) * span
-    q = np.linspace(-w, w, M)
-    psi0 = (math.pi * hbar) ** -0.25 * np.exp(-(q**2) / (2 * hbar))
-    squeezed = math.exp(-mu / 2) * (math.pi * hbar) ** -0.25 * np.exp(
-        -(np.exp(-2 * mu) * q**2) / (2 * hbar)
-    )
-    analyzer = np.exp(1j * p0 * (q - q0 / 2) / hbar) * (math.pi * hbar) ** -0.25 * np.exp(
-        -((q - q0) ** 2) / (2 * hbar)
-    )
-    return np.trapezoid(np.conj(analyzer) * squeezed, q)
-
-
-class TestPlaneOverlap:
-    def test_center_value(self):
-        for c in (-1j, 0.5 - 0.3j, 2.0 + 0.0j):
-            val = plane_overlap_squeezed((0.0, 0.0), c, hbar=0.01)
-            assert val == pytest.approx(1.0 / math.sqrt(math.cosh(abs(c))), abs=1e-14)
-
-    def test_standard_state(self):
-        assert plane_overlap_squeezed((0.0, 0.0), 0.0, hbar=0.02) == pytest.approx(1.0)
-
-    def test_against_quadrature_on_axis(self):
-        hbar = 1.0 / (2 * math.pi * 300)
-        x = (math.sqrt(hbar), 0.0)
-        got = plane_overlap_squeezed(x, -1j, hbar)
-        want = plane_overlap_quadrature(x, 1.0, hbar)
-        assert got == pytest.approx(want, abs=1e-8)
-
-    def test_against_quadrature_phase(self):
-        # off-axis point exercises the qp cross phase
-        hbar = 1.0 / (2 * math.pi * 300)
-        x = (math.sqrt(hbar), math.sqrt(hbar))
-        got = plane_overlap_squeezed(x, -1j, hbar)
-        want = plane_overlap_quadrature(x, 1.0, hbar)
-        assert got == pytest.approx(want, abs=1e-8)
-
-    def test_general_squeeze_modulus(self):
-        # for general complex c the state's overall phase is conventional;
-        # moduli must still agree with the frame formula
-        hbar = 0.005
-        c = 0.8 * cmath.exp(0.6j)
-        mu = abs(c)
-        val = abs(plane_overlap_squeezed((0.1, 0.05), c, hbar))
-        frame_angle = -cmath.phase(-c) / 2 + math.pi / 4
-        ca, sa = math.cos(frame_angle), math.sin(frame_angle)
-        qt, pt = ca * 0.1 + sa * 0.05, -sa * 0.1 + ca * 0.05
-        t = math.tanh(mu)
-        expect = math.exp(
-            -0.5 * (qt**2 * (1 - t) + pt**2 * (1 + t)) / (2 * hbar)
-        ) / math.sqrt(math.cosh(mu))
-        assert val == pytest.approx(expect, rel=1e-12)
 
 
 class TestTorusCoherent:

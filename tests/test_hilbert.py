@@ -161,7 +161,7 @@ class TestPropagator:
         cat = validate_cat_map(*entries)
         for N in (15, 16):
             grid = choose_theta(cat, N)
-            U = propagator(cat, grid).to_dense()
+            U = propagator_dense(cat, grid)
             assert np.max(np.abs(U.conj().T @ U - np.eye(N))) < 1e-12
             for n in [(1, 0), (0, 1), (2, -1)]:
                 mn = (cat.a * n[0] + cat.b * n[1], cat.c * n[0] + cat.d * n[1])
@@ -245,7 +245,7 @@ class TestEgorovDefect:
         u = propagator(arnold, grid)
         states = [random_state(grid, s).amplitudes for s in range(5)]
         est = egorov_defect(u, arnold, grid, states, 1)
-        U = u.to_dense()
+        U = propagator_dense(arnold, grid)
         exact = 0.0
         for n in [(n1, n2) for n1 in (-1, 0, 1) for n2 in (-1, 0, 1)]:
             mn = (arnold.a * n[0] + arnold.b * n[1], arnold.c * n[0] + arnold.d * n[1])
@@ -273,6 +273,20 @@ class TestEgorovDefect:
 
 
 class TestRandomMapsProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(entries=st.sampled_from(hyperbolic_maps()), N=st.integers(3, 48))
+    def test_fast_propagator_matches_dense_kernel(self, entries, N):
+        # odd N has theta = (pi, pi): the kernel's w-sum carries the twist
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        u = propagator(cat, grid)
+        Ud = propagator_dense(cat, grid)
+        basis = np.eye(N, dtype=complex)
+        U = np.column_stack([u.apply(e) for e in basis])
+        U_adj = np.column_stack([u.apply_adjoint(e) for e in basis])
+        assert np.max(np.abs(U - Ud)) < 1e-12
+        assert np.max(np.abs(U_adj - Ud.conj().T)) < 1e-12
+
     @settings(max_examples=40, deadline=None)
     @given(
         entries=st.sampled_from(hyperbolic_maps()),
