@@ -51,7 +51,6 @@ from .hilbert import (
     choose_theta,
     egorov_defect,
     propagator,
-    theta_residual,
     translation,
 )
 from .quantize import (

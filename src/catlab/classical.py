@@ -207,6 +207,11 @@ def decompose_hyperbolic(matrix: np.ndarray):
     return lam, ang_u, ang_s, b1, b2, squeeze
 
 
+def min_image(delta: np.ndarray) -> np.ndarray:
+    """Coordinate differences folded to their minimal images in [-1/2, 1/2)."""
+    return (delta + 0.5) % 1.0 - 0.5
+
+
 def torus_distance(x: Sequence[float], y: Sequence[float]) -> float:
     """Euclidean distance on the torus via minimal-image differences."""
     dq = abs(x[0] - y[0]) % 1.0

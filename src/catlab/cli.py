@@ -60,6 +60,9 @@ def _parse_ladder(text: str) -> List[int]:
         raise ConfigError(f"ladder must be comma-separated integers: {text!r}") from exc
     if len(ladder) < 3:
         raise PreconditionError("sweep ladder needs at least 3 points")
+    repeated = sorted({v for v in ladder if ladder.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"sweep ladder repeats the point(s) {repeated}")
     return ladder
 
 

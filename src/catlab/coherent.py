@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classical import CatMap
+from .classical import CatMap, min_image
 from .errors import ResolutionTooCoarse, TruncationFailure
 from .hilbert import PlanckGrid, QuantumState
 
@@ -58,7 +58,6 @@ class HusimiGrid:
     values: np.ndarray
     G: int
     grid: PlanckGrid
-    squeeze: complex
     state_norm2: float
     map_entries: Tuple[int, int, int, int]
 
@@ -161,16 +160,12 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
 
     The momentum half of the coherent state at x0 = (q0, p0).  The
     argument grows with m; when both coordinates of the center are
-    Fractions and eta is rational it is reduced mod 1 in integer
-    arithmetic.
+    Fractions it is reduced mod 1 in integer arithmetic, with the grid's
+    exact eta.
     """
     N = grid.N
     q0f, p0f = x0[0], x0[1]
-    if (
-        isinstance(q0f, Fraction)
-        and isinstance(p0f, Fraction)
-        and grid.theta_over_pi is not None
-    ):
+    if isinstance(q0f, Fraction) and isinstance(p0f, Fraction):
         f = grid.theta_over_pi[1]
         # p0 (m + eta) = kp (qe m + pe) / (lp qe), reduced mod 1 exactly
         kp, lp = p0f.numerator, p0f.denominator
@@ -233,7 +228,6 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
         values=values,
         G=G,
         grid=grid,
-        squeeze=catmap.squeeze,
         state_norm2=psi.norm2(),
         map_entries=catmap.entries,
     )
@@ -252,10 +246,6 @@ def husimi_at_points(
         m, w = window([x[0]], x)
         out.append(abs(np.sum(np.conj(w[0]) * amp[m[0] % grid.N])) ** 2)
     return np.asarray(out)
-
-
-def _min_image(delta: np.ndarray) -> np.ndarray:
-    return (delta + 0.5) % 1.0 - 0.5
 
 
 def ball_mass(
@@ -278,8 +268,8 @@ def ball_mass(
                 f"radius {radius} < 2/G = {2.0 / G}; use the state-based path"
             )
         c = source.centers()
-        dq = _min_image(c - center[0])
-        dp = _min_image(c - center[1])
+        dq = min_image(c - center[0])
+        dp = min_image(c - center[1])
         inside = (dq * dq)[:, None] + (dp * dp)[None, :] <= radius * radius
         return float(source.values[inside].sum() * source.weight)
 
@@ -312,8 +302,8 @@ def axis_variances(
     """
     G = hgrid.G
     c = hgrid.centers()
-    dq = _min_image(c - center[0])
-    dp = _min_image(c - center[1])
+    dq = min_image(c - center[0])
+    dp = min_image(c - center[1])
     Qinv = np.linalg.inv(catmap.frame_matrix())
     w = hgrid.values / hgrid.values.sum()
     Xq = np.repeat(dq, G)

@@ -10,19 +10,21 @@ applied matrix-free as chirp * FFT * chirp in O(N |b| log(N |b|)).  Its
 correctness is pinned by two oracles: unitarity, and the exact conjugation
 law  U T(n) U^-1 = T(Mn)  for integer translations.
 
-The Bloch angle is the parity one, theta = (0, 0) for even N and (pi, pi)
-for odd N: ad - bc = 1 leaves neither (a, b) nor (c, d) a pair of even
-numbers, so K (1, 1) = (cd, ab) mod 2 for K = Id - M^-T, and that angle
-solves the compatibility condition K theta = N pi (cd, ab) mod 2 pi.
+Grids carry the Bloch angle exactly, as rational theta/pi.  choose_theta
+gives the parity one, theta = (0, 0) for even N and (pi, pi) for odd N:
+ad - bc = 1 leaves neither (a, b) nor (c, d) a pair of even numbers, so
+K (1, 1) = (cd, ab) mod 2 for K = Id - M^-T, and that angle solves the
+compatibility condition K theta = N pi (cd, ab) mod 2 pi.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +36,6 @@ __all__ = [
     "QuantumState",
     "LinearMap",
     "choose_theta",
-    "theta_residual",
     "translation",
     "propagator",
     "egorov_defect",
@@ -46,30 +47,28 @@ __all__ = [
 class PlanckGrid:
     """Quantum arena: dimension N, hbar = 1/(2 pi N), Bloch angle theta.
 
-    theta_over_pi stores theta/pi exactly when known (choose_theta always
-    provides it); the propagator uses it to reduce chirp phases in integer
-    arithmetic.
+    theta_over_pi is theta/pi as two Fractions in [0, 2).  The float angle
+    theta and the site offset eta = theta2/(2 pi) of the position sites
+    (j + eta)/N are derived from it once, on construction.
     """
 
     N: int
-    theta: Tuple[float, float]
-    theta_over_pi: Optional[Tuple[Fraction, Fraction]] = None
+    theta_over_pi: Tuple[Fraction, Fraction]
 
     def __post_init__(self):
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        t1, t2 = self.theta
-        if not (0.0 <= t1 < 2 * math.pi and 0.0 <= t2 < 2 * math.pi):
-            raise ValueError("theta components must lie in [0, 2 pi)")
+        y0, y1 = self.theta_over_pi
+        if not all(isinstance(v, numbers.Rational) and 0 <= v < 2 for v in (y0, y1)):
+            raise ValueError(f"theta/pi must be two rationals in [0, 2), got {(y0, y1)}")
+        y0, y1 = Fraction(y0), Fraction(y1)
+        object.__setattr__(self, "theta_over_pi", (y0, y1))
+        object.__setattr__(self, "theta", (math.pi * float(y0), math.pi * float(y1)))
+        object.__setattr__(self, "eta", float(y1) / 2.0)
 
     @property
     def hbar(self) -> float:
         return 1.0 / (2.0 * math.pi * self.N)
-
-    @property
-    def eta(self) -> float:
-        """Site offset theta2/(2 pi); position sites are (j + eta)/N."""
-        return self.theta[1] / (2.0 * math.pi)
 
     def sites(self) -> np.ndarray:
         return (np.arange(self.N) + self.eta) / self.N
@@ -154,53 +153,24 @@ def _compat_matrix(catmap: CatMap):
     return ((1 - d, c), (b, 1 - a))
 
 
-def theta_residual(catmap: CatMap, N: int, theta: Tuple[float, float]) -> float:
-    """Max-norm defect of the compatibility equation, folded into [-pi, pi)."""
-    (k00, k01), (k10, k11) = _compat_matrix(catmap)
-    a, b, c, d = catmap.entries
-    r1 = k00 * theta[0] + k01 * theta[1] - N * math.pi * (c * d)
-    r2 = k10 * theta[0] + k11 * theta[1] - N * math.pi * (a * b)
-    r1 = (r1 + math.pi) % (2 * math.pi) - math.pi
-    r2 = (r2 + math.pi) % (2 * math.pi) - math.pi
-    return max(abs(r1), abs(r2))
-
-
 def choose_theta(catmap: CatMap, N: int) -> PlanckGrid:
     """Bloch angle making the propagator an endomorphism of H_{N,theta}.
 
     The parity rule theta/pi = (N mod 2, N mod 2) always works: as ad - bc
     = 1, neither (a, b) nor (c, d) is a pair of even numbers, so
-    K (1, 1) = (cd, ab) mod 2 and K theta/pi = N (cd, ab) mod 2.  The grid
-    carries theta both as floats and as exact multiples of pi.
+    K (1, 1) = (cd, ab) mod 2 and K theta/pi = N (cd, ab) mod 2.
     """
     half = Fraction(N % 2)
-    return PlanckGrid(N, (float(half) * math.pi, float(half) * math.pi), (half, half))
+    return PlanckGrid(N, (half, half))
 
 
 def _require_invariant_theta(catmap: CatMap, grid: PlanckGrid) -> None:
-    """Raise NoInvariantTheta unless grid.theta solves the compatibility condition.
-
-    Exact, in integers, when grid.theta_over_pi is known.  Float-only grids
-    (loaded states, hand-built grids) get the float residual, whose rounding
-    error grows like N pi max(|ab|, |cd|) eps, against a tolerance scaled
-    to match.
-    """
+    """Raise NoInvariantTheta unless K theta/pi = N (cd, ab) mod 2, checked exactly."""
     a, b, c, d = catmap.entries
     N = grid.N
-    if grid.theta_over_pi is not None:
-        y0, y1 = grid.theta_over_pi
-        rhs = (N * c * d, N * a * b)
-        ok = all(
-            (k0 * y0 + k1 * y1 - r) % 2 == 0
-            for (k0, k1), r in zip(_compat_matrix(catmap), rhs)
-        )
-    else:
-        # the theta terms add at most 2 pi (|a| + |b| + |c| + |d| + 2)
-        entries = abs(a) + abs(b) + abs(c) + abs(d)
-        scale = N * max(abs(a * b), abs(c * d)) + 2 * (entries + 2)
-        tol = 16 * math.pi * np.finfo(float).eps * scale
-        ok = theta_residual(catmap, N, grid.theta) < tol
-    if not ok:
+    y0, y1 = grid.theta_over_pi
+    (k00, k01), (k10, k11) = _compat_matrix(catmap)
+    if (k00 * y0 + k01 * y1 - N * c * d) % 2 or (k10 * y0 + k11 * y1 - N * a * b) % 2:
         raise NoInvariantTheta(
             f"theta {grid.theta} incompatible with {catmap} at N={N}; use choose_theta"
         )
@@ -248,16 +218,6 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
     return LinearMap(grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})")
 
 
-def translation_entries(n: Tuple[int, int], grid: PlanckGrid) -> np.ndarray:
-    """Dense matrix of T_N(n); one nonzero per row."""
-    n1, phase = _translation_data(n, grid)
-    N = grid.N
-    T = np.zeros((N, N), dtype=complex)
-    rows = np.arange(N)
-    T[rows, (rows - n1) % N] = phase
-    return T
-
-
 # ---------------------------------------------------------------------------
 # Propagator
 # ---------------------------------------------------------------------------
@@ -285,27 +245,17 @@ def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
     N = grid.N
     absB = abs(b)
     L = N * absB
-    th1 = grid.theta[0]
+    th1, eta = grid.theta[0], grid.eta
     m = np.arange(L)
     j = np.arange(N)
-
-    if grid.theta_over_pi is not None:
-        # exact reduction: with eta = p/q the site q m + p = q (m + eta) is an
-        # integer, so pi a (m+eta)^2/(N b) = pi a s^2/(N b q^2) reduces mod 2
-        # in integer arithmetic
-        f = grid.theta_over_pi[1]
-        p, q = f.numerator, 2 * f.denominator
-        denom = N * b * q * q
-        sm = q * m + p
-        chirp_in = _exact_quadratic_phase(a, sm, denom)
-        sj = q * j + p
-        chirp_out = _exact_quadratic_phase(d, sj, denom)
-        eta = float(f) / 2.0
-    else:
-        eta = grid.eta
-        chirp_in = np.exp(1j * np.pi * a * (m + eta) ** 2 / (N * b))
-        chirp_out = np.exp(1j * np.pi * d * (j + eta) ** 2 / (N * b))
-
+    # exact reduction: with eta = p/q the site q m + p = q (m + eta) is an
+    # integer, so pi a (m+eta)^2/(N b) = pi a s^2/(N b q^2) reduces mod 2
+    # in integer arithmetic
+    f = grid.theta_over_pi[1]
+    p, q = f.numerator, 2 * f.denominator
+    denom = N * b * q * q
+    chirp_in = _exact_quadratic_phase(a, q * m + p, denom)
+    chirp_out = _exact_quadratic_phase(d, q * j + p, denom)
     twist_in = np.exp(-1j * th1 * (m // N))
     eta_in = np.exp(-2j * np.pi * eta * (m + eta) / (N * b))
     eta_out = np.exp(-2j * np.pi * eta * j / (N * b))
@@ -371,25 +321,6 @@ def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMa
                 f"(norm defect {defect:.2e}, roundtrip {roundtrip:.2e})"
             )
     return u
-
-
-def propagator_dense(catmap: CatMap, grid: PlanckGrid) -> np.ndarray:
-    """Dense Gauss-sum kernel, assembled directly (oracle for the fast path)."""
-    a, b, _, d = catmap.entries
-    N = grid.N
-    eta = grid.eta
-    th1 = grid.theta[0]
-    absB = abs(b)
-    j = np.arange(N)
-    xj = j + eta
-    U = np.zeros((N, N), dtype=complex)
-    for w in range(absB):
-        xk = j + eta + N * w
-        E = (np.pi / (N * b)) * (
-            a * xk[None, :] ** 2 - 2.0 * np.outer(xj, xk) + d * xj[:, None] ** 2
-        )
-        U += np.exp(1j * E) * np.exp(-1j * th1 * w)
-    return U / math.sqrt(N * absB)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """File formats: states, Husimi grids, orbits, symbols, reports.
 
-States travel as little-endian binary with a fixed 32-byte header.  Husimi grids are CSV (17 significant digits, row major)
-with a JSON sidecar, as are sampled symbols.  The CSV bytes are those of
-np.savetxt(fmt="%.16e", delimiter=","); _write_csv formats them in numpy,
-one block of at most 2^15 cells at a time, and leaves only unusual rows
-to Python's '%'.  Report JSON uses sorted keys and Python's shortest
-round-trip float representation, so identical inputs give identical bytes.
-Orbit files hold only integers; they are written straight from the orbits'
-int64 arrays in the canonical_json layout, byte for byte, and every orbit
-read back is checked against the file's matrix.
+States travel as little-endian binary with a fixed 32-byte header, and are
+read back only at the parity angles theta in {0, pi}^2, as exact theta/pi.
+Husimi grids are CSV (17 significant digits, row major) with a JSON
+sidecar; the CSV bytes are those of np.savetxt(fmt="%.16e", delimiter=","),
+which _write_csv formats in numpy, one block of at most 2^15 cells at a
+time, leaving only unusual rows to Python's '%'.  Symbol files are only
+read: Fourier coefficients, or a sampled CSV grid.  Report JSON uses sorted
+keys and Python's shortest round-trip float representation, so identical
+inputs give identical bytes.  Orbit files hold only integers; they are
+written straight from the orbits' int64 arrays in the canonical_json
+layout, byte for byte, and every orbit read back is checked against the
+file's matrix.  A file that cannot be read or parsed raises ConfigError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -33,12 +38,13 @@ __all__ = [
     "save_husimi_csv",
     "save_orbits_json",
     "load_orbits_json",
-    "save_symbol_json",
     "load_symbol_json",
     "canonical_json",
 ]
 
 MAGIC = b"CATSTATE"
+# the header angles save_state writes, as the exact theta/pi they stand for
+_THETA_OVER_PI = {0.0: Fraction(0), math.pi: Fraction(1)}
 
 
 def canonical_json(obj) -> str:
@@ -58,18 +64,25 @@ def save_state(path: Union[str, Path], state: QuantumState) -> None:
 
 
 def load_state(path: Union[str, Path]) -> QuantumState:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32 or header[:8] != MAGIC:
-            raise ConfigError(f"{path}: not a CATSTATE file")
-        N, t1, t2 = struct.unpack("<Qdd", header[8:])
-        data = fh.read()
+    """A state in save_state's layout; its header angles must be 0 or pi."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(32)
+            if len(header) != 32 or header[:8] != MAGIC:
+                raise ConfigError(f"{path}: not a CATSTATE file")
+            N, t1, t2 = struct.unpack("<Qdd", header[8:])
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read state file {path}: {exc.strerror}") from exc
+    if t1 not in _THETA_OVER_PI or t2 not in _THETA_OVER_PI:
+        raise ConfigError(f"{path}: theta ({t1!r}, {t2!r}) is not in {{0, pi}}^2")
     if len(data) != 16 * N:
         raise ConfigError(
             f"{path}: expected {16 * N} bytes of amplitudes, found {len(data)}"
         )
     amp = np.frombuffer(data, dtype="<c16").astype(complex)
-    return QuantumState(amp, PlanckGrid(int(N), (t1, t2)))
+    grid = PlanckGrid(int(N), (_THETA_OVER_PI[t1], _THETA_OVER_PI[t2]))
+    return QuantumState(amp, grid)
 
 
 # The CSV writer formats '%.16e' fields in numpy.  A cell that is +0.0 copies
@@ -248,6 +261,16 @@ def _orbit_defect(jk: np.ndarray, l: int, T: int, matrix) -> Optional[str]:
     return None
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document in path, or a ConfigError naming the file."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON {what} ({exc})") from exc
+
+
 def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
     """Orbits from a file in save_orbits_json's layout.
 
@@ -256,7 +279,7 @@ def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
     failure raises ConfigError naming the file and the orbit index.
     """
     out = []
-    for i, doc in enumerate(json.loads(Path(path).read_text())):
+    for i, doc in enumerate(_read_json(Path(path), "orbit file")):
         try:
             l, T = int(doc["l"]), int(doc["T"])
             a, b, c, d = (int(v) for v in doc["matrix"])
@@ -271,44 +294,31 @@ def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
     return out
 
 
-def save_symbol_json(path: Union[str, Path], symbol: Symbol, G: int = 256) -> None:
-    """Fourier symbols as [[n1, n2, re, im], ...]; others as a sampled grid."""
-    path = Path(path)
-    if symbol.fourier is not None:
-        doc = {
-            "kind": "fourier",
-            "rho": symbol.rho,
-            "coefficients": [
-                [n[0], n[1], c.real, c.imag] for n, c in sorted(symbol.fourier.items())
-            ],
-        }
-        path.write_text(canonical_json(doc))
-    else:
-        vals = symbol.sample(G)
-        csv_path = path.with_suffix(".csv")
-        _write_csv(csv_path, np.real(vals))
-        doc = {"kind": "sampled", "rho": symbol.rho, "G": G, "grid_csv": csv_path.name}
-        path.write_text(canonical_json(doc))
-
-
 def load_symbol_json(path: Union[str, Path]) -> Symbol:
+    """{"kind": "fourier", "coefficients": [[n1, n2, re, im], ...]} or
+    {"kind": "sampled", "G": G, "grid_csv": name}, each with optional "rho"."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if doc.get("kind") == "fourier":
-        coeffs = {
-            (int(r[0]), int(r[1])): complex(r[2], r[3]) for r in doc["coefficients"]
-        }
-        return Symbol(fourier=coeffs, rho=float(doc.get("rho", 0.0)))
-    if doc.get("kind") == "sampled":
-        grid_vals = np.loadtxt(path.parent / doc["grid_csv"], delimiter=",")
+    doc = _read_json(path, "symbol file")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in ("fourier", "sampled"):
+        raise ConfigError(f"{path}: unknown symbol kind {kind!r}")
+    try:
+        rho = float(doc.get("rho", 0.0))
+        if kind == "fourier":
+            coeffs = {
+                (int(r[0]), int(r[1])): complex(r[2], r[3]) for r in doc["coefficients"]
+            }
+            return Symbol(fourier=coeffs, rho=rho)
         G = int(doc["G"])
+        grid_vals = np.loadtxt(path.parent / doc["grid_csv"], delimiter=",")
         if grid_vals.shape != (G, G):
-            raise ConfigError(f"{path}: sampled grid shape {grid_vals.shape} != ({G},{G})")
+            raise ValueError(f"grid shape {grid_vals.shape} != ({G}, {G})")
 
         def fn(q, p, _vals=grid_vals, _G=G):
             qi = np.clip((np.asarray(q) * _G).astype(int), 0, _G - 1)
             pi = np.clip((np.asarray(p) * _G).astype(int), 0, _G - 1)
             return _vals[qi, pi]
 
-        return Symbol(fn=fn, rho=float(doc.get("rho", 0.0)))
-    raise ConfigError(f"{path}: unknown symbol kind {doc.get('kind')!r}")
+        return Symbol(fn=fn, rho=rho)
+    except (KeyError, TypeError, ValueError, IndexError, OSError) as exc:
+        raise ConfigError(f"{path}: malformed {kind} symbol ({exc})") from exc

@@ -25,8 +25,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classical import CatMap
-from .coherent import HusimiGrid, _min_image, husimi, z_parameter
+from .classical import CatMap, min_image
+from .coherent import HusimiGrid, husimi, z_parameter
 from .errors import RadiusOutOfRange
 from .hilbert import LinearMap, PlanckGrid, QuantumState, translation
 
@@ -54,10 +54,11 @@ class Symbol:
 
     fourier maps integer frequencies n to coefficients of
     exp(2 pi i (n ^ x)) with n ^ x = n2 x1 - n1 x2.  fn(q, p) evaluates the
-    symbol on (broadcastable) coordinate arrays; symbols built from Fourier
-    data get fn synthesized automatically.  rho is the small-scale class
-    exponent, recorded for rate bookkeeping.  support_ball, set by
-    bump_symbols, is a (center, radius) ball outside which fn is exactly 0.
+    symbol on (broadcastable) coordinate arrays.  Fourier symbols keep fn
+    None: evaluate sums their plane waves, and antiwick_expectation takes
+    the closed form for them.  rho is the small-scale class exponent,
+    recorded for rate bookkeeping.  support_ball, set by bump_symbols, is a
+    (center, radius) ball outside which fn is exactly 0.
     """
 
     fourier: Optional[Dict[Freq, complex]] = None
@@ -237,8 +238,8 @@ def antiwick_expectation(
     c = hgrid.centers()
     if symbol.support_ball is not None:
         (q0, p0), radius = symbol.support_ball
-        iq = np.flatnonzero(np.abs(_min_image(c - q0)) <= radius)
-        ip = np.flatnonzero(np.abs(_min_image(c - p0)) <= radius)
+        iq = np.flatnonzero(np.abs(min_image(c - q0)) <= radius)
+        ip = np.flatnonzero(np.abs(min_image(c - p0)) <= radius)
         vals = symbol.fn(c[iq, None], c[None, ip])
         return complex(np.sum(vals * H[np.ix_(iq, ip)]) * hgrid.weight)
     vals = symbol.sample(hgrid.G)
@@ -278,9 +279,7 @@ def _transition_profile(s: np.ndarray) -> np.ndarray:
 
 
 def _torus_radial(q, p, x0):
-    dq = np.mod(np.asarray(q) - x0[0] + 0.5, 1.0) - 0.5
-    dp = np.mod(np.asarray(p) - x0[1] + 0.5, 1.0) - 0.5
-    return np.hypot(dq, dp)
+    return np.hypot(min_image(np.asarray(q) - x0[0]), min_image(np.asarray(p) - x0[1]))
 
 
 def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
@@ -328,7 +327,7 @@ def position_interval_mass(psi: QuantumState, q0: float, r: float) -> float:
     of the sites in the interval (exact)."""
     if not (0.0 < r <= 0.5):
         raise RadiusOutOfRange(f"interval radius {r} outside (0, 1/2]", admissible=(0.0, 0.5))
-    d = np.abs(np.mod(psi.grid.sites() - q0 + 0.5, 1.0) - 0.5)
+    d = np.abs(min_image(psi.grid.sites() - q0))
     return float(np.sum(np.abs(psi.amplitudes[d <= r]) ** 2))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from catlab import PlanckGrid, choose_theta, husimi, torus_coherent, validate_cat_map
+from catlab.hilbert import _translation_data
 
 
 @pytest.fixture(scope="session")
@@ -44,9 +45,7 @@ def twisted_grid():
     operators agree only if they twist the same way.
     """
     cat = validate_cat_map(2, 5, 1, 3)
-    theta_over_pi = (Fraction(2, 3), Fraction(4, 3))
-    grid = PlanckGrid(600, tuple(math.pi * float(f) for f in theta_over_pi), theta_over_pi)
-    return cat, grid
+    return cat, PlanckGrid(600, (Fraction(2, 3), Fraction(4, 3)))
 
 
 def random_state(grid, seed=0):
@@ -76,3 +75,33 @@ def husimi_slow(psi, catmap, G):
             coh = torus_coherent(x, catmap, psi.grid)
             vals[a, b] = N * abs(coh.inner(psi)) ** 2
     return vals
+
+
+def translation_entries(n, grid):
+    """Oracle: the dense matrix of T_N(n), one nonzero per row."""
+    n1, phase = _translation_data(n, grid)
+    N = grid.N
+    T = np.zeros((N, N), dtype=complex)
+    rows = np.arange(N)
+    T[rows, (rows - n1) % N] = phase
+    return T
+
+
+def propagator_dense(catmap, grid):
+    """Oracle: the Gauss-sum kernel of the propagator, assembled densely
+    in floats, with no exact phase reduction."""
+    a, b, _, d = catmap.entries
+    N = grid.N
+    eta = grid.eta
+    th1 = grid.theta[0]
+    absB = abs(b)
+    j = np.arange(N)
+    xj = j + eta
+    U = np.zeros((N, N), dtype=complex)
+    for w in range(absB):
+        xk = j + eta + N * w
+        E = (np.pi / (N * b)) * (
+            a * xk[None, :] ** 2 - 2.0 * np.outer(xj, xk) + d * xj[:, None] ** 2
+        )
+        U += np.exp(1j * E) * np.exp(-1j * th1 * w)
+    return U / math.sqrt(N * absB)

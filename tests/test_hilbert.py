@@ -7,25 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from catlab import (
     NoInvariantTheta,
+    PlanckGrid,
     QuantumState,
     UnsupportedMatrix,
     choose_theta,
     egorov_defect,
     husimi,
     propagator,
-    theta_residual,
     torus_coherent,
     translation,
     validate_cat_map,
 )
 from catlab import hilbert
-from catlab.hilbert import (
-    _require_invariant_theta,
+from catlab.hilbert import _require_invariant_theta
+
+from conftest import (
+    coarse_husimi,
+    hyperbolic_maps,
     propagator_dense,
+    random_state,
     translation_entries,
 )
-
-from conftest import coarse_husimi, hyperbolic_maps, random_state
 
 NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)]
 
@@ -33,25 +35,26 @@ NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)
 class TestChooseTheta:
     def test_parity_rule_even(self, arnold):
         grid = choose_theta(arnold, 4)
-        assert grid.theta == (0.0, 0.0)
-        assert theta_residual(arnold, 4, grid.theta) < 1e-12
+        assert grid == PlanckGrid(4, (Fraction(0), Fraction(0)))
+        assert grid.theta == (0.0, 0.0) and grid.eta == 0.0
+        _require_invariant_theta(arnold, grid)
 
     def test_parity_rule_odd(self, arnold):
         grid = choose_theta(arnold, 5)
-        assert grid.theta == (math.pi, math.pi)
-        assert theta_residual(arnold, 5, grid.theta) < 1e-12
+        assert grid == PlanckGrid(5, (Fraction(1), Fraction(1)))
+        assert grid.theta == (math.pi, math.pi) and grid.eta == 0.5
+        _require_invariant_theta(arnold, grid)
 
     @pytest.mark.parametrize("entries", NONSYM)
     @pytest.mark.parametrize("N", [15, 16, 21])
     def test_residual_general(self, entries, N):
         cat = validate_cat_map(*entries)
-        grid = choose_theta(cat, N)
-        assert theta_residual(cat, N, grid.theta) < 1e-12
+        _require_invariant_theta(cat, choose_theta(cat, N))
 
     @pytest.mark.parametrize(
         "entries, N",
         [
-            ((5, 2, 2, 1), 381431),  # float residual 1.08e-9 here, exact one 0
+            ((5, 2, 2, 1), 381431),  # a float residual reads 1.08e-9 here
             ((1, 1, 8, 9), 21583),  # theta/pi = (1, 0) also solves the congruence
         ],
     )
@@ -62,21 +65,56 @@ class TestChooseTheta:
         assert grid.theta == (math.pi, math.pi)
         _require_invariant_theta(cat, grid)
 
-    def test_float_only_grid_checked_by_residual(self, arnold):
-        from catlab import PlanckGrid
-
-        for N in (4, 5, 381431, 3_000_001):
-            # a loaded state carries theta as floats only
-            _require_invariant_theta(arnold, PlanckGrid(N, choose_theta(arnold, N).theta))
-        with pytest.raises(NoInvariantTheta):
-            _require_invariant_theta(arnold, PlanckGrid(5, (0.0, 0.0)))
-
     def test_exact_check_rejects_wrong_fractions(self, arnold):
-        from catlab import PlanckGrid
-
-        grid = PlanckGrid(5, (0.0, math.pi), (Fraction(0), Fraction(1)))
+        grid = PlanckGrid(5, (Fraction(0), Fraction(1)))
         with pytest.raises(NoInvariantTheta):
             _require_invariant_theta(arnold, grid)
+
+    @staticmethod
+    def _check_right_and_wrong(entries, N, r):
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        _require_invariant_theta(cat, grid)
+        # K (delta, 0) = ((1 - d) delta, b delta) with b delta = +-(2r + 1)/2,
+        # never an even integer: theta1/pi + delta breaks the second congruence
+        y0, y1 = grid.theta_over_pi
+        delta = Fraction(2 * r + 1, 2 * abs(cat.b))
+        with pytest.raises(NoInvariantTheta):
+            _require_invariant_theta(cat, PlanckGrid(N, ((y0 + delta) % 2, y1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.sampled_from(hyperbolic_maps()),
+        N=st.integers(1, 64),
+        r=st.integers(0, 50),
+    )
+    def test_exact_check_over_maps(self, entries, N, r):
+        self._check_right_and_wrong(entries, N, r)
+
+    @pytest.mark.parametrize("N", [381431, 3_000_001])
+    def test_exact_check_over_maps_at_large_N(self, N):
+        # where a float residual needed a tolerance scaled with N
+        for entries in hyperbolic_maps():
+            self._check_right_and_wrong(entries, N, 0)
+
+
+class TestPlanckGrid:
+    def test_two_fields_and_derived_angles(self):
+        import dataclasses
+
+        grid = PlanckGrid(600, (Fraction(2, 3), 1))
+        assert [f.name for f in dataclasses.fields(grid)] == ["N", "theta_over_pi"]
+        assert grid.theta_over_pi == (Fraction(2, 3), Fraction(1))
+        assert all(type(v) is Fraction for v in grid.theta_over_pi)
+        assert grid.theta == (math.pi * (2 / 3), math.pi)
+        assert grid.eta == 0.5
+
+    @pytest.mark.parametrize(
+        "theta_over_pi", [(0.5, 0), (Fraction(2), 0), (0, Fraction(-1, 3))]
+    )
+    def test_refuses_floats_and_angles_outside_0_2(self, theta_over_pi):
+        with pytest.raises(ValueError, match="theta/pi must be two rationals"):
+            PlanckGrid(8, theta_over_pi)
 
 
 class TestTranslation:
@@ -192,9 +230,7 @@ class TestPropagator:
         assert abs(np.linalg.norm(u.apply(psi)) - 1.0) < 1e-10
 
     def test_incompatible_theta_rejected(self, arnold):
-        from catlab import PlanckGrid
-
-        bad = PlanckGrid(8, (0.7, 1.1))
+        bad = PlanckGrid(8, (Fraction(1, 5), Fraction(7, 20)))
         with pytest.raises(NoInvariantTheta):
             propagator(arnold, bad)
 

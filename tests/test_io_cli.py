@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 import sys
 import tracemalloc
 from unittest import mock
@@ -30,10 +32,24 @@ from catlab.io import (
     save_husimi_csv,
     save_orbits_json,
     save_state,
-    save_symbol_json,
 )
 
 from conftest import coarse_husimi, hyperbolic_maps, random_state
+
+
+def write_fourier_symbol(path, symbol):
+    """A "fourier" symbol file holding the symbol's coefficients."""
+    coefficients = [[n[0], n[1], c.real, c.imag] for n, c in sorted(symbol.fourier.items())]
+    doc = {"kind": "fourier", "rho": symbol.rho, "coefficients": coefficients}
+    path.write_text(json.dumps(doc))
+
+
+def write_sampled_symbol(path, symbol, G):
+    """A "sampled" symbol file and its G x G CSV grid beside it."""
+    csv_path = path.with_suffix(".csv")
+    np.savetxt(csv_path, np.real(symbol.sample(G)), fmt="%.16e", delimiter=",")
+    doc = {"kind": "sampled", "rho": symbol.rho, "G": G, "grid_csv": csv_path.name}
+    path.write_text(json.dumps(doc))
 
 
 class TestStateFormat:
@@ -46,6 +62,27 @@ class TestStateFormat:
         assert back.grid.N == 321
         assert back.grid.theta == grid.theta
         assert np.array_equal(back.amplitudes, st.amplitudes)
+
+    @pytest.mark.parametrize("N", [320, 321])
+    def test_roundtrip_gives_the_exact_parity_grid(self, arnold, tmp_path, N):
+        grid = choose_theta(arnold, N)
+        path = tmp_path / "psi.bin"
+        save_state(path, random_state(grid, 1))
+        back = load_state(path).grid
+        assert back == grid
+        assert back.theta_over_pi == (N % 2, N % 2)
+
+    @pytest.mark.parametrize("theta", [(0.3, 0.0), (math.pi, 1.0), (0.0, -math.pi)])
+    def test_off_parity_theta_rejected(self, tmp_path, theta):
+        path = tmp_path / "psi.bin"
+        path.write_bytes(MAGIC + struct.pack("<Qdd", 4, *theta) + b"\0" * 64)
+        named = f"psi.bin: theta \\({theta[0]!r}, {theta[1]!r}\\)"
+        with pytest.raises(ConfigError, match=named):
+            load_state(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read state file .*nothere.bin"):
+            load_state(tmp_path / "nothere.bin")
 
     def test_header_layout(self, arnold, tmp_path):
         grid = choose_theta(arnold, 16)
@@ -268,14 +305,14 @@ class TestSymbolFormat:
     def test_fourier_roundtrip(self, tmp_path):
         sym = Symbol.from_fourier({(1, 0): 0.5 + 0.25j, (-1, 0): 0.5 - 0.25j})
         path = tmp_path / "sym.json"
-        save_symbol_json(path, sym)
+        write_fourier_symbol(path, sym)
         back = load_symbol_json(path)
         assert back.fourier == sym.fourier
 
     def test_sampled_roundtrip(self, tmp_path):
         lower, _ = __import__("catlab").bump_symbols((0.5, 0.5), 0.1)
         path = tmp_path / "bump.json"
-        save_symbol_json(path, lower, G=64)
+        write_sampled_symbol(path, lower, 64)
         back = load_symbol_json(path)
         c = (np.arange(64) + 0.5) / 64
         got = back.evaluate(c[:, None], c[None, :])
@@ -368,7 +405,7 @@ class TestCli:
         st = torus_coherent((0.25, 0.5), arnold, grid)
         save_state(tmp_path / "psi.bin", st)
         sym = Symbol.from_fourier({(1, 0): 0.5, (-1, 0): 0.5}, real=True)
-        save_symbol_json(tmp_path / "sym.json", sym)
+        write_fourier_symbol(tmp_path / "sym.json", sym)
         vals = {}
         for mode in ("aw", "w"):
             rc = main(
@@ -454,7 +491,7 @@ class TestCli:
         monkeypatch.setattr(catlab.selftest, "CRITERIA", {1: lambda seed=0: {"pass": True}})
         grid = choose_theta(arnold, 64)
         save_state(tmp_path / "psi.bin", torus_coherent((0.5, 0.5), arnold, grid))
-        save_symbol_json(tmp_path / "sym.json", Symbol.from_fourier({(1, 0): 1.0}))
+        write_fourier_symbol(tmp_path / "sym.json", Symbol.from_fourier({(1, 0): 1.0}))
         (tmp_path / "exp.cfg").write_text("matrix = 2,1,1,1\nT = 1\nN = 512\nG = 64\n")
         state, matrix = ["--state", str(tmp_path / "psi.bin")], ["--matrix", "2,1,1,1"]
         argv = {
@@ -693,6 +730,20 @@ class TestCliSweepKinds:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "ladder, named", [("4,4,4", "[4]"), ("64,128,64,256,128", "[64, 128]")]
+    )
+    def test_repeated_ladder_points_rejected(self, tmp_path, capsys, ladder, named):
+        out = tmp_path / "x.csv"
+        rc = main(
+            ["sweep", "--kind", "waw-gap", "--matrix", "2,1,1,1", "--ladder", ladder,
+             "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and f"repeats the point(s) {named}" in err
+        assert not out.exists()
+
 
 class TestCliSelftest:
     def test_selftest_command_smoke(self, tmp_path, monkeypatch):
@@ -713,12 +764,11 @@ class TestCliSelftest:
 
 def test_expect_sampled_symbol_w_mode_rejected(arnold, tmp_path, capsys):
     from catlab import bump_symbols
-    from catlab.io import save_state, save_symbol_json
 
     grid = choose_theta(arnold, 128)
     save_state(tmp_path / "psi.bin", torus_coherent((0.5, 0.5), arnold, grid))
     lower, _ = bump_symbols((0.5, 0.5), 0.1)
-    save_symbol_json(tmp_path / "bump.json", lower, G=64)
+    write_sampled_symbol(tmp_path / "bump.json", lower, 64)
     rc = main(
         [
             "expect",
@@ -730,3 +780,49 @@ def test_expect_sampled_symbol_w_mode_rejected(arnold, tmp_path, capsys):
     )
     assert rc == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+class TestCliInputFiles:
+    """A state or symbol file that is missing or malformed is a config
+    error (exit 2) naming the file, not an internal one."""
+
+    @pytest.fixture
+    def files(self, arnold, tmp_path):
+        grid = choose_theta(arnold, 64)
+        save_state(tmp_path / "psi.bin", torus_coherent((0.5, 0.5), arnold, grid))
+        write_fourier_symbol(tmp_path / "sym.json", Symbol.from_fourier({(1, 0): 1.0}))
+        (tmp_path / "junk.json").write_text("{not json")
+        (tmp_path / "partial.json").write_text('{"kind": "fourier"}')
+        return tmp_path
+
+    def run(self, files, command, state, symbol="sym.json"):
+        argv = [command, "--state", str(files / state), "--matrix", "2,1,1,1"]
+        if command == "husimi":
+            argv += ["--G", "32", "--out", str(files / "h.csv")]
+        else:
+            argv += ["--symbol", str(files / symbol), "--mode", "aw"]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["husimi", "expect"])
+    def test_missing_state(self, files, command, capsys):
+        assert self.run(files, command, "nothere.bin") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: cannot read state file")
+        assert "nothere.bin" in err
+
+    @pytest.mark.parametrize("symbol, named", [
+        ("nothere.json", "cannot read symbol file"), ("junk.json", "not a JSON symbol file"),
+        ("partial.json", "malformed fourier symbol"),
+    ], ids=["missing", "not-json", "malformed"])
+    def test_bad_symbol(self, files, symbol, named, capsys):
+        assert self.run(files, "expect", "psi.bin", symbol) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and named in err and symbol in err
+
+    def test_husimi_of_off_parity_state(self, files, capsys):
+        path = files / "psi.bin"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:16] + struct.pack("<dd", 0.3, 0.0) + raw[32:])
+        assert self.run(files, "husimi", "psi.bin") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and "theta (0.3, 0.0)" in err

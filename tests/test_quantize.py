@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,10 +27,15 @@ from catlab import (
     weyl_quantize,
 )
 from catlab.coherent import _truncation_cut, z_parameter
-from catlab.hilbert import translation_entries
 from catlab.quasimodes import DEFAULT_FREQUENCIES, GAP_SYMBOL
 
-from conftest import coarse_husimi, hyperbolic_maps, random_state, twisted_grid
+from conftest import (
+    coarse_husimi,
+    hyperbolic_maps,
+    random_state,
+    translation_entries,
+    twisted_grid,
+)
 
 
 def random_real_trig_poly(rng, nmax=3, terms=4):
@@ -197,7 +203,7 @@ def assert_matches_oracle(symbol, hgrid):
 def random_hgrid(grid, G, seed):
     """A grid of positive values: the expectation paths hold for any weights."""
     values = np.random.default_rng(seed).random((G, G))
-    return HusimiGrid(values, G, grid, 0.0, 1.0, (2, 1, 1, 1))
+    return HusimiGrid(values, G, grid, 1.0, (2, 1, 1, 1))
 
 
 def aliases(n, catmap, N, G, floor=1e-18):
@@ -334,13 +340,18 @@ class TestClosedFormProperty:
         want = [full_grid_expectation(Symbol.plane_wave(n), h) for n in DEFAULT_FREQUENCIES]
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("theta", [None, (2.0, 1.0)], ids=["parity", "twisted"])
+    @pytest.mark.parametrize(
+        "theta_over_pi", [None, (Fraction(2, 3), Fraction(1, 3))], ids=["parity", "twisted"]
+    )
     @pytest.mark.parametrize("N", [24, 25])
-    def test_matches_the_translations(self, N, theta):
+    def test_matches_the_translations(self, N, theta_over_pi):
         # n1 that wrap the torus once or more; odd N at the parity angle, and
         # any angle off it, twist the wrapped sites
         cat = validate_cat_map(3, 1, 2, 1)
-        grid = choose_theta(cat, N) if theta is None else PlanckGrid(N, theta)
+        if theta_over_pi is None:
+            grid = choose_theta(cat, N)
+        else:
+            grid = PlanckGrid(N, theta_over_pi)
         psi = random_state(grid, 7)
         freqs = [(N, 1), (-N - 1, 3), (2 * N + 5, -2), (7, -5), (N - 1, 2), (0, 0)]
         got = antiwick_plane_waves(psi, cat, freqs)

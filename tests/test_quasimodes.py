@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestSpec:
             t2_spec(arnold, 256)  # delta T_E = 1.84 < 2
 
     def test_large_N_accepted(self, arnold):
-        # the float compatibility residual exceeds 1e-9 here
+        # a float compatibility residual would exceed 1e-9 here
         spec = t2_spec(arnold, 3_000_001)
         assert spec.grid.theta == (math.pi, math.pi)
 
@@ -85,7 +86,7 @@ class TestSpec:
                 orbit=orbit,
                 phi=0.0,
                 delta=0.24,
-                grid=PlanckGrid(1024, (0.3, 0.9)),
+                grid=PlanckGrid(1024, (Fraction(3, 10), Fraction(9, 10))),
                 catmap=arnold,
             )
 
