@@ -57,6 +57,7 @@ from .quantize import (
     Symbol,
     antiwick_expectation,
     antiwick_plane_waves,
+    bump_masses,
     bump_symbols,
     position_interval_mass,
     weyl_antiwick_gap,

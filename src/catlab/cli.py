@@ -18,8 +18,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from . import __version__
 from .classical import DEFAULT_LATTICE_GUARD, enumerate_prime_orbits, validate_cat_map
 from .coherent import husimi
@@ -167,7 +165,7 @@ def cmd_expect(args) -> int:
                 "support mode 'aw'"
             )
         op = weyl_quantize(symbol, state.grid)
-        val = complex(np.vdot(state.amplitudes, op.apply(state.amplitudes)))
+        val = state.inner(op(state))
     else:
         raise ConfigError(f"mode must be 'aw' or 'w', got {args.mode!r}")
     report = {

@@ -5,13 +5,21 @@ half plane), obtained from the frame parameters (b1, b2) by a Moebius
 transform; its wavefunction is sampled at the theta-shifted sites and
 periodized, which realizes the torus projector exactly up to a controlled
 Gaussian tail.  One windowed transform, _coherent_window, holds the
-window bounds, the Gaussian weights, the theta1 twist of wrapped sites
-and the resolution check; coherent states, Husimi grids and pointwise
-Husimi values all read their windows from it.  (Anti-Wick values of
-Fourier symbols need no window: quantize.py takes them in closed form.)  Husimi grids are evaluated column by column: one
-window per position column, folded mod G, and one G-point FFT over the
-momentum row, so a full G x G grid costs O(G (K + G log G)) instead of
-O(G^2 N).
+window bounds, the untwisted Gaussian weights and the resolution check,
+and _wrap_twist the theta1 twist of wrapped sites; coherent states,
+Husimi grids and pointwise Husimi values all read their windows from
+them.  (Anti-Wick values of Fourier symbols need no window: quantize.py
+takes them in closed form.)
+
+A Husimi grid is one G-point FFT per position column, of the column's
+window overlaps folded mod G.  Column a's weights depend on a only
+through N a/G mod 1, so the columns share P = G/gcd(N, G) weight rows
+(P = 1 when G divides N); the twist and the fold's signs and half-cell
+phases depend only on the site, so they are applied once, to one
+extension of psi.  Columns then go in blocks: a strided gather of the
+extension, times the shared rows, a reshape-sum fold and one batched FFT.
+A full G x G grid costs O(G (K + G log G)) time for windows of K sites,
+and O(B K + N) memory besides its output for blocks of B columns.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import CatMap, min_image
 from .errors import ResolutionTooCoarse, TruncationFailure
@@ -41,9 +50,9 @@ __all__ = [
 
 TAIL_LOG = math.log(1e14)  # periodization tail threshold, relative to peak
 MAX_WRAPS = 64
-# husimi takes the windows of this many columns per transform call: the
-# call's fixed cost is shared, and a block's (8, K) weights stay small
-_HUSIMI_BLOCK = 8
+# husimi transforms this many position columns at a time: numpy's per-call
+# cost is shared, while a block's (B, K) window rows stay small
+_HUSIMI_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -103,27 +112,29 @@ def _coherent_window(
     """The windowed coherent-state transform behind every consumer.
 
     Returns window(q), which maps an array of position centers q to the
-    extended site indices m and the twisted Gaussian weights, both (P, K):
+    extended site indices m and the untwisted Gaussian weights, both (P, K):
 
-        w[i, k] = c0 exp(i pi N z0 (y_m - q_i)^2) exp(i theta1 (m // N)),
+        w[i, k] = c0 exp(i pi N z0 (y_m - q_i)^2),
 
     with m = m[i, k], y_m = (m + eta)/N, z0 = z_parameter(catmap) and
     c0 = (2 N Im z0)^(1/4).  Row i starts at the first site of center i's
     window, which holds the Gaussian down to 1e-14 of its peak; the rows
     share the longest window's length K, and cells past a center's own
-    window weigh 0.  The twist undoes the exp(-i theta1) that an amplitude
-    picks up when its index wraps past N, so sum_k w[i, k] |m mod N> is
-    the plane Gaussian projected onto H_{N,theta}, and
-    sum_k conj(w[i, k]) psi[m mod N] is its overlap with psi.
-    window([q0], point) with the full center point = (q0, p0) also puts
-    the momentum phase into the weights: the row is the coherent state
-    at point.
+    window weigh 0.  A wrapped site m stands for |m mod N> twisted by
+    _wrap_twist(grid, m), which undoes the exp(-i theta1) that an amplitude
+    picks up when its index wraps past N: sum_k w[i, k] twist[i, k]
+    |m mod N> is the plane Gaussian projected onto H_{N,theta}, and
+    sum_k conj(w[i, k] twist[i, k]) psi[m mod N] is its overlap with psi.
+    The weights depend on a center only through N q mod 1, which husimi
+    uses to share rows between columns.  window([q0], point) with the full
+    center point = (q0, p0) also puts the momentum phase into the weights:
+    the row is the coherent state at point, up to the twist.
 
     With G the centers belong to a G x G midpoint quadrature: G < 16 is
     refused, and a G below sqrt(2 pi N) = 1/sqrt(hbar), where the
     quadrature aliases, warns once, at the caller's caller.
     """
-    N, eta, theta1 = grid.N, grid.eta, grid.theta[0]
+    N, eta = grid.N, grid.eta
     if G is not None:
         if G < 16:
             raise ResolutionTooCoarse(f"G = {G} < 16")
@@ -148,11 +159,19 @@ def _coherent_window(
         dy = (m + eta) / N - q
         scale = c0 if point is None else c0 * _momentum_phase(grid, point, m)
         w = scale * np.exp(1j * math.pi * N * z0 * dy * dy)
-        w = w * np.exp(1j * theta1 * (m // N))
         w[k >= length] = 0.0
         return m, w
 
     return window
+
+
+def _wrap_twist(grid: PlanckGrid, m: np.ndarray) -> np.ndarray:
+    """exp(i theta1 (m // N)) at extended sites m, one exp per wrap count."""
+    wraps = m // grid.N
+    first = int(wraps.min())
+    per_wrap = np.exp(1j * grid.theta[0] * np.arange(first, int(wraps.max()) + 1))
+    wraps -= first
+    return per_wrap[wraps]
 
 
 def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray:
@@ -198,32 +217,60 @@ def torus_coherent(x0: Sequence, catmap: CatMap, grid: PlanckGrid) -> QuantumSta
     """
     m, w = _coherent_window(grid, catmap)([x0[0]], x0)
     amp = np.zeros(grid.N, dtype=complex)
-    np.add.at(amp, m[0] % grid.N, w[0])
+    np.add.at(amp, m[0] % grid.N, w[0] * _wrap_twist(grid, m[0]))
     return QuantumState(amp / math.sqrt(grid.N), grid)
 
 
 def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
     """Husimi density of psi on a G x G grid, analyzed with the map squeeze.
 
-    Column algorithm: for the position column at q_a the window's
-    overlaps conj(w) psi are folded mod G with alternating signs, and a
-    single G-point FFT produces the whole momentum row.  Identical (to
-    roundoff) to evaluating N |<x, c0, theta | psi>|^2 pointwise.  Warns
-    when G does not resolve sqrt(hbar).
+    values[a, b] = N |<x_ab, c0, theta | psi>|^2 is |sum_m conj(w_a[m] t[m])
+    psi[m mod N] e^(-2 pi i m (b + 1/2)/G)|^2 over column a's window sites
+    m, with w_a its _coherent_window row and t = _wrap_twist.  The site
+    factors conj(t) and e^(-i pi m/G) go into one extension f of psi
+    (_husimi_extension), and the momentum row is the G-point FFT of
+    conj(w_a) f folded mod G: moving the window only rotates the row's
+    phase.  Column a + P, P = G/gcd(N, G), has column a's weights moved by
+    N P/G sites, so the P rows of the first columns serve all of them;
+    when P > _HUSIMI_BLOCK each block evaluates its own.  Identical (to
+    roundoff) to evaluating the overlaps pointwise.  Warns when G does not
+    resolve sqrt(hbar).
     """
     grid = psi.grid
+    N = grid.N
     window = _coherent_window(grid, catmap, G)
     centers = (np.arange(G) + 0.5) / G
-    half_phase = np.exp(-1j * np.pi * np.arange(G) / G)
+    P = G // math.gcd(N, G)
+    step = N * P // G
+    if P <= _HUSIMI_BLOCK:
+        # blocks of whole periods: each block's rows cycle through the table
+        block = _HUSIMI_BLOCK // P * P
+        m, w = window(centers[:P])
+        table = m[:, 0], np.conj(w)
+    else:
+        block = _HUSIMI_BLOCK
     values = np.empty((G, G))
-    amp = psi.amplitudes
-    for first in range(0, G, _HUSIMI_BLOCK):
-        block = window(centers[first : first + _HUSIMI_BLOCK])
-        for a, (m, w) in enumerate(zip(*block), first):
-            folded = np.zeros(G, dtype=complex)
-            sign = 1.0 - 2.0 * ((m // G) % 2)
-            np.add.at(folded, m % G, np.conj(w) * amp[m % grid.N] * sign)
-            values[a, :] = np.abs(np.fft.fft(folded * half_phase)) ** 2
+    f = None
+    for first in range(0, G, block):
+        cols = np.arange(first, min(first + block, G))
+        if P <= _HUSIMI_BLOCK:
+            lo = table[0][cols % P] + cols // P * step
+            weights = table[1]
+        else:
+            m, w = window(centers[cols])
+            lo, weights = m[:, 0], np.conj(w)
+        K = weights.shape[1]
+        if f is None or f.size < N + K:
+            f = _husimi_extension(psi, G, N + K)
+        # f(m + N) = f(m) times a unit constant, so a window read N sites
+        # early changes its row by a phase only
+        rows = sliding_window_view(f, K)[lo % N]
+        periods = rows.reshape(-1, *weights.shape)  # a view of rows
+        periods *= weights
+        whole = K - K % G
+        folded = rows[:, :whole].reshape(len(cols), -1, G).sum(axis=1)
+        folded[:, : K - whole] += rows[:, whole:]
+        values[cols] = np.abs(np.fft.fft(folded, axis=1)) ** 2
     return HusimiGrid(
         values=values,
         G=G,
@@ -231,6 +278,28 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
         state_norm2=psi.norm2(),
         map_entries=catmap.entries,
     )
+
+
+def _husimi_extension(psi: QuantumState, G: int, length: int) -> np.ndarray:
+    """f(m) = conj(_wrap_twist(m)) e^(-i pi m/G) psi[m mod N] for m = 0, 1, ...,
+    at least length of them.
+
+    e^(-i pi m/G) is the sign (-1)^(m // G) of the fold mod G times the
+    half-cell phase e^(-i pi (m mod G)/G) of the grid's momentum centers.
+    Built in place, in one array: the phase repeats every 2G sites, and
+    the twist is one factor per wrap of N sites.
+    """
+    amp, N = psi.amplitudes, psi.grid.N
+    f = np.empty(-(-length // (2 * G)) * 2 * G, dtype=complex)
+    starts = np.arange(0, f.size, N)
+    for start in starts:
+        f[start : start + N] = amp[: f.size - start]
+    half = np.exp(-1j * np.pi * np.arange(G) / G)
+    periods = f.reshape(-1, 2 * G)  # a view of f
+    periods *= np.concatenate([half, -half])
+    for start, twist in zip(starts, _wrap_twist(psi.grid, starts)):
+        f[start : start + N] *= np.conj(twist)
+    return f
 
 
 def husimi_at_points(
@@ -244,7 +313,8 @@ def husimi_at_points(
     for x in points:
         x = (float(x[0]), float(x[1]))
         m, w = window([x[0]], x)
-        out.append(abs(np.sum(np.conj(w[0]) * amp[m[0] % grid.N])) ** 2)
+        coh = w[0] * _wrap_twist(grid, m[0])
+        out.append(abs(np.sum(np.conj(coh) * amp[m[0] % grid.N])) ** 2)
     return np.asarray(out)
 
 

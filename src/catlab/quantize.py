@@ -11,10 +11,13 @@ come from the state alone, sum_n c_n d_z(n) <psi|T(n) psi>, in O(N) per
 distinct n1 and per frequency, with no Husimi grid and no aliasing; see
 antiwick_plane_waves.  Other symbols are integrated against the Husimi
 density on a G x G grid: a bump symbol is evaluated only on the cells of
-its support ball, any other symbol on the full grid.  The Weyl/anti-Wick
-gap is the norm of the translation sum sum_n c_n (1 - d_z(n)) T(n),
-found by Lanczos iteration through the translations' apply and adjoint;
-no N x N array is built anywhere.
+its support ball, any other symbol on the full grid.  bump_masses
+integrates a whole scan of bumps of one radius at once: a bump's cell
+values depend on its center only through the center's offset within its
+grid cell, so each radial profile is evaluated once per distinct offset.
+The Weyl/anti-Wick gap is the norm of the translation sum
+sum_n c_n (1 - d_z(n)) T(n), found by Lanczos iteration through the
+translations' apply and adjoint; no N x N array is built anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .classical import CatMap, min_image
 from .coherent import HusimiGrid, husimi, z_parameter
 from .errors import RadiusOutOfRange
-from .hilbert import LinearMap, PlanckGrid, QuantumState, translation
+from .hilbert import LinearMap, PlanckGrid, QuantumState, _norm, _real_inner, translation
 
 __all__ = [
     "Symbol",
@@ -36,6 +39,7 @@ __all__ = [
     "antiwick_plane_waves",
     "antiwick_expectation",
     "bump_symbols",
+    "bump_masses",
     "position_interval_mass",
     "weyl_antiwick_gap",
 ]
@@ -198,7 +202,7 @@ def antiwick_plane_waves(
                 if k not in powers:
                     powers[k] = roots.take(k * j, mode="wrap")
                 # omega^(-k j) = conj(omega^(k j)): a negative n2 reads
-                # conj(prod); einsum, not BLAS (see _real_inner)
+                # conj(prod); einsum, not BLAS (see hilbert._real_inner)
                 if n2 > 0:
                     dot = np.einsum("j,j->", prod, powers[k])
                 else:
@@ -282,6 +286,32 @@ def _torus_radial(q, p, x0):
     return np.hypot(min_image(np.asarray(q) - x0[0]), min_image(np.asarray(p) - x0[1]))
 
 
+def _bump_radii(r: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """(r_in, r_out) of the lower and the upper bump of radius r.
+
+    Raises
+    ------
+    RadiusOutOfRange
+        Unless 0 < r < 1/4.
+    """
+    if not (0.0 < r < 0.25):
+        raise RadiusOutOfRange(f"bump radius {r} outside (0, 1/4)", admissible=(0.0, 0.25))
+    return (2.0 * r / 3.0, r), (r, 1.5 * r)
+
+
+def _bump_profile(rho: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
+    """The radial bump: 1 inside r_in, 0 from r_out on, the ramp between.
+
+    The annulus is empty when r_in == r_out (radii near the smallest
+    floats), so the ramp never divides by zero.
+    """
+    rho = np.asarray(rho)
+    out = np.where((rho <= r_in) & (rho < r_out), 1.0, 0.0)
+    ramp = (rho > r_in) & (rho < r_out)
+    out[ramp] = _transition_profile((2.0 * rho[ramp] - (r_out + r_in)) / (r_out - r_in))
+    return out
+
+
 def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
     """Smooth lower/upper approximations of the indicator of B2(x0, r).
 
@@ -294,28 +324,66 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
     RadiusOutOfRange
         Unless 0 < r < 1/4.
     """
-    if not (0.0 < r < 0.25):
-        raise RadiusOutOfRange(f"bump radius {r} outside (0, 1/4)", admissible=(0.0, 0.25))
+    radii = _bump_radii(r)
     x0 = (float(x0[0]), float(x0[1]))
 
     def make(r_in: float, r_out: float, label: str) -> Symbol:
         def fn(q, p):
-            # 1 inside r_in, 0 from r_out on, the ramp on the open annulus
-            # between; the annulus is empty when r_in == r_out (radii near
-            # the smallest floats), so the ramp never divides by zero
-            rho = np.asarray(_torus_radial(q, p, x0))
-            out = np.where((rho <= r_in) & (rho < r_out), 1.0, 0.0)
-            ramp = (rho > r_in) & (rho < r_out)
-            out[ramp] = _transition_profile(
-                (2.0 * rho[ramp] - (r_out + r_in)) / (r_out - r_in)
-            )
-            return out
+            return _bump_profile(_torus_radial(q, p, x0), r_in, r_out)
 
         return Symbol(fn=fn, real=True, label=label, support_ball=(x0, r_out))
 
-    lower = make(2.0 * r / 3.0, r, f"bump-({x0},{r})")
-    upper = make(r, 1.5 * r, f"bump+({x0},{r})")
+    lower = make(*radii[0], f"bump-({x0},{r})")
+    upper = make(*radii[1], f"bump+({x0},{r})")
     return lower, upper
+
+
+def bump_masses(
+    hgrid: HusimiGrid, centers: Sequence[Sequence[float]], r: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Anti-Wick values of both bump_symbols(x, r) for every center x, on hgrid.
+
+    Returns the (lower, upper) arrays; entry i equals antiwick_expectation
+    of bump_symbols(centers[i], r) against hgrid, to roundoff.  A cell's
+    offset from a center x is (k + 1/2 - f)/G on each axis, with k an
+    integer and f = frac(G x): so a bump's values on its support cells
+    depend on x only through (f_q, f_p).  Each profile is evaluated once
+    per distinct pair, on a patch ordered by k, and each mass is one
+    gathered multiply-sum of that patch against the grid.
+
+    Raises
+    ------
+    RadiusOutOfRange
+        Unless 0 < r < 1/4.
+    """
+    G = hgrid.G
+    radii = _bump_radii(r)
+    scaled = np.asarray(centers, dtype=float).reshape(-1, 2) * G
+    base = np.floor(scaled)
+    frac = scaled - base
+    base = base.astype(np.int64)
+    masses = np.empty((2, len(scaled)))
+    patches: Dict[Tuple[float, float, int], Tuple] = {}
+    for i in range(len(scaled)):
+        for side, (r_in, r_out) in enumerate(radii):
+            key = (frac[i, 0], frac[i, 1], side)
+            if key not in patches:
+                patches[key] = _bump_patch(G, frac[i], r_in, r_out)
+            kq, kp, profile = patches[key]
+            cells = hgrid.values[np.ix_((base[i, 0] + kq) % G, (base[i, 1] + kp) % G)]
+            masses[side, i] = np.einsum("ij,ij->", cells, profile) * hgrid.weight
+    return masses[0], masses[1]
+
+
+def _bump_patch(G: int, frac: np.ndarray, r_in: float, r_out: float):
+    """Cell offsets k on each axis within r_out of a center with sub-cell
+    offset frac, and the bump profile on their product."""
+    reach = int(math.ceil(G * r_out)) + 1
+    k = np.arange(-reach, reach + 1)
+    d = [(k + 0.5 - f) / G for f in frac]
+    inside = [np.abs(di) <= r_out for di in d]
+    profile = _bump_profile(np.hypot(d[0][inside[0], None], d[1][None, inside[1]]), r_in, r_out)
+    return k[inside[0]], k[inside[1]], profile
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +402,6 @@ def position_interval_mass(psi: QuantumState, q0: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 # The Weyl/anti-Wick gap
 # ---------------------------------------------------------------------------
-
-def _real_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Re <x|y> of two contiguous complex vectors, as one real einsum: the
-    BLAS level-1 routines behind np.vdot and np.linalg.norm can be far
-    slower on some multithreaded builds."""
-    return float(np.einsum("i,i->", x.view(float), y.view(float)))
-
 
 def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float:
     """Operator norm of a^w - a^aw, matrix free.
@@ -363,7 +424,7 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
     D = weyl_quantize(Symbol.from_fourier(coeffs), grid)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    v /= math.sqrt(_real_inner(v, v))
+    v /= _norm(v)
     v_prev = np.zeros_like(v)
     alphas, betas = [], []
     beta = 0.0
@@ -371,7 +432,7 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
         w = D.apply_adjoint(D.apply(v))
         alpha = _real_inner(v, w)
         w -= alpha * v + beta * v_prev
-        beta = math.sqrt(_real_inner(w, w))
+        beta = _norm(w)
         alphas.append(alpha)
         if step % _LANCZOS_CHECK == 0 or step == grid.N or beta == 0.0:
             tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)

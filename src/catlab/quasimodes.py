@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .hilbert import (
     LinearMap,
     PlanckGrid,
     QuantumState,
+    _norm,
     _require_invariant_theta,
     choose_theta,
     egorov_defect,
@@ -48,9 +49,8 @@ from .hilbert import (
 )
 from .quantize import (
     Symbol,
-    antiwick_expectation,
     antiwick_plane_waves,
-    bump_symbols,
+    bump_masses,
     position_interval_mass,
     weyl_antiwick_gap,
 )
@@ -177,7 +177,7 @@ def build_quasimode(
 def residual(psi_n: QuantumState, phi: float, prop: LinearMap) -> float:
     """|| (U - e^{i phi}) psi || for a normalized state psi."""
     out = prop.apply(psi_n.amplitudes) - np.exp(1j * phi) * psi_n.amplitudes
-    return float(np.linalg.norm(out))
+    return _norm(out)
 
 
 @dataclass(frozen=True)
@@ -241,6 +241,9 @@ def husimi_ball_report(
     """Husimi mass in balls of radius C sqrt(hbar) e^{lambda T} at orbit points.
 
     The balls are checked to be disjoint first (see _checked_ball_radius).
+    hgrid, if given, may be the Husimi grid of any nonzero multiple of psi:
+    the density is quadratic in the state, so masses and total are read
+    from it scaled by ||psi||^2 / hgrid.state_norm2.
 
     Raises
     ------
@@ -251,12 +254,13 @@ def husimi_ball_report(
     pts = (spec.orbit.jk / spec.orbit.l).tolist()
     if hgrid is None:
         hgrid = husimi(psi, spec.catmap, G)
+    scale = psi.norm2() / hgrid.state_norm2
     balls = []
     for t, x in enumerate(pts):
         balls.append(
-            {"t": t, "center": x, "radius": rho, "mass": ball_mass(hgrid, x, rho)}
+            {"t": t, "center": x, "radius": rho, "mass": ball_mass(hgrid, x, rho) * scale}
         )
-    total = hgrid.total()
+    total = hgrid.total() * scale
     off = total - sum(b["mass"] for b in balls)
     return BallReport(
         balls=tuple(balls),
@@ -369,15 +373,7 @@ def nonequidistribution_report(
         vol = math.pi * r * r
         if hgrid is None:
             hgrid = husimi(psi_n, spec.catmap, G)
-        hits, misses = [], []
-        for x in centers:
-            lower, upper = bump_symbols(x, r)
-            hits.append(
-                antiwick_expectation(psi_n, lower, spec.catmap, hgrid=hgrid).real
-            )
-            misses.append(
-                antiwick_expectation(psi_n, upper, spec.catmap, hgrid=hgrid).real
-            )
+        hits, misses = bump_masses(hgrid, centers, r)
     else:
         raise ValueError("space must be 'physical' or 'phase'")
 
@@ -534,16 +530,8 @@ def run_pipeline(config: Dict) -> Experiment:
     hgrid = husimi(psi_n, cat, G)
     lap("husimi")
 
-    # the Husimi density is quadratic in the state, so psi's grid is
-    # psi_n's scaled by ||psi||^2
     norm_sq = psi.norm2()
-    ball = husimi_ball_report(
-        psi,
-        spec,
-        C=C0,
-        G=G,
-        hgrid=replace(hgrid, values=hgrid.values * norm_sq, state_norm2=norm_sq),
-    )
+    ball = husimi_ball_report(psi, spec, C=C0, G=G, hgrid=hgrid)
     lap("ball_report")
     sc = scmeasure_error(psi_n, spec, freqs)
     lap("scmeasure")
@@ -631,7 +619,7 @@ def propagator_check(catmap: CatMap, N: int, seed: int, states: int, nmax: int) 
     grid = choose_theta(catmap, N)
     u = propagator(catmap, grid)
     vecs = random_states(np.random.default_rng(seed), N, states)
-    unit = max(abs(np.linalg.norm(u.apply(s)) - 1.0) for s in vecs)
+    unit = max(abs(_norm(u.apply(s)) - 1.0) for s in vecs)
     return {
         "matrix": list(catmap.entries),
         "N": N,

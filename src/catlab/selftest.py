@@ -33,7 +33,7 @@ from .classical import (
     validate_cat_map,
 )
 from .coherent import husimi, torus_coherent
-from .hilbert import QuantumState, choose_theta, random_states, translation
+from .hilbert import QuantumState, _norm, choose_theta, random_states, translation
 from .io import canonical_json
 from .quasimodes import (
     husimi_width_sweep,
@@ -74,8 +74,8 @@ def criterion_2(seed: int = 0) -> Dict:
         tnm = translation((n[0] + m[0], n[1] + m[1]), grid)
         wedge = n[1] * m[0] - n[0] * m[1]
         phase = np.exp(1j * np.pi * wedge / 512)
-        err = np.linalg.norm(tn.apply(tm.apply(psi)) - phase * tnm.apply(psi))
-        worst = max(worst, float(err))
+        err = _norm(tn.apply(tm.apply(psi)) - phase * tnm.apply(psi))
+        worst = max(worst, err)
     return {"composition_defect": worst, "pass": bool(worst < 1e-12)}
 
 
@@ -180,9 +180,9 @@ def criterion_8(seed: int = 0) -> Dict:
 
 
 def criterion_9(seed: int = 0) -> Dict:
-    """Weyl/anti-Wick gap log-log slope -1 +- 0.3 over N in {512, 1024, 2048}."""
+    """Weyl/anti-Wick gap log-log slope -1 +- 0.05 over N in {512, 1024, 2048}."""
     _, rows, slope = waw_gap_sweep(validate_cat_map(*ARNOLD), [512, 1024, 2048])
-    ok = abs(slope - (-1.0)) <= 0.3
+    ok = abs(slope - (-1.0)) <= 0.05
     return {
         "gaps": {str(N): gap for N, _, gap in rows},
         "slope": slope,

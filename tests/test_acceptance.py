@@ -158,8 +158,8 @@ def test_criteria_6_and_8_match_quasimode_report(tmp_path):
 
 def test_criterion_9_weyl_antiwick_gap():
     r = criterion_9()
-    _report(9, "Weyl/anti-Wick gap rate", r, f"slope {r['slope']:.3f} = -1 +- 0.3")
-    assert abs(r["slope"] - (-1.0)) <= 0.3
+    _report(9, "Weyl/anti-Wick gap rate", r, f"slope {r['slope']:.3f} = -1 +- 0.05")
+    assert abs(r["slope"] - (-1.0)) <= 0.05
 
 
 def test_criterion_10_determinism(capsys):
@@ -171,5 +171,6 @@ def test_criterion_10_determinism(capsys):
             print("  " + line)
     assert report["byte_identical"], "selftest reports differ between reruns"
     assert ok
-    # serialization itself must be deterministic too
-    assert canonical_json(report) == canonical_json(report)
+    # a separate selftest run serializes to the same bytes
+    again, _ = selftest(seed=0, echo=lambda line: None)
+    assert canonical_json(again) == canonical_json(report)

@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catlab import (
+    PlanckGrid,
     QuantumState,
     ResolutionTooCoarse,
     TruncationFailure,
     axis_variances,
     ball_mass,
     choose_theta,
+    coherent,
     husimi,
     husimi_at_points,
     propagator,
@@ -20,7 +25,7 @@ from catlab import (
     z_parameter,
 )
 
-from conftest import coarse_husimi, husimi_slow, random_state, twisted_grid
+from conftest import coarse_husimi, husimi_slow, hyperbolic_maps, random_state, twisted_grid
 
 
 class TestTorusCoherent:
@@ -112,6 +117,55 @@ class TestHusimi:
         fast = coarse_husimi(psi, cat, 16).values
         slow = husimi_slow(psi, cat, 16)
         assert np.max(np.abs(fast - slow)) / np.max(slow) < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        entries=st.sampled_from(hyperbolic_maps()),
+        G=st.sampled_from([21, 24, 48]),
+        P=st.sampled_from(["1", "3", "G"]),
+        t=st.integers(1, 8),
+        theta_over_pi=st.sampled_from(
+            [None, (Fraction(2, 3), Fraction(4, 3)), (Fraction(1, 5), Fraction(7, 20))]
+        ),
+        block=st.sampled_from([2, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracles(self, entries, G, P, t, theta_over_pi, block, seed):
+        # columns share P = G/gcd(N, G) weight rows: N = G t gives one,
+        # N = (G/3)(3t + 1) three, N = G t + 1 a row per column; N is odd
+        # or even with G = 21, and a block of 2 columns evaluates its own
+        # rows whenever P > 2.  The off-parity angles twist wrapped sites
+        # by neither 1 nor -1.
+        N = {"1": G * t, "3": G // 3 * (3 * t + 1), "G": G * t + 1}[P]
+        assert G // math.gcd(N, G) == {"1": 1, "3": 3, "G": G}[P]
+        cat = validate_cat_map(*entries)
+        if theta_over_pi is None:
+            grid = choose_theta(cat, N)
+        else:
+            grid = PlanckGrid(N, theta_over_pi)
+        psi = random_state(grid, seed)
+        with patch.object(coherent, "_HUSIMI_BLOCK", block):
+            fast = coarse_husimi(psi, cat, G).values
+        slow = husimi_slow(psi, cat, G)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+        cells = np.random.default_rng(seed).integers(0, G, (4, 2))
+        pts = [((a + 0.5) / G, (b + 0.5) / G) for a, b in cells]
+        pointwise = husimi_at_points(psi, cat, pts)
+        assert np.max(np.abs(pointwise - fast[cells[:, 0], cells[:, 1]])) <= 1e-12 * np.max(slow)
+
+    def test_holds_no_grid_sized_temporary(self, arnold):
+        # besides its G x G output husimi holds O(B (K + G) + N) numbers
+        # for blocks of B columns and windows of K sites: about a fifth of
+        # the 34 MB output here, where one more G x G array would double it
+        grid = choose_theta(arnold, 8192)
+        psi = random_state(grid, 4)
+        tracemalloc.start()
+        try:
+            h = husimi(psi, arnold, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - h.values.nbytes < h.values.nbytes / 2
 
     def test_resolution_of_identity(self, arnold, grid1024):
         for seed in (1, 2):

@@ -15,6 +15,7 @@ from catlab import (
     Symbol,
     antiwick_expectation,
     antiwick_plane_waves,
+    bump_masses,
     bump_symbols,
     choose_theta,
     husimi,
@@ -290,6 +291,15 @@ class TestExpectationOracle:
                     for sym in bump_symbols(x0, r):
                         assert_matches_oracle(sym, h)
 
+    def test_bump_masses(self, hgrids):
+        # centers whose patches wrap one seam or both, and a net whose
+        # centers share sub-cell offsets, in one call
+        net = [(q, p) for q in (0.125, 0.375, 0.625, 0.875) for p in (0.125, 0.625)]
+        centers = [(0.0, 0.0), (0.999, 0.001), (1e-9, 1 - 1e-9), (0.5, 0.9999)] + net
+        for h in hgrids:
+            for r in (0.01, 0.1, 0.2499):
+                assert_bump_masses_match(h, centers, r)
+
     def test_fast_paths_do_not_sample_the_grid(self, arnold, psi, hgrids, monkeypatch):
         def refuse(*args):
             raise AssertionError("full-grid sample")
@@ -321,6 +331,40 @@ class TestExpectationOracle:
         h = random_hgrid(grid1024, G, seed)
         for sym in bump_symbols((q0, p0), r):
             assert_matches_oracle(sym, h)
+
+
+def assert_bump_masses_match(hgrid, centers, r):
+    """bump_masses against antiwick_expectation of each bump_symbols pair."""
+    lower, upper = bump_masses(hgrid, centers, r)
+    for x, got in zip(centers, zip(lower, upper)):
+        for value, sym in zip(got, bump_symbols(x, r)):
+            want = antiwick_expectation(None, sym, None, hgrid=hgrid)
+            assert abs(value - want) <= 1e-14
+
+
+near_seam = st.one_of(
+    st.floats(0.0, 1e-3),
+    st.floats(1.0 - 1e-3, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+class TestBumpMasses:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        centers=st.lists(st.tuples(near_seam, near_seam), min_size=1, max_size=6),
+        r=st.floats(0.0, 0.25, exclude_min=True, exclude_max=True),
+        G=st.integers(16, 512),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, grid1024, centers, r, G, seed):
+        assert_bump_masses_match(random_hgrid(grid1024, G, seed), centers, r)
+
+    def test_radius_range(self, grid1024):
+        h = random_hgrid(grid1024, 16, 0)
+        for r in (0.0, 0.25):
+            with pytest.raises(RadiusOutOfRange):
+                bump_masses(h, [(0.5, 0.5)], r)
 
 
 class TestClosedFormProperty:
