@@ -6,7 +6,7 @@ transform; its wavefunction is sampled at the theta-shifted sites and
 periodized, which realizes the torus projector exactly up to a controlled
 Gaussian tail.  One windowed transform, _coherent_window, holds the
 window bounds, the untwisted Gaussian weights and the resolution check,
-and _wrap_twist the theta1 twist of wrapped sites; coherent states,
+and hilbert._twist the theta1 twist of wrapped sites; coherent states,
 Husimi grids and pointwise Husimi values all read their windows from
 them.  (Anti-Wick values of Fourier symbols need no window: quantize.py
 takes them in closed form.)
@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import CatMap, min_image
 from .errors import ResolutionTooCoarse, TruncationFailure
-from .hilbert import PlanckGrid, QuantumState
+from .hilbert import PlanckGrid, QuantumState, _site_offset, _twist, _unit_phase
 
 __all__ = [
     "HusimiGrid",
@@ -121,7 +121,7 @@ def _coherent_window(
     window, which holds the Gaussian down to 1e-14 of its peak; the rows
     share the longest window's length K, and cells past a center's own
     window weigh 0.  A wrapped site m stands for |m mod N> twisted by
-    _wrap_twist(grid, m), which undoes the exp(-i theta1) that an amplitude
+    _twist(grid, m // N), which undoes the exp(-i theta1) that an amplitude
     picks up when its index wraps past N: sum_k w[i, k] twist[i, k]
     |m mod N> is the plane Gaussian projected onto H_{N,theta}, and
     sum_k conj(w[i, k] twist[i, k]) psi[m mod N] is its overlap with psi.
@@ -165,36 +165,29 @@ def _coherent_window(
     return window
 
 
-def _wrap_twist(grid: PlanckGrid, m: np.ndarray) -> np.ndarray:
-    """exp(i theta1 (m // N)) at extended sites m, one exp per wrap count."""
-    wraps = m // grid.N
-    first = int(wraps.min())
-    per_wrap = np.exp(1j * grid.theta[0] * np.arange(first, int(wraps.max()) + 1))
-    wraps -= first
-    return per_wrap[wraps]
-
-
 def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray:
     """exp(2 pi i p0 (m + eta)) exp(-i pi N p0 q0) at extended sites m.
 
     The momentum half of the coherent state at x0 = (q0, p0).  The
     argument grows with m; when both coordinates of the center are
-    Fractions it is reduced mod 1 in integer arithmetic, with the grid's
-    exact eta.
+    Fractions it is reduced in integer arithmetic, with the grid's exact
+    eta, and taken as a unit phase: int64 residues, Python integers only
+    where int64 could overflow.
     """
     N = grid.N
     q0f, p0f = x0[0], x0[1]
     if isinstance(q0f, Fraction) and isinstance(p0f, Fraction):
-        f = grid.theta_over_pi[1]
-        # p0 (m + eta) = kp (qe m + pe) / (lp qe), reduced mod 1 exactly
+        # p0 (m + eta) = kp (qe m + pe) / (lp qe), reduced mod lp qe exactly
         kp, lp = p0f.numerator, p0f.denominator
-        pe, qe = f.numerator, 2 * f.denominator
+        pe, qe = _site_offset(grid)
         denom = lp * qe
-        s = (kp * (qe * m.astype(object) + pe)) % denom
-        mom = np.exp(2j * np.pi * s.astype(np.float64) / denom)
-        # constant phase exp(-i pi N p0 q0), reduced exactly
-        num = (N * kp * q0f.numerator) % (2 * lp * q0f.denominator)
-        return mom * cmath.exp(-1j * math.pi * float(num) / (lp * q0f.denominator))
+        if abs(kp) * (qe * int(np.abs(m).max()) + pe) < 2**62:
+            s = (kp * (qe * m + pe)) % denom
+        else:
+            s = ((kp * (qe * m.astype(object) + pe)) % denom).astype(np.int64)
+        # constant phase exp(-i pi N p0 q0) = exp(2 pi i (-N kp kq)/(2 lp lq))
+        D = 2 * lp * q0f.denominator
+        return _unit_phase(s, denom) * _unit_phase(-N * kp * q0f.numerator % D, D)
     q0, p0 = float(q0f), float(p0f)
     mom = np.exp(2j * np.pi * np.mod(p0 * (m + grid.eta), 1.0))
     return mom * cmath.exp(-1j * math.pi * N * p0 * q0)
@@ -217,7 +210,7 @@ def torus_coherent(x0: Sequence, catmap: CatMap, grid: PlanckGrid) -> QuantumSta
     """
     m, w = _coherent_window(grid, catmap)([x0[0]], x0)
     amp = np.zeros(grid.N, dtype=complex)
-    np.add.at(amp, m[0] % grid.N, w[0] * _wrap_twist(grid, m[0]))
+    np.add.at(amp, m[0] % grid.N, w[0] * _twist(grid, m[0] // grid.N))
     return QuantumState(amp / math.sqrt(grid.N), grid)
 
 
@@ -226,7 +219,7 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
 
     values[a, b] = N |<x_ab, c0, theta | psi>|^2 is |sum_m conj(w_a[m] t[m])
     psi[m mod N] e^(-2 pi i m (b + 1/2)/G)|^2 over column a's window sites
-    m, with w_a its _coherent_window row and t = _wrap_twist.  The site
+    m, with w_a its _coherent_window row and t = _twist(grid, m // N).  The site
     factors conj(t) and e^(-i pi m/G) go into one extension f of psi
     (_husimi_extension), and the momentum row is the G-point FFT of
     conj(w_a) f folded mod G: moving the window only rotates the row's
@@ -281,7 +274,7 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
 
 
 def _husimi_extension(psi: QuantumState, G: int, length: int) -> np.ndarray:
-    """f(m) = conj(_wrap_twist(m)) e^(-i pi m/G) psi[m mod N] for m = 0, 1, ...,
+    """f(m) = conj(_twist(m // N)) e^(-i pi m/G) psi[m mod N] for m = 0, 1, ...,
     at least length of them.
 
     e^(-i pi m/G) is the sign (-1)^(m // G) of the fold mod G times the
@@ -294,10 +287,10 @@ def _husimi_extension(psi: QuantumState, G: int, length: int) -> np.ndarray:
     starts = np.arange(0, f.size, N)
     for start in starts:
         f[start : start + N] = amp[: f.size - start]
-    half = np.exp(-1j * np.pi * np.arange(G) / G)
+    half = _unit_phase(-np.arange(G) % (2 * G), 2 * G)
     periods = f.reshape(-1, 2 * G)  # a view of f
     periods *= np.concatenate([half, -half])
-    for start, twist in zip(starts, _wrap_twist(psi.grid, starts)):
+    for start, twist in zip(starts, _twist(psi.grid, starts // N)):
         f[start : start + N] *= np.conj(twist)
     return f
 
@@ -313,7 +306,7 @@ def husimi_at_points(
     for x in points:
         x = (float(x[0]), float(x[1]))
         m, w = window([x[0]], x)
-        coh = w[0] * _wrap_twist(grid, m[0])
+        coh = w[0] * _twist(grid, m[0] // grid.N)
         out.append(abs(np.sum(np.conj(coh) * amp[m[0] % grid.N])) ** 2)
     return np.asarray(out)
 
@@ -338,10 +331,14 @@ def ball_mass(
                 f"radius {radius} < 2/G = {2.0 / G}; use the state-based path"
             )
         c = source.centers()
-        dq = min_image(c - center[0])
-        dp = min_image(c - center[1])
-        inside = (dq * dq)[:, None] + (dp * dp)[None, :] <= radius * radius
-        return float(source.values[inside].sum() * source.weight)
+        dq2 = min_image(c - center[0]) ** 2
+        dp2 = min_image(c - center[1]) ** 2
+        # only rows and columns within the radius can hold cells of the
+        # ball; the sub-block keeps the cells in row-major order
+        rows = np.flatnonzero(dq2 <= radius * radius)
+        cols = np.flatnonzero(dp2 <= radius * radius)
+        inside = dq2[rows, None] + dp2[None, cols] <= radius * radius
+        return float(source.values[np.ix_(rows, cols)][inside].sum() * source.weight)
 
     if catmap is None:
         raise ValueError("state-based ball_mass needs the catmap")

@@ -10,6 +10,14 @@ applied matrix-free as chirp * FFT * chirp in O(N |b| log(N |b|)).  Its
 correctness is pinned by two oracles: unitarity, and the exact conjugation
 law  U T(n) U^-1 = T(Mn)  for integer translations.
 
+Every phase here is a rational multiple of 2 pi: the translations'
+momentum phases, the Bloch twists and the kernel's chirps.  Each is
+reduced in integer arithmetic and taken by one primitive, _unit_phase,
+which reads exp(2 pi i r/D) from two tables of about sqrt(D) exponentials;
+no exp runs over a vector of length N.  So translations compose as
+T(n) T(m) = exp(i pi (n ^ m)/N) T(n + m) exactly, up to the rounding of
+the phases themselves, at every n.
+
 Grids carry the Bloch angle exactly, as rational theta/pi.  choose_theta
 gives the parity one, theta = (0, 0) for even N and (pi, pi) for odd N:
 ad - bc = 1 leaves neither (a, b) nor (c, d) a pair of even numbers, so
@@ -189,19 +197,116 @@ def _require_invariant_theta(catmap: CatMap, grid: PlanckGrid) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Exact unit phases
+# ---------------------------------------------------------------------------
+
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j, 1])
+# the least number of sites per block of a chirp build
+_CHIRP_BLOCK = 1 << 14
+
+
+def _quarter_reduced_phase(k: np.ndarray, D: int) -> np.ndarray:
+    """exp(2 pi i k/D) for int64 k in [0, D), D <= 2^60, evaluated as
+    i^t exp(i pi (4k - t D)/(2D)) with t the nearest quarter turn: the
+    float angle is at most pi/4, and multiples of D/4 come out exact."""
+    t = (4 * k + D // 2) // D
+    return _QUARTER_TURNS[t] * np.exp((0.5j * math.pi / D) * (4 * k - t * D))
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_tables(D: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(shift, coarse, fine) with B = 2^shift >= sqrt(D): coarse[h] =
+    exp(2 pi i B h/D) and fine[l] = exp(2 pi i l/D), about 3 sqrt(D) values."""
+    shift = math.isqrt(D - 1).bit_length()
+    fine = _quarter_reduced_phase(np.arange(1 << shift), D)
+    coarse = np.arange(((D - 1) >> shift) + 1, dtype=np.int64) << shift
+    return shift, _quarter_reduced_phase(coarse, D), fine
+
+
+def _unit_phase(r, D: int) -> np.ndarray:
+    """exp(2 pi i r/D) for int64 residues r in [0, D), D <= 2^60, to about 2 ulp.
+
+    The one primitive behind every rational phase of the Hilbert layer.
+    With r = B h + l, B = 2^shift >= sqrt(D), the phase is coarse[h] *
+    fine[l]: two gathers from tables of about sqrt(D) exponentials, kept
+    per D, and one complex multiply.  An r no longer than sqrt(D) is
+    evaluated directly instead.  A D above 2^60, which only a Bloch angle
+    or a center with a huge denominator makes, is refused: the reduction
+    to a quarter turn would overflow int64.
+    """
+    if D > 2**60:
+        raise ValueError(f"phase denominator {D} > 2^60")
+    r = np.asarray(r, dtype=np.int64)
+    if r.size <= math.isqrt(D):
+        return _quarter_reduced_phase(r, D)
+    shift, coarse, fine = _phase_tables(D)
+    phase = coarse.take(r >> shift)
+    phase *= fine.take(r & ((1 << shift) - 1))
+    return phase
+
+
+def _residues(c: int, step: int, count: int, D: int) -> np.ndarray:
+    """(c + step k) mod D for k in [0, count), as int64; Python integers
+    where int64 could overflow."""
+    c, step = c % D, step % D
+    if D * count < 2**62:
+        r = np.arange(count, dtype=np.int64)
+        r *= step
+        r += c
+        r %= D
+        return r
+    return np.array([(c + step * k) % D for k in range(count)], dtype=np.int64)
+
+
+def _phase_progression(c: int, step: int, D: int, length: int) -> np.ndarray:
+    """exp(2 pi i (c + step j)/D) for j in [0, length), from exact residues.
+
+    With j = B h + l, B about sqrt(length), it is the outer product of the
+    unit phases of c + step B h and of step l: one complex multiply per
+    entry, and no integer array of full length.
+    """
+    B = math.isqrt(max(length - 1, 0)) + 1
+    coarse = _unit_phase(_residues(c, step * B, -(-length // B), D), D)
+    fine = _unit_phase(_residues(0, step, B, D), D)
+    return np.outer(coarse, fine).reshape(-1)[:length]
+
+
+def _twist(grid: PlanckGrid, k):
+    """exp(i theta1 k) for integer k (a Python int or an int64 array), exact:
+    with theta1 = pi u/v it is the unit phase of u k mod 2v over 2v."""
+    y = grid.theta_over_pi[0]
+    D = 2 * y.denominator
+    return _unit_phase(np.multiply(y.numerator, k) % D, D)
+
+
+def _site_offset(grid: PlanckGrid) -> Tuple[int, int]:
+    """(p, q) with eta = p/q and q = 2 den(theta2/pi) even, so that q (m + eta)
+    and q n1/2 are integers."""
+    f = grid.theta_over_pi[1]
+    return f.numerator, 2 * f.denominator
+
+
+# ---------------------------------------------------------------------------
 # Quantum translations
 # ---------------------------------------------------------------------------
 
 def _translation_data(n: Tuple[int, int], grid: PlanckGrid):
-    """Shift amount and phase vector for T(n) on amplitude vectors."""
+    """Shift amount and phase vector for T(n) on amplitude vectors.
+
+    phase[j] = exp(2 pi i n2 (j + eta - n1/2)/N) exp(-i theta1 w_j), with
+    w_j = floor((j - n1)/N) the wraps.  With eta = p/q the first factor is
+    the unit phase of n2 (q j + p - n1 q/2) mod qN, a progression in j;
+    the second is one constant on each side of s = n1 mod N.
+    """
     n1, n2 = int(n[0]), int(n[1])
     N = grid.N
-    th1 = grid.theta[0]
-    eta = grid.eta
-    j = np.arange(N)
-    arg = (n2 * (j + eta - n1 / 2.0)) / N
-    wrap = (j - n1) // N  # floor division; each wrap carries exp(-i theta1)
-    phase = np.exp(2j * np.pi * np.mod(arg, 1.0)) * np.exp(-1j * th1 * wrap)
+    p, q = _site_offset(grid)
+    phase = _phase_progression(n2 * (p - n1 * q // 2), n2 * q, q * N, N)
+    if grid.theta_over_pi[0]:
+        # w_j = -(wraps + 1) on the sites j < s and -wraps on the others
+        s, wraps = n1 % N, n1 // N
+        phase[:s] *= _twist(grid, wraps + 1)
+        phase[s:] *= _twist(grid, wraps)
     return n1, phase
 
 
@@ -210,9 +315,11 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
 
     Acts as a cyclic shift by n1 sites combined with the momentum phase
     exp(2 pi i n2 q_j) referenced to half-integer shifted sites, with
-    exp(-i theta1) twists at position wraparound.  Composition satisfies
-    T(n) T(m) = exp(i pi (n2 m1 - n1 m2)/N) T(n + m) exactly.  The adjoint
-    T(-n) builds its phases on its first use, since most callers only apply.
+    exp(-i theta1) twists at position wraparound.  Every phase is reduced
+    in integer arithmetic before it is taken, so composition satisfies
+    T(n) T(m) = exp(i pi (n2 m1 - n1 m2)/N) T(n + m) exactly, up to
+    rounding of the phases themselves, at every n.  The adjoint T(-n)
+    builds its phases on its first use, since most callers only apply.
     """
     n1, phase = _translation_data(n, grid)
 
@@ -221,11 +328,15 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
         return _translation_data((-n[0], -n[1]), grid)
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        return phase * np.roll(vec, n1)
+        out = np.roll(vec, n1)
+        out *= phase
+        return out
 
     def adjoint(vec: np.ndarray) -> np.ndarray:
         n1_adj, phase_adj = adjoint_data()
-        return phase_adj * np.roll(vec, n1_adj)
+        out = np.roll(vec, n1_adj)
+        out *= phase_adj
+        return out
 
     return LinearMap(grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})")
 
@@ -234,44 +345,66 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
 # Propagator
 # ---------------------------------------------------------------------------
 
-def _exact_quadratic_phase(coef: int, s: np.ndarray, denom: int) -> np.ndarray:
-    """exp(i pi coef s^2 / denom) with the exponent reduced mod 2 exactly.
+def _exact_quadratic_phase(poly: Tuple[int, int, int], s: np.ndarray, D: int) -> np.ndarray:
+    """exp(2 pi i P(s)/D) at the integer array s, P(s) = c2 s^2 + c1 s + c0
+    for poly = (c2, c1, c0), with P(s) reduced mod D exactly.
 
-    s is an integer array.  Uses int64 when safe, Python integers
-    otherwise, so the phase is accurate to one ulp regardless of size.
+    Uses int64 when |c2| smax^2 + |c1| smax + |c0| < 2^62, Python integers
+    otherwise, so the phase is accurate to about 2 ulp regardless of size.
     """
-    mod = 2 * abs(denom)
-    sign = 1 if denom > 0 else -1
-    smax = int(np.max(np.abs(s))) if len(s) else 0
-    if abs(coef) * smax * smax < 2**62:
-        r = (coef * s.astype(np.int64) ** 2) % mod
+    c2, c1, c0 = poly
+    smax = int(np.max(np.abs(s))) if s.size else 0
+    if abs(c2) * smax * smax + abs(c1) * smax + abs(c0) < 2**62:
+        r = s.astype(np.int64)
+        r *= c2
+        r += c1
+        r *= s
+        r += c0
+        r %= D
     else:
-        r = np.array([(coef * int(v) * int(v)) % mod for v in s], dtype=object)
-        r = r.astype(np.float64)
-    return np.exp(1j * sign * math.pi * np.asarray(r, dtype=float) / abs(denom))
+        r = np.array([(c2 * v * v + c1 * v + c0) % D for v in s.tolist()], dtype=np.int64)
+    return _unit_phase(r, D)
 
 
 def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
-    """Precompute the chirp/twist vectors of the Gauss-sum kernel."""
+    """The phase vectors of the Gauss-sum kernel: pre (length N |b|) and post.
+
+        pre[m]  = exp(i pi (a (m+eta)^2 - 2 eta (m+eta))/(N b)) exp(-i theta1 w),
+        post[j] = exp(i pi (d (j+eta)^2 - 2 eta j)/(N b)),
+
+    with w = m // N.  With eta = p/q, s = q m + p (or q j + p) and theta1 =
+    pi u/v, both are unit phases over D = 2 N |b| q^2 v of the integer
+    quadratics sgn(b) v (a s^2 - 2 p s) - u w N |b| q^2 and sgn(b) v (d s^2 -
+    2 p s + 2 p^2).  Each is built in blocks of sites, so that the build's
+    integer temporaries stay small; a block is longer than sqrt(D), so
+    that it reads the tables of _unit_phase.
+    """
     a, b, _, d = catmap.entries
     N = grid.N
     absB = abs(b)
     L = N * absB
-    th1, eta = grid.theta[0], grid.eta
-    m = np.arange(L)
-    j = np.arange(N)
-    # exact reduction: with eta = p/q the site q m + p = q (m + eta) is an
-    # integer, so pi a (m+eta)^2/(N b) = pi a s^2/(N b q^2) reduces mod 2
-    # in integer arithmetic
-    f = grid.theta_over_pi[1]
-    p, q = f.numerator, 2 * f.denominator
-    denom = N * b * q * q
-    chirp_in = _exact_quadratic_phase(a, q * m + p, denom)
-    chirp_out = _exact_quadratic_phase(d, q * j + p, denom)
-    twist_in = np.exp(-1j * th1 * (m // N))
-    eta_in = np.exp(-2j * np.pi * eta * (m + eta) / (N * b))
-    eta_out = np.exp(-2j * np.pi * eta * j / (N * b))
-    return chirp_in * twist_in * eta_in, chirp_out * eta_out, L
+    p, q = _site_offset(grid)
+    y = grid.theta_over_pi[0]
+    u, v = y.numerator, y.denominator
+    half = N * absB * q * q
+    D = 2 * half * v
+    sv = v if b > 0 else -v
+    size = max(_CHIRP_BLOCK, 2 * math.isqrt(D))
+
+    def fill(out, first, poly):
+        for start in range(0, out.size, size):
+            block = out[start : start + size]
+            s = np.arange(first + start, first + start + block.size, dtype=np.int64)
+            s *= q
+            s += p
+            block[...] = _exact_quadratic_phase(poly, s, D)
+
+    pre = np.empty(L, dtype=complex)
+    for w in range(absB):
+        fill(pre[w * N : (w + 1) * N], w * N, (sv * a, -2 * sv * p, -u * w * half))
+    post = np.empty(N, dtype=complex)
+    fill(post, 0, (sv * d, -2 * sv * p, 2 * sv * p * p))
+    return pre, post, L
 
 
 def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMap:
@@ -304,20 +437,24 @@ def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMa
     pre, post, L = _chirp_arrays(catmap, grid)
     N = grid.N
     absB = abs(b)
-    scale = 1.0 / math.sqrt(L)
-    forward = b > 0
+    # the kernel's transform, its 1/sqrt(L) applied inside the FFT
+    transform = functools.partial(np.fft.fft if b > 0 else np.fft.ifft, norm="ortho")
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        ext = pre * np.tile(vec, absB)
-        F = np.fft.fft(ext) if forward else np.fft.ifft(ext) * L
-        return scale * post * F[:N]
+        ext = np.tile(vec, absB)
+        ext *= pre
+        return post * transform(ext)[:N]
 
     def adjoint(vec: np.ndarray) -> np.ndarray:
+        # the adjoint of the transform is conj o transform o conj, so the
+        # adjoint needs no second kind of FFT
         g = np.zeros(L, dtype=complex)
-        g[:N] = np.conj(post) * vec
-        F = np.fft.ifft(g) * L if forward else np.fft.fft(g)
-        F *= np.conj(pre)
-        return scale * F.reshape(absB, N).sum(axis=0)
+        np.conjugate(vec, out=g[:N])
+        g[:N] *= post
+        F = transform(g)
+        F *= pre
+        out = F.reshape(absB, N).sum(axis=0)
+        return np.conjugate(out, out=out)
 
     u = LinearMap(N, apply, adjoint, label=f"U{catmap.entries}")
     if check:

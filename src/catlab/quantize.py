@@ -31,7 +31,18 @@ import numpy as np
 from .classical import CatMap, min_image
 from .coherent import HusimiGrid, husimi, z_parameter
 from .errors import RadiusOutOfRange
-from .hilbert import LinearMap, PlanckGrid, QuantumState, _norm, _real_inner, translation
+from .hilbert import (
+    LinearMap,
+    PlanckGrid,
+    QuantumState,
+    _norm,
+    _phase_progression,
+    _real_inner,
+    _site_offset,
+    _twist,
+    _unit_phase,
+    translation,
+)
 
 __all__ = [
     "Symbol",
@@ -145,18 +156,6 @@ def _damping(catmap: CatMap, N: int, freqs: Sequence[Freq]) -> np.ndarray:
     return np.exp(-math.pi * np.abs(n[:, 0] * z0 - n[:, 1]) ** 2 / (2.0 * N * z0.imag))
 
 
-def _roots_of_unity(N: int) -> np.ndarray:
-    """exp(2 pi i j / N) for j in [0, N), to about 2 ulp.
-
-    The outer product of two tables of about sqrt(N) exponentials: one
-    length-N complex multiplication instead of N complex exps.
-    """
-    B = math.isqrt(N - 1) + 1
-    coarse = np.exp(2j * math.pi * (B * np.arange(-(-N // B))) / N)
-    fine = np.exp(2j * math.pi * np.arange(B) / N)
-    return np.outer(coarse, fine).ravel()[:N]
-
-
 def antiwick_plane_waves(
     psi: QuantumState, catmap: CatMap, freqs: Sequence[Freq]
 ) -> np.ndarray:
@@ -166,17 +165,16 @@ def antiwick_plane_waves(
     psi[j - n1 mod N], where w_j = floor((j - n1)/N) counts the wraps.  So
     one product conj(psi[j]) psi[j - n1 mod N], twisted on the wrapped
     sites, serves every frequency with that n1, and each n2 takes its dot
-    product with the powers omega^(n2 j) of one table of N-th roots of
-    unity: no translation and no exp of length N per frequency.  As
-    T(-n) = T(n)*, a pair n, -n costs one dot product.
+    product with the powers omega^(n2 j) of the N-th roots of unity, one
+    exact progression per |n2|: no translation and no exp of length N per
+    frequency.  As T(-n) = T(n)*, a pair n, -n costs one dot product.
     """
     grid = psi.grid
-    N, eta, theta1 = grid.N, grid.eta, grid.theta[0]
+    N = grid.N
+    p, q_eta = _site_offset(grid)
     amp = psi.amplitudes
     conj_amp = np.conj(amp)
-    j = np.arange(N)
-    roots = _roots_of_unity(N)
-    powers = {1: roots}
+    powers: Dict[int, np.ndarray] = {}
     # each pair n, -n through its member with n1 > 0, or n1 = 0 and n2 >= 0
     wanted: Dict[int, set] = {}
     for n in freqs:
@@ -190,9 +188,9 @@ def antiwick_plane_waves(
         s, q = n1 % N, n1 // N
         np.multiply(conj_amp[:s], amp[N - s :], out=prod[:s])
         np.multiply(conj_amp[s:], amp[: N - s], out=prod[s:])
-        if theta1:
-            prod[:s] *= np.exp(1j * theta1 * (q + 1))
-            prod[s:] *= np.exp(1j * theta1 * q)
+        if grid.theta_over_pi[0]:
+            prod[:s] *= _twist(grid, q + 1)
+            prod[s:] *= _twist(grid, q)
         np.conj(prod, out=conj_prod)
         for n2 in n2s:
             k = abs(n2)
@@ -200,14 +198,15 @@ def antiwick_plane_waves(
                 dot = prod.sum()
             else:
                 if k not in powers:
-                    powers[k] = roots.take(k * j, mode="wrap")
+                    powers[k] = _phase_progression(0, k, N, N)
                 # omega^(-k j) = conj(omega^(k j)): a negative n2 reads
                 # conj(prod); einsum, not BLAS (see hilbert._real_inner)
                 if n2 > 0:
                     dot = np.einsum("j,j->", prod, powers[k])
                 else:
                     dot = np.conj(np.einsum("j,j->", conj_prod, powers[k]))
-            phase = np.exp(2j * math.pi * ((n2 * (eta - n1 / 2.0) / N) % 1.0))
+            # exp(2 pi i n2 (eta - n1/2)/N), reduced exactly
+            phase = _unit_phase((n2 * (p - n1 * q_eta // 2)) % (q_eta * N), q_eta * N)
             overlaps[n1, n2] = phase * dot
     values = [
         overlaps[n] if n in overlaps else np.conj(overlaps[-n[0], -n[1]])

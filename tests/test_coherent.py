@@ -25,6 +25,8 @@ from catlab import (
     z_parameter,
 )
 
+from catlab.classical import min_image
+
 from conftest import coarse_husimi, husimi_slow, hyperbolic_maps, random_state, twisted_grid
 
 
@@ -309,6 +311,44 @@ class TestBallMass:
         h = coarse_husimi(psi, arnold, 64)
         with pytest.raises(ResolutionTooCoarse):
             ball_mass(h, (0.5, 0.5), 0.01)
+
+    @staticmethod
+    def _random_grid(arnold, G, seed=0):
+        values = np.random.default_rng(seed).random((G, G))
+        return coherent.HusimiGrid(values, G, choose_theta(arnold, 64), 1.0, arnold.entries)
+
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            ((0.0, 0.0), 0.05),
+            ((0.999, 0.5), 0.1),
+            ((0.3, 0.01), 0.07),
+            ((0.98, 0.97), 0.2),
+            ((0.5, 0.5), 0.75),
+            ((0.0625, 0.5), 0.03125),
+        ],
+    )
+    def test_grid_path_matches_full_mask(self, arnold, center, radius):
+        # balls across the seam, a ball covering the torus and one whose
+        # edge passes through cell centers: the same cells, summed in the
+        # same row-major order, as a mask over the whole grid
+        h = self._random_grid(arnold, 128, seed=1)
+        c = h.centers()
+        dq = min_image(c - center[0])
+        dp = min_image(c - center[1])
+        inside = (dq * dq)[:, None] + (dp * dp)[None, :] <= radius * radius
+        assert ball_mass(h, center, radius) == float(h.values[inside].sum() * h.weight)
+
+    def test_grid_path_memory_is_the_ball(self, arnold):
+        h = self._random_grid(arnold, 2048)
+        tracemalloc.start()
+        try:
+            ball_mass(h, (0.999, 0.3), 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a G x G float array alone is 32 MB
+        assert peak < 1 << 20
 
 
 def test_z_parameter_symmetric(arnold):

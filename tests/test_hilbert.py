@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from catlab import (
     validate_cat_map,
 )
 from catlab import hilbert
-from catlab.hilbert import _require_invariant_theta
+from catlab.hilbert import _exact_quadratic_phase, _require_invariant_theta, _unit_phase
 
 from conftest import (
     coarse_husimi,
@@ -27,9 +29,84 @@ from conftest import (
     propagator_dense,
     random_state,
     translation_entries,
+    twisted_grid,
 )
 
 NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)]
+
+
+def exact_phase(x):
+    """exp(2 pi i x) for a Fraction x, reduced to the nearest quarter turn
+    in exact arithmetic: the float angle left is at most pi/4, so the value
+    is good to about 1e-16, where exp(2j pi float(x)) loses up to 1e-15."""
+    t = round(4 * x)
+    return (1, 1j, -1, -1j)[t % 4] * cmath.exp(0.5j * math.pi * float(4 * x - t))
+
+
+class TestUnitPhase:
+    @staticmethod
+    def _check(r, D):
+        r = np.asarray(r, dtype=np.int64)
+        want = np.array([exact_phase(Fraction(v, D)) for v in r.tolist()])
+        assert np.max(np.abs(_unit_phase(r, D) - want)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        D=st.integers(1, 2**53),
+        size=st.integers(1, 3000),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_against_exact_reduction(self, D, size, seed):
+        # short arrays at large D take the direct path, long ones at
+        # small D the tables
+        r = np.random.default_rng(seed).integers(0, D, size, dtype=np.int64)
+        r[: min(size, 4)] = [0, D - 1, D // 2, D // 4][: min(size, 4)]
+        self._check(r, D)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4, 1000, 2 * 65537, 8 * 4096 * 3, 2**24 + 1])
+    def test_tables(self, D):
+        size = max(3000, 2 * math.isqrt(D))
+        self._check(np.random.default_rng(D).integers(0, D, size, dtype=np.int64), D)
+
+    def test_quarter_turns_exact(self):
+        # short arrays (the direct path) at any D divisible by 4, and the
+        # tables at D = 2, 4, 8 (D = 2 holds every theta1 = pi twist)
+        want = np.array([1, 1j, -1, -1j])
+        for D in (16, 24, 4 * 65537):
+            assert np.array_equal(_unit_phase(np.arange(4) * (D // 4), D), want)
+        k = np.arange(200) % 4
+        for D in (4, 8):
+            assert np.array_equal(_unit_phase(k * (D // 4), D), want[k])
+        assert np.array_equal(_unit_phase(k % 2, 2), np.where(k % 2, -1, 1))
+
+    def test_refuses_denominators_beyond_2_60(self):
+        # theta2/pi = 1/(5 10^16) puts the site offset over q N = 6.4e18
+        grid = PlanckGrid(64, (Fraction(0), Fraction(1, 5 * 10**16)))
+        with pytest.raises(ValueError, match="denominator"):
+            translation((3, 5), grid)
+        with pytest.raises(ValueError, match="denominator"):
+            _unit_phase(np.arange(3), 2**60 + 1)
+
+
+class TestExactQuadraticPhase:
+    @staticmethod
+    def _reference(poly, s, D):
+        c2, c1, c0 = poly
+        return np.array([exact_phase(Fraction(c2 * v * v + c1 * v + c0, D)) for v in s])
+
+    def test_python_int_branch(self):
+        # |c2| s^2 >= 2^62: int64 would overflow, Python integers are used
+        poly, D = (-7, 12345, -(3 << 40)), 8 * 1000003 * 3
+        s = np.array([2**31 + 11, -(2**31) - 3, 3 * 2**30, 5, 0])
+        assert 7 * int(np.abs(s).max()) ** 2 >= 2**62
+        got = _exact_quadratic_phase(poly, s, D)
+        assert np.max(np.abs(got - self._reference(poly, s.tolist(), D))) <= 1e-15
+
+    def test_int64_branch(self):
+        poly, D = (5, -4, 2), 2 * 4096 * 4
+        s = 2 * np.arange(8192) + 1
+        got = _exact_quadratic_phase(poly, s, D)
+        assert np.max(np.abs(got - self._reference(poly, s.tolist(), D))) <= 1e-15
 
 
 class TestChooseTheta:
@@ -185,6 +262,52 @@ class TestTranslation:
         assert np.max(np.abs(t10 - np.exp(1j * grid.theta[0]) * eye)) < 1e-12
         assert np.max(np.abs(t01 - np.exp(1j * grid.theta[1]) * eye)) < 1e-12
 
+    @staticmethod
+    def _exact_translation_phase(n, grid, j):
+        """phase[j] of T(n) from the definition, in exact arithmetic."""
+        n1, n2 = n
+        N, (y0, y1) = grid.N, grid.theta_over_pi
+        eta = y1 / 2
+        wraps = (j - n1) // N
+        return exact_phase(n2 * (j + eta - Fraction(n1, 2)) / N - y0 * wraps / 2)
+
+    @pytest.mark.parametrize(
+        "n",
+        [(123456, -98765), (10**6, -999997), (-(10**6), 10**6 - 1), (3, 5), (65537 * 7 + 2, -1)],
+    )
+    def test_phases_exact_at_large_n(self, arnold, n):
+        # odd N: eta = 1/2 and a theta1 = pi twist; reducing the phase
+        # argument mod 1 in floats is off by up to 6e-9 at these n
+        self._check_phases(n, choose_theta(arnold, 65537))
+
+    @pytest.mark.parametrize("n", [(1, 0), (-601, 7), (123456, -98765), (-(10**6), 999997)])
+    def test_phases_exact_off_parity(self, n):
+        # theta/pi = (2/3, 4/3): eta = 2/3 and a twist that is neither 1 nor -1
+        self._check_phases(n, twisted_grid()[1])
+
+    def _check_phases(self, n, grid):
+        n1, phase = hilbert._translation_data(n, grid)
+        rng = np.random.default_rng(0)
+        seam = (n1 % grid.N + np.arange(-3, 3)) % grid.N
+        sites = np.concatenate([rng.integers(0, grid.N, 1500), seam, [0, grid.N - 1]])
+        want = [self._exact_translation_phase(n, grid, int(j)) for j in sites]
+        assert np.max(np.abs(phase[sites] - want)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [((10**6, -999997), (3, 5)), ((123456, -98765), (-77777, 999999)), ((-3, 4), (5, 2))],
+    )
+    def test_composition_law_at_large_n(self, arnold, n, m):
+        N = 65537
+        grid = choose_theta(arnold, N)
+        psi = random_state(grid, 7).amplitudes
+        nm = (n[0] + m[0], n[1] + m[1])
+        wedge = n[1] * m[0] - n[0] * m[1]
+        lhs = translation(n, grid).apply(translation(m, grid).apply(psi))
+        rhs = exact_phase(Fraction(wedge, 2 * N)) * translation(nm, grid).apply(psi)
+        # per entry, relative to the 1/sqrt(N) size of an entry of psi
+        assert np.max(np.abs(lhs - rhs)) * math.sqrt(N) <= 1e-13
+
     def test_unitarity(self, arnold):
         grid = choose_theta(arnold, 47)
         psi = random_state(grid, 4).amplitudes
@@ -216,6 +339,16 @@ class TestPropagator:
         assert np.max(np.abs(u.apply(psi) - Ud @ psi)) < 1e-10
         assert np.max(np.abs(u.apply_adjoint(psi) - Ud.conj().T @ psi)) < 1e-10
 
+    def test_fast_matches_dense_kernel_off_parity(self):
+        # theta1 = 2 pi/3: the per-wrap twist of the kernel is neither 1
+        # nor -1, so its sign and size are seen
+        cat, grid = twisted_grid()
+        u = propagator(cat, grid)
+        Ud = propagator_dense(cat, grid)
+        psi = random_state(grid, 8).amplitudes
+        assert np.max(np.abs(u.apply(psi) - Ud @ psi)) < 1e-12
+        assert np.max(np.abs(u.apply_adjoint(psi) - Ud.conj().T @ psi)) < 1e-12
+
     def test_unitarity_random_states(self, arnold, grid4096):
         u = propagator(arnold, grid4096)
         for seed in range(20):
@@ -228,6 +361,18 @@ class TestPropagator:
         u = propagator(cat, grid)
         psi = random_state(grid, 6).amplitudes
         assert abs(np.linalg.norm(u.apply(psi)) - 1.0) < 1e-10
+
+    def test_build_memory(self, arnold):
+        # the chirps are built in blocks: the build and its unitarity check
+        # together hold at most 7.5 vectors of length N |b|
+        grid = choose_theta(arnold, 2**20)
+        tracemalloc.start()
+        try:
+            propagator(arnold, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 16 * grid.N * abs(arnold.b)
 
     def test_incompatible_theta_rejected(self, arnold):
         bad = PlanckGrid(8, (Fraction(1, 5), Fraction(7, 20)))
