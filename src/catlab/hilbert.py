@@ -310,6 +310,15 @@ def _translation_data(n: Tuple[int, int], grid: PlanckGrid):
     return n1, phase
 
 
+def _shift_phase(vec: np.ndarray, s: int, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[j] = vec[j - s mod N] * phase[j] for a shift s in [0, N), as two
+    slice multiplies into out (which must not overlap vec); returns out."""
+    N = vec.shape[-1]
+    np.multiply(vec[N - s :], phase[:s], out=out[:s])
+    np.multiply(vec[: N - s], phase[s:], out=out[s:])
+    return out
+
+
 def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
     """The unitary T_N(n) = T_{n/N} on H_{N,theta}.
 
@@ -321,6 +330,7 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
     rounding of the phases themselves, at every n.  The adjoint T(-n)
     builds its phases on its first use, since most callers only apply.
     """
+    N = grid.N
     n1, phase = _translation_data(n, grid)
 
     @functools.cache
@@ -328,15 +338,11 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
         return _translation_data((-n[0], -n[1]), grid)
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        out = np.roll(vec, n1)
-        out *= phase
-        return out
+        return _shift_phase(vec, n1 % N, phase, np.empty_like(vec))
 
     def adjoint(vec: np.ndarray) -> np.ndarray:
         n1_adj, phase_adj = adjoint_data()
-        out = np.roll(vec, n1_adj)
-        out *= phase_adj
-        return out
+        return _shift_phase(vec, n1_adj % N, phase_adj, np.empty_like(vec))
 
     return LinearMap(grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})")
 

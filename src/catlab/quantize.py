@@ -15,9 +15,12 @@ its support ball, any other symbol on the full grid.  bump_masses
 integrates a whole scan of bumps of one radius at once: a bump's cell
 values depend on its center only through the center's offset within its
 grid cell, so each radial profile is evaluated once per distinct offset.
-The Weyl/anti-Wick gap is the norm of the translation sum
-sum_n c_n (1 - d_z(n)) T(n), found by Lanczos iteration through the
-translations' apply and adjoint; no N x N array is built anywhere.
+Weyl operators, and the Weyl/anti-Wick difference sum_n c_n (1 - d_z(n))
+T(n), are applied as one shift-phase per distinct n1 mod N: the
+translations that share a shift share it in one phase vector, so an apply
+is one cyclic shift and multiply per distinct n1.  The gap is the norm of
+that difference, found by Lanczos iteration; no N x N array is built
+anywhere.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ from .hilbert import (
     _norm,
     _phase_progression,
     _real_inner,
+    _shift_phase,
     _site_offset,
+    _translation_data,
     _twist,
     _unit_phase,
-    translation,
 )
 
 __all__ = [
@@ -123,29 +127,63 @@ class Symbol:
         return self.evaluate(c[:, None], c[None, :])
 
 
+def _shift_phase_terms(fourier: Dict[Freq, complex], grid: PlanckGrid):
+    """The translation sum sum_n c_n T(n) as shift-phase terms, forward and adjoint.
+
+    Translations whose n1 agree mod N shift alike, so the sum is one
+    phase vector per distinct shift s = n1 mod N: f_s = sum c_n phase_n
+    over those n, accumulated from zeros in sorted(fourier) order, each
+    phase_n that of hilbert._translation_data.  The adjoint of the term
+    (s, f_s) shifts by -s with the phase conj(f_s[j + s mod N]).  Returns
+    the two lists of (shift, phase) pairs.
+    """
+    N = grid.N
+    phases: Dict[int, np.ndarray] = {}
+    for n, c in sorted(fourier.items()):
+        n1, phase = _translation_data(n, grid)
+        f = phases.setdefault(n1 % N, np.zeros(N, dtype=complex))
+        f += c * phase
+    forward = sorted(phases.items())
+    backward = [((-s) % N, np.conj(np.concatenate((f[s:], f[:s])))) for s, f in forward]
+    return forward, backward
+
+
+def _shift_phase_sum(terms, vec: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum over the (shift, phase) terms of vec shifted times phase,
+    one slice multiply per term and one add per term after the first;
+    tmp is scratch of vec's shape.  Returns out."""
+    if not terms:
+        out[...] = 0.0
+        return out
+    (s, phase), *rest = terms
+    _shift_phase(vec, s, phase, out)
+    for s, phase in rest:
+        out += _shift_phase(vec, s, phase, tmp)
+    return out
+
+
 def weyl_quantize(symbol: Symbol, grid: PlanckGrid) -> LinearMap:
-    """Weyl operator sum_n a~(n) T_N(n), applied as stacked shift-phases."""
+    """Weyl operator sum_n a~(n) T_N(n), one shift-phase per distinct n1 mod N.
+
+    Each apply, or adjoint, is one cyclic shift and phase multiply per
+    distinct shift of the translation sum (see _shift_phase_terms), summed
+    into one output vector.
+    """
     if symbol.fourier is None:
         raise ValueError("Weyl quantization needs Fourier data")
-    terms = [(translation(n, grid), c) for n, c in sorted(symbol.fourier.items())]
+    forward, backward = _shift_phase_terms(symbol.fourier, grid)
 
     def apply(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec, dtype=complex)
-        for t, c in terms:
-            out += c * t.apply(vec)
-        return out
+        return _shift_phase_sum(forward, vec, np.empty_like(vec), np.empty_like(vec))
 
     def adjoint(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec, dtype=complex)
-        for t, c in terms:
-            out += np.conj(c) * t.apply_adjoint(vec)
-        return out
+        return _shift_phase_sum(backward, vec, np.empty_like(vec), np.empty_like(vec))
 
     return LinearMap(
         grid.N,
         apply,
         adjoint,
-        label=f"weyl({symbol.label or len(terms)} terms)",
+        label=f"weyl({symbol.label or len(symbol.fourier)} terms)",
     )
 
 
@@ -408,7 +446,8 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
     The difference is the translation sum D = sum_n c_n (1 - d_z(n)) T(n).
     Its norm is the square root of the top eigenvalue of D* D, found by a
     three-term Lanczos recurrence from a seeded random start, D and D*
-    applied through the translations.  The iteration stops when the top
+    applied as one shift-phase per distinct n1 mod N (_shift_phase_terms)
+    into buffers that every step reuses.  The iteration stops when the top
     Ritz pair's residual is below _LANCZOS_TOL of its Ritz value, or after
     N steps, when the Krylov space is all of H_N.  Scales like
     hbar^(1 - 2 rho).
@@ -420,17 +459,21 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
     coeffs = {
         n: symbol.fourier[n] * (1.0 - d) for n, d in zip(freqs, damping) if d != 1.0
     }
-    D = weyl_quantize(Symbol.from_fourier(coeffs), grid)
+    forward, backward = _shift_phase_terms(coeffs, grid)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     v /= _norm(v)
-    v_prev = np.zeros_like(v)
+    # the step's four vectors besides v, reused: v_prev and w trade places
+    # with v as the recurrence moves on
+    v_prev, w, dv, tmp = (np.zeros_like(v) for _ in range(4))
     alphas, betas = [], []
     beta = 0.0
     for step in range(1, grid.N + 1):
-        w = D.apply_adjoint(D.apply(v))
+        _shift_phase_sum(forward, v, dv, tmp)
+        _shift_phase_sum(backward, dv, w, tmp)
         alpha = _real_inner(v, w)
-        w -= alpha * v + beta * v_prev
+        w -= np.multiply(v, alpha, out=tmp)
+        w -= np.multiply(v_prev, beta, out=tmp)
         beta = _norm(w)
         alphas.append(alpha)
         if step % _LANCZOS_CHECK == 0 or step == grid.N or beta == 0.0:
@@ -439,5 +482,6 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
             if beta * abs(vecs[-1, -1]) <= _LANCZOS_TOL * ritz[-1] or beta == 0.0:
                 break
         betas.append(beta)
-        v_prev, v = v, w / beta
+        w /= beta
+        v_prev, v, w = v, w, v_prev
     return math.sqrt(max(ritz[-1], 0.0))

@@ -325,6 +325,13 @@ def _net_centers_1d(r: float) -> np.ndarray:
     return (np.arange(K) + 0.5) / K
 
 
+# a witness is the first center in scan order whose mass is within this
+# fraction of ||psi_n||^2 of the extreme: the masses tie up to rounding
+# (misses near 1e-33, hits at 0.5 +- 1 ulp), so the plain argmax/argmin
+# would hang on the last bit of the state
+_WITNESS_TOL = 1e-12
+
+
 def nonequidistribution_report(
     psi_n: QuantumState,
     spec: QuasimodeSpec,
@@ -339,7 +346,9 @@ def nonequidistribution_report(
 
     Physical space uses exact interval masses of |psi|^2; phase space uses
     anti-Wick bump expectations, the lower bump certifying hits and the
-    upper bump certifying misses.  Ratios are mass over ball volume.
+    upper bump certifying misses.  Ratios are the extreme masses over ball
+    volume; each witness is the first center, in scan order, whose mass is
+    within _WITNESS_TOL ||psi_n||^2 of its extreme, and reports its own mass.
 
     Raises
     ------
@@ -377,10 +386,12 @@ def nonequidistribution_report(
     else:
         raise ValueError("space must be 'physical' or 'phase'")
 
-    i_hit = int(np.argmax(hits))
-    i_miss = int(np.argmin(misses))
-    sup_ratio = hits[i_hit] / vol
-    inf_ratio = misses[i_miss] / vol
+    hits, misses = np.asarray(hits), np.asarray(misses)
+    tol = _WITNESS_TOL * psi_n.norm2()
+    i_hit = int(np.flatnonzero(hits >= hits.max() - tol)[0])
+    i_miss = int(np.flatnonzero(misses <= misses.min() + tol)[0])
+    sup_ratio = hits.max() / vol
+    inf_ratio = misses.min() / vol
     witnesses = {
         "hit": {"center": centers[i_hit], "mass": float(hits[i_hit])},
         "miss": {"center": centers[i_miss], "mass": float(misses[i_miss])},
@@ -410,9 +421,28 @@ GAP_SYMBOL = {
 }
 
 
+def _ls_slope(x: Sequence[float], y: Sequence[float]) -> float:
+    """Least-squares slope of y against x, in closed form:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
+
+    Raises
+    ------
+    ValueError
+        Unless x holds at least two distinct values.
+    """
+    dx = np.asarray(x, dtype=float)
+    dx = dx - dx.mean()
+    dy = np.asarray(y, dtype=float)
+    dy = dy - dy.mean()
+    sxx = float(np.dot(dx, dx))
+    if sxx == 0.0:
+        raise ValueError("a slope needs at least two distinct abscissae")
+    return float(np.dot(dx, dy)) / sxx
+
+
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     """Least-squares slope of log y against log x."""
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    return _ls_slope(np.log(x), np.log(y))
 
 
 @dataclass(frozen=True)
@@ -669,7 +699,7 @@ def husimi_width_sweep(catmap: CatMap, N: int, ladder: Sequence[int], G: int) ->
             var_u, var_s = axis_variances(h, catmap, (0.0, 0.0))
             theory = grid.hbar / (1.0 - math.tanh(catmap.lyapunov * t))
             rows.append([t, var_u, var_s, theory])
-    slope = float(np.polyfit([r[0] for r in rows], np.log([r[1] for r in rows]), 1)[0])
+    slope = _ls_slope([r[0] for r in rows], np.log([r[1] for r in rows]))
     return ["t", "var_unstable", "var_stable", "theory_unstable"], rows, slope
 
 

@@ -315,6 +315,26 @@ class TestTranslation:
             t = translation(n, grid)
             assert abs(np.linalg.norm(t.apply(psi)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 7, 48])
+    def test_shift_phase_is_roll_times_phase(self, N):
+        # every shift, the seam ones 0 and N - 1 included, bit for bit
+        rng = np.random.default_rng(N)
+        vec = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        phase = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        for s in range(N):
+            out = hilbert._shift_phase(vec, s, phase, np.empty(N, dtype=complex))
+            assert np.array_equal(out, np.roll(vec, s) * phase)
+
+    def test_apply_matches_dense_entries(self, arnold):
+        # shifts past N both ways, and on a twisted grid
+        for grid in (choose_theta(arnold, 21), twisted_grid()[1]):
+            psi = random_state(grid, 5).amplitudes
+            for n in [(0, 1), (3, -2), (-5, 7), (grid.N + 2, 1), (-2 * grid.N - 1, 4)]:
+                t = translation(n, grid)
+                T = translation_entries(n, grid)
+                assert np.max(np.abs(t.apply(psi) - T @ psi)) < 1e-14
+                assert np.max(np.abs(t.apply_adjoint(psi) - T.conj().T @ psi)) < 1e-14
+
 
 class TestPropagator:
     @pytest.mark.parametrize("entries", [(2, 1, 1, 1)] + NONSYM)

@@ -673,6 +673,45 @@ class TestDenseAssembly:
         assert np.array_equal(columns, weyl_dense(sym, grid))
         assert np.max(np.abs(adjoint_columns - weyl_dense(sym, grid).conj().T)) < 1e-13
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.sampled_from(hyperbolic_maps()),
+        N=st.sampled_from([2, 3, 5, 24, 97]),
+        terms=st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.integers(-3, 3),
+                st.complex_numbers(
+                    min_magnitude=0.01, max_magnitude=2.0, allow_nan=False, allow_infinity=False
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_shift_phase_operator_matches_oracles(self, entries, N, terms):
+        # odd N has theta = (pi, pi); at N = 2, 3 and 5 distinct n1 share
+        # their shift n1 mod N.  The terms of one shift add up in sorted
+        # order, as the dense oracle's do, so every basis column is exact
+        # even where shifts collide.
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        sym = Symbol.from_fourier({(n1, n2): c for n1, n2, c in terms})
+        W = weyl_dense(sym, grid)
+        op = weyl_quantize(sym, grid)
+        eye = np.eye(N, dtype=complex)
+        columns = np.column_stack([op.apply(eye[:, j]) for j in range(N)])
+        adjoint_columns = np.column_stack([op.apply_adjoint(eye[:, j]) for j in range(N)])
+        assert np.array_equal(columns, W)
+        assert np.max(np.abs(adjoint_columns - W.conj().T)) <= 1e-13
+        if N <= 200:
+            D = W - reference_antiwick_dense(sym, cat, grid, 256)
+            want = np.linalg.norm(D, 2)
+            scale = sum(abs(c) for c in sym.fourier.values())
+            assert weyl_antiwick_gap(sym, cat, grid) == pytest.approx(
+                want, rel=1e-8, abs=1e-14 * scale
+            )
+
     @pytest.mark.parametrize("N", [24, 200])
     def test_gap_matches_oracle(self, N):
         cat = validate_cat_map(3, 1, 2, 1)

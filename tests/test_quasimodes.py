@@ -28,6 +28,7 @@ from catlab import (
     torus_coherent,
 )
 from catlab.io import canonical_json
+from catlab.quasimodes import _ls_slope, loglog_slope
 
 LAMBDA = math.log((3 + math.sqrt(5)) / 2)
 
@@ -290,6 +291,55 @@ class TestNonequi:
         st = QuantumState(amp, spec.grid)
         report = nonequidistribution_report(st, spec, "phase", 0.1)
         assert report.sup_ratio < 1.0 / 3.0
+
+    @pytest.mark.parametrize("space, r, N", [("phase", 0.1, 1024), ("physical", 0.06, 4096)])
+    def test_witness_centers_survive_rounding(self, arnold, space, r, N):
+        # hit masses tie at 1/T and miss masses near 0 up to rounding, so a
+        # change of psi_n by 1e-15 of its norm, the size of an upstream
+        # rounding, must not move a witness center
+        spec = t2_spec(arnold, N)
+        _, psi_n = build_quasimode(spec)
+        report = nonequidistribution_report(psi_n, spec, space, r)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            noise *= 1e-15 * psi_n.norm() / np.linalg.norm(noise)
+            bumped = QuantumState(psi_n.amplitudes + noise, spec.grid)
+            moved = nonequidistribution_report(bumped, spec, space, r)
+            for w in ("hit", "miss"):
+                assert moved.witnesses[w]["center"] == report.witnesses[w]["center"], w
+            assert moved.sup_ratio == pytest.approx(report.sup_ratio, rel=1e-12)
+
+    def test_witnesses_are_extremes_within_tolerance(self, arnold):
+        spec = t2_spec(arnold, 1024)
+        _, psi_n = build_quasimode(spec)
+        report = nonequidistribution_report(psi_n, spec, "phase", 0.1)
+        vol = math.pi * 0.1**2
+        tol = 1e-12 * psi_n.norm2()
+        assert report.witnesses["hit"]["mass"] >= report.sup_ratio * vol - tol
+        assert report.witnesses["miss"]["mass"] <= report.inf_ratio * vol + tol
+
+
+class TestSlope:
+    def test_matches_polyfit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            k = int(rng.integers(2, 12))
+            x = np.sort(rng.choice(np.arange(1, 1 << 20), size=k, replace=False)).astype(float)
+            y = np.exp(rng.standard_normal(k)) * x ** rng.uniform(-2.0, 1.0)
+            want = np.polyfit(np.log(x), np.log(y), 1)[0]
+            assert loglog_slope(x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            t = np.arange(k, dtype=float)
+            assert _ls_slope(t, np.log(y)) == pytest.approx(
+                np.polyfit(t, np.log(y), 1)[0], rel=1e-12, abs=1e-12
+            )
+
+    def test_exact_power_law(self):
+        assert loglog_slope([512, 1024, 2048], [4.0, 2.0, 1.0]) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_needs_two_abscissae(self):
+        with pytest.raises(ValueError):
+            loglog_slope([64, 64], [1.0, 2.0])
 
 
 class TestRunExperiment:
