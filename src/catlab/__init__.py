@@ -25,7 +25,6 @@ from .coherent import (
     axis_variances,
     ball_mass,
     husimi,
-    husimi_at_points,
     torus_coherent,
     z_parameter,
 )

@@ -5,11 +5,12 @@ half plane), obtained from the frame parameters (b1, b2) by a Moebius
 transform; its wavefunction is sampled at the theta-shifted sites and
 periodized, which realizes the torus projector exactly up to a controlled
 Gaussian tail.  One windowed transform, _coherent_window, holds the
-window bounds, the untwisted Gaussian weights and the resolution check,
-and hilbert._twist the theta1 twist of wrapped sites; coherent states,
-Husimi grids and pointwise Husimi values all read their windows from
-them.  (Anti-Wick values of Fourier symbols need no window: quantize.py
-takes them in closed form.)
+window bounds and the untwisted Gaussian weights, and hilbert._twist the
+theta1 twist of wrapped sites; coherent states and Husimi grids both read
+their windows from them.  Ball masses and variances read a Husimi grid
+that the caller builds, and _check_resolution states once what a grid
+and a ball read from it must resolve.  (Anti-Wick values of Fourier
+symbols need no window: quantize.py takes them in closed form.)
 
 A Husimi grid is one G-point FFT per position column, of the column's
 window overlaps folded mod G.  Column a's weights depend on a only
@@ -29,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +44,6 @@ __all__ = [
     "z_parameter",
     "torus_coherent",
     "husimi",
-    "husimi_at_points",
     "ball_mass",
     "axis_variances",
 ]
@@ -106,6 +106,19 @@ def _truncation_cut(grid: PlanckGrid, im_z0: float) -> float:
     return cut
 
 
+def _check_resolution(G: int, radius: Optional[float] = None) -> None:
+    """The Husimi resolution precondition: a G x G grid needs G >= 16, and a
+    ball read from it radius >= 2/G.  A failure is ResolutionTooCoarse,
+    naming G and, for a ball, the least G that resolves it."""
+    if G < 16:
+        raise ResolutionTooCoarse(f"G = {G} < 16")
+    if radius is not None and radius < 2.0 / G:
+        raise ResolutionTooCoarse(
+            f"ball radius {radius} < 2/G = {2.0 / G} at G = {G}; "
+            f"G >= {math.ceil(2.0 / radius)} resolves it"
+        )
+
+
 def _coherent_window(
     grid: PlanckGrid, catmap: CatMap, G: Optional[int] = None
 ) -> Callable[..., Tuple[np.ndarray, np.ndarray]]:
@@ -131,13 +144,13 @@ def _coherent_window(
     the row is the coherent state at point, up to the twist.
 
     With G the centers belong to a G x G midpoint quadrature: G < 16 is
-    refused, and a G below sqrt(2 pi N) = 1/sqrt(hbar), where the
-    quadrature aliases, warns once, at the caller's caller.
+    refused (_check_resolution), and a G below sqrt(2 pi N) =
+    1/sqrt(hbar), where the quadrature aliases, warns once, at the
+    caller's caller.
     """
     N, eta = grid.N, grid.eta
     if G is not None:
-        if G < 16:
-            raise ResolutionTooCoarse(f"G = {G} < 16")
+        _check_resolution(G)
         if G < 1.0 / math.sqrt(grid.hbar):
             warnings.warn(
                 f"Husimi grid G={G} does not resolve sqrt(hbar) at N={N}; "
@@ -295,66 +308,22 @@ def _husimi_extension(psi: QuantumState, G: int, length: int) -> np.ndarray:
     return f
 
 
-def husimi_at_points(
-    psi: QuantumState, catmap: CatMap, points: Iterable[Sequence[float]]
-) -> np.ndarray:
-    """Husimi values at arbitrary phase-space points (pointwise evaluator)."""
-    grid = psi.grid
-    window = _coherent_window(grid, catmap)
-    amp = psi.amplitudes
-    out = []
-    for x in points:
-        x = (float(x[0]), float(x[1]))
-        m, w = window([x[0]], x)
-        coh = w[0] * _twist(grid, m[0] // grid.N)
-        out.append(abs(np.sum(np.conj(coh) * amp[m[0] % grid.N])) ** 2)
-    return np.asarray(out)
+def ball_mass(hgrid: HusimiGrid, center: Sequence[float], radius: float) -> float:
+    """Husimi mass of the geodesic ball B2(center, radius), read from hgrid.
 
-
-def ball_mass(
-    source: Union[HusimiGrid, QuantumState],
-    center: Sequence[float],
-    radius: float,
-    catmap: CatMap | None = None,
-) -> float:
-    """Husimi mass of the geodesic ball B2(center, radius).
-
-    With a HusimiGrid the mass is the midpoint quadrature over cells whose
-    centers fall in the ball (requires radius >= 2/G); with a QuantumState
-    the density is evaluated adaptively on a local subgrid fine enough for
-    the coherent width, so small balls are supported too.
+    The midpoint quadrature over the cells whose centers fall in the ball;
+    the radius must be at least 2/G (_check_resolution).
     """
-    if isinstance(source, HusimiGrid):
-        G = source.G
-        if radius < 2.0 / G:
-            raise ResolutionTooCoarse(
-                f"radius {radius} < 2/G = {2.0 / G}; use the state-based path"
-            )
-        c = source.centers()
-        dq2 = min_image(c - center[0]) ** 2
-        dp2 = min_image(c - center[1]) ** 2
-        # only rows and columns within the radius can hold cells of the
-        # ball; the sub-block keeps the cells in row-major order
-        rows = np.flatnonzero(dq2 <= radius * radius)
-        cols = np.flatnonzero(dp2 <= radius * radius)
-        inside = dq2[rows, None] + dp2[None, cols] <= radius * radius
-        return float(source.values[np.ix_(rows, cols)][inside].sum() * source.weight)
-
-    if catmap is None:
-        raise ValueError("state-based ball_mass needs the catmap")
-    grid = source.grid
-    step = min(math.sqrt(grid.hbar) / 3.0, radius / 8.0)
-    n = max(8, int(math.ceil(2.0 * radius / step)))
-    offs = (np.arange(n) + 0.5) / n * 2.0 * radius - radius
-    pts = [
-        (center[0] + dq, center[1] + dp)
-        for dq in offs
-        for dp in offs
-        if dq * dq + dp * dp <= radius * radius
-    ]
-    vals = husimi_at_points(source, catmap, pts)
-    cell = (2.0 * radius / n) ** 2
-    return float(vals.sum() * cell)
+    _check_resolution(hgrid.G, radius)
+    c = hgrid.centers()
+    dq2 = min_image(c - center[0]) ** 2
+    dp2 = min_image(c - center[1]) ** 2
+    # only rows and columns within the radius can hold cells of the
+    # ball; the sub-block keeps the cells in row-major order
+    rows = np.flatnonzero(dq2 <= radius * radius)
+    cols = np.flatnonzero(dp2 <= radius * radius)
+    inside = dq2[rows, None] + dp2[None, cols] <= radius * radius
+    return float(hgrid.values[np.ix_(rows, cols)][inside].sum() * hgrid.weight)
 
 
 def axis_variances(

@@ -62,7 +62,3 @@ class NTooLarge(PreconditionError):
 
 class BallsOverlap(PreconditionError):
     """Husimi ball decomposition precondition failed."""
-
-    def __init__(self, msg, pair=None):
-        super().__init__(msg)
-        self.pair = pair

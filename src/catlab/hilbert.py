@@ -413,7 +413,7 @@ def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
     return pre, post, L
 
 
-def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMap:
+def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
     """The quantum cat map U on H_{N,theta}, matrix-free.
 
     Realized by the discrete quadratic kernel
@@ -463,18 +463,17 @@ def propagator(catmap: CatMap, grid: PlanckGrid, check: bool = True) -> LinearMa
         return np.conjugate(out, out=out)
 
     u = LinearMap(N, apply, adjoint, label=f"U{catmap.entries}")
-    if check:
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        v /= _norm(v)
-        w = u.apply(v)
-        defect = abs(_norm(w) - 1.0)
-        roundtrip = np.max(np.abs(u.apply_adjoint(w) - v))
-        if defect > 1e-9 or roundtrip > 1e-9:
-            raise UnsupportedMatrix(
-                f"kernel not unitary for {catmap} at N={N} "
-                f"(norm defect {defect:.2e}, roundtrip {roundtrip:.2e})"
-            )
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    v /= _norm(v)
+    w = u.apply(v)
+    defect = abs(_norm(w) - 1.0)
+    roundtrip = np.max(np.abs(u.apply_adjoint(w) - v))
+    if defect > 1e-9 or roundtrip > 1e-9:
+        raise UnsupportedMatrix(
+            f"kernel not unitary for {catmap} at N={N} "
+            f"(norm defect {defect:.2e}, roundtrip {roundtrip:.2e})"
+        )
     return u
 
 

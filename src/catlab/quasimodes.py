@@ -25,10 +25,16 @@ from .classical import (
     enumerate_prime_orbits,
     orbit_fourier_coefficient,
     orbit_through,
-    torus_distance,
     validate_cat_map,
 )
-from .coherent import HusimiGrid, axis_variances, ball_mass, husimi, torus_coherent
+from .coherent import (
+    HusimiGrid,
+    _check_resolution,
+    axis_variances,
+    ball_mass,
+    husimi,
+    torus_coherent,
+)
 from .errors import (
     BallsOverlap,
     ConfigError,
@@ -197,32 +203,25 @@ class BallReport:
 def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
     """Radius rho = C sqrt(hbar) e^{lambda T} of the balls at the orbit points.
 
-    Checks that they are disjoint: 2 rho < 1/l and every pairwise orbit
-    separation exceeds 2 rho.  Depends only on N, T, the orbit and C, so
-    it can run before anything is built.
+    Checks that they are disjoint, which 2 rho < 1/l guarantees: the
+    orbit's points are distinct points of the lattice L_l (orbits are
+    walked along a permutation of L_l, and load_orbits_json refuses a
+    shorter period), so any two lie at least 1/l apart on the torus.
+    Depends only on N, T, the orbit and C, so it can run before anything
+    is built.
 
     Raises
     ------
     BallsOverlap
-        With the offending pair when the separation precondition fails.
+        When 2 rho >= 1/l.
     """
     rho = C * math.sqrt(spec.grid.hbar) * math.exp(spec.catmap.lyapunov * spec.T)
     l = spec.orbit.l
     if 2.0 * rho >= 1.0 / l:
         raise BallsOverlap(
             f"2 rho = {2 * rho:.4f} >= 1/l = {1.0 / l:.4f}; "
-            "increase N or decrease C",
-            pair=None,
+            "increase N or decrease C"
         )
-    pts = (spec.orbit.jk / spec.orbit.l).tolist()
-    for s in range(len(pts)):
-        for t in range(s + 1, len(pts)):
-            if torus_distance(pts[s], pts[t]) < 2.0 * rho:
-                raise BallsOverlap(
-                    f"orbit points {s} and {t} are {torus_distance(pts[s], pts[t]):.4f} "
-                    f"apart < 2 rho = {2 * rho:.4f}",
-                    pair=(s, t),
-                )
     return rho
 
 
@@ -234,37 +233,34 @@ def _radius_floor(spec: QuasimodeSpec, C_sep: float) -> float:
 def husimi_ball_report(
     psi: QuantumState,
     spec: QuasimodeSpec,
+    hgrid: HusimiGrid,
     C: float = BALL_CONSTANT,
-    G: int = 256,
-    hgrid: Optional[HusimiGrid] = None,
 ) -> BallReport:
     """Husimi mass in balls of radius C sqrt(hbar) e^{lambda T} at orbit points.
 
     The balls are checked to be disjoint first (see _checked_ball_radius).
-    hgrid, if given, may be the Husimi grid of any nonzero multiple of psi:
-    the density is quadratic in the state, so masses and total are read
-    from it scaled by ||psi||^2 / hgrid.state_norm2.
+    hgrid may be the Husimi grid of any nonzero multiple of psi: the
+    density is quadratic in the state, so masses and total are read from
+    it scaled by ||psi||^2 / hgrid.state_norm2.
 
     Raises
     ------
     BallsOverlap
-        With the offending pair when the separation precondition fails.
+        When the balls are not disjoint.
+    ResolutionTooCoarse
+        When the radius is below 2/G.
     """
     rho = _checked_ball_radius(spec, C)
     pts = (spec.orbit.jk / spec.orbit.l).tolist()
-    if hgrid is None:
-        hgrid = husimi(psi, spec.catmap, G)
     scale = psi.norm2() / hgrid.state_norm2
-    balls = []
-    for t, x in enumerate(pts):
-        balls.append(
-            {"t": t, "center": x, "radius": rho, "mass": ball_mass(hgrid, x, rho) * scale}
-        )
+    balls = tuple(
+        {"t": t, "center": x, "radius": rho, "mass": ball_mass(hgrid, x, rho) * scale}
+        for t, x in enumerate(pts)
+    )
     total = hgrid.total() * scale
-    off = total - sum(b["mass"] for b in balls)
     return BallReport(
-        balls=tuple(balls),
-        off_support=off,
+        balls=balls,
+        off_support=total - sum(b["mass"] for b in balls),
         radius=rho,
         constant=C,
         total=total,
@@ -339,22 +335,25 @@ def nonequidistribution_report(
     r: float,
     C_sep: float = SEP_CONSTANT,
     c1: float = C1_CONSTANT,
-    G: int = 256,
     hgrid: Optional[HusimiGrid] = None,
 ) -> NonequiReport:
     """Scan ball masses at orbit points plus a 3r-separated net of centers.
 
-    Physical space uses exact interval masses of |psi|^2; phase space uses
-    anti-Wick bump expectations, the lower bump certifying hits and the
-    upper bump certifying misses.  Ratios are the extreme masses over ball
-    volume; each witness is the first center, in scan order, whose mass is
-    within _WITNESS_TOL ||psi_n||^2 of its extreme, and reports its own mass.
+    Physical space uses exact interval masses of |psi|^2 and reads no
+    grid; phase space uses anti-Wick bump expectations read from hgrid,
+    the Husimi grid of psi_n that the caller passes, the lower bump
+    certifying hits and the upper bump certifying misses.  Ratios are the
+    extreme masses over ball volume; each witness is the first center, in
+    scan order, whose mass is within _WITNESS_TOL ||psi_n||^2 of its
+    extreme, and reports its own mass.
 
     Raises
     ------
     RadiusOutOfRange
         When r is outside [2 C_sep sqrt(hbar) e^{lambda T}, c1/T] (physical)
         or [2 C_sep sqrt(hbar) e^{lambda T}, c1/sqrt(T)] (phase).
+    ValueError
+        For a phase-space scan without hgrid, or an unknown space.
     """
     T = spec.T
     r_lo = _radius_floor(spec, C_sep)
@@ -366,22 +365,19 @@ def nonequidistribution_report(
             admissible=(r_lo, r_hi),
         )
     orbit_pts = (spec.orbit.jk / spec.orbit.l).tolist()
+    net = _net_centers_1d(r)
 
     if space == "physical":
-        centers = [q for q, _ in orbit_pts] + list(_net_centers_1d(r))
-        cells = len(_net_centers_1d(r))
+        centers = [q for q, _ in orbit_pts] + list(net)
+        cells = len(net)
         vol = 2.0 * r
-        masses = [
-            position_interval_mass(psi_n, q, r) for q in centers
-        ]
-        hits = misses = masses
+        hits = misses = [position_interval_mass(psi_n, q, r) for q in centers]
     elif space == "phase":
-        net = _net_centers_1d(r)
-        cells = len(net) ** 2
-        centers = orbit_pts + [(qc, pc) for qc in net for pc in net]
-        vol = math.pi * r * r
         if hgrid is None:
-            hgrid = husimi(psi_n, spec.catmap, G)
+            raise ValueError("a phase-space scan reads the Husimi grid hgrid of psi_n; pass it")
+        centers = orbit_pts + [(qc, pc) for qc in net for pc in net]
+        cells = len(net) ** 2
+        vol = math.pi * r * r
         hits, misses = bump_masses(hgrid, centers, r)
     else:
         raise ValueError("space must be 'physical' or 'phase'")
@@ -502,7 +498,8 @@ def run_pipeline(config: Dict) -> Experiment:
     orbit_start and frequencies must be exactly integers (_config_int);
     delta, phi, C0, c_sep, c1, r_phase and r_physical finite numbers
     (_config_float).
-    The propagator, the quasimode and the Husimi grid of psi_n are built
+    Ball disjointness and resolution are checked before anything is built;
+    the propagator, the quasimode and the Husimi grid of psi_n are built
     once and shared by the diagnostics that read them; file emission is
     the CLI's job.
     """
@@ -550,8 +547,8 @@ def run_pipeline(config: Dict) -> Experiment:
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
-    # refuse overlapping balls before building anything
-    _checked_ball_radius(spec, C0)
+    # refuse overlapping or unresolved balls before building anything
+    _check_resolution(G, _checked_ball_radius(spec, C0))
     prop = propagator(cat, grid)
     lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)
@@ -561,7 +558,7 @@ def run_pipeline(config: Dict) -> Experiment:
     lap("husimi")
 
     norm_sq = psi.norm2()
-    ball = husimi_ball_report(psi, spec, C=C0, G=G, hgrid=hgrid)
+    ball = husimi_ball_report(psi, spec, hgrid, C=C0)
     lap("ball_report")
     sc = scmeasure_error(psi_n, spec, freqs)
     lap("scmeasure")
@@ -574,11 +571,11 @@ def run_pipeline(config: Dict) -> Experiment:
         "r_physical", config.get("r_physical", min(max(0.05, r_lo), 0.99 * c1 / T))
     )
     nq_phase = nonequidistribution_report(
-        psi_n, spec, "phase", r_phase, C_sep=c_sep, c1=c1, G=G, hgrid=hgrid
+        psi_n, spec, "phase", r_phase, C_sep=c_sep, c1=c1, hgrid=hgrid
     )
     lap("nonequi_phase")
     nq_phys = nonequidistribution_report(
-        psi_n, spec, "physical", r_physical, C_sep=c_sep, c1=c1, G=G
+        psi_n, spec, "physical", r_physical, C_sep=c_sep, c1=c1
     )
     lap("nonequi_physical")
 

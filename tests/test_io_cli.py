@@ -639,6 +639,17 @@ class TestQuasimodePipeline:
         assert "error[BallsOverlap]" in capsys.readouterr().err
         assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
 
+    def test_unresolved_balls_refused_before_building(self, tmp_path, monkeypatch, capsys):
+        # at N = 2^20 the T = 2 balls have radius 0.0056 < 2/G = 0.0078 at
+        # the default G = 256; G >= ceil(2/rho) = 357 resolves them
+        calls = record_calls(monkeypatch, "propagator", "husimi")
+        cfg = write_config(tmp_path, "matrix = 2,1,1,1\nT = 2\nN = 1048576\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "error[ResolutionTooCoarse]: ball radius 0.0056" in err
+        assert "at G = 256; G >= 357 resolves it" in err
+        assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
+
     def test_resolution_warning_once(self, tmp_path, recwarn):
         # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384
         cfg = write_config(tmp_path, self.CONFIG.replace("4096", "16384"))

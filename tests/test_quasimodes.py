@@ -22,6 +22,7 @@ from catlab import (
     husimi_ball_report,
     nonequidistribution_report,
     propagator,
+    quasimodes,
     residual,
     run_pipeline,
     scmeasure_error,
@@ -37,6 +38,12 @@ def t2_spec(arnold, N, phi=0.0, delta=0.24):
     grid = choose_theta(arnold, N)
     orbit = enumerate_prime_orbits(arnold, 2)[0]
     return QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=arnold)
+
+
+def scan(state, spec, space, r):
+    """nonequidistribution_report, in phase space on the state's G = 256 grid."""
+    hgrid = husimi(state, spec.catmap, 256) if space == "phase" else None
+    return nonequidistribution_report(state, spec, space, r, hgrid=hgrid)
 
 
 class TestChooseN:
@@ -178,14 +185,14 @@ class TestBallReport:
         orbit = enumerate_prime_orbits(arnold, 1)[0]
         spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
         psi, _ = build_quasimode(spec)
-        report = husimi_ball_report(psi, spec, G=256)
+        report = husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
         assert len(report.balls) == 1
         assert report.balls[0]["mass"] == pytest.approx(1.0, abs=0.02)
 
     def test_t2_two_balls(self, arnold, grid4096):
         spec = t2_spec(arnold, 4096)
         psi, _ = build_quasimode(spec)
-        report = husimi_ball_report(psi, spec, G=256)
+        report = husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
         assert len(report.balls) == 2
         for m in report.masses():
             assert m == pytest.approx(1.0, abs=0.02)
@@ -199,7 +206,7 @@ class TestBallReport:
         spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.249, grid=grid, catmap=arnold)
         psi, _ = build_quasimode(spec)
         with pytest.raises(BallsOverlap):
-            husimi_ball_report(psi, spec, G=256)
+            husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
 
 
 class TestScMeasure:
@@ -245,6 +252,12 @@ class TestNonequi:
         with pytest.raises(RadiusOutOfRange):
             nonequidistribution_report(psi_n, spec, "physical", 1e-4)
 
+    def test_phase_scan_needs_the_grid(self, arnold):
+        spec = t2_spec(arnold, 1024)
+        _, psi_n = build_quasimode(spec)
+        with pytest.raises(ValueError, match="hgrid"):
+            nonequidistribution_report(psi_n, spec, "phase", 0.1)
+
     def test_physical_witnesses(self, arnold):
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
@@ -256,7 +269,7 @@ class TestNonequi:
     def test_phase_witnesses(self, arnold):
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
-        report = nonequidistribution_report(psi_n, spec, "phase", 0.1)
+        report = scan(psi_n, spec, "phase", 0.1)
         assert report.witnesses["hit"]["mass"] >= 1.0 / spec.T - 0.02
         assert report.witnesses["miss"]["mass"] < 1e-6
         assert report.sup_ratio / max(report.inf_ratio, 1e-300) > 1e6
@@ -266,7 +279,7 @@ class TestNonequi:
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
         for r in (0.08, 0.1):
-            report = nonequidistribution_report(psi_n, spec, "phase", r)
+            report = scan(psi_n, spec, "phase", r)
             assert report.cells > spec.T
             assert report.witnesses["miss"]["mass"] < 1e-6
 
@@ -276,7 +289,7 @@ class TestNonequi:
         amp = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         amp /= np.linalg.norm(amp)
         st = QuantumState(amp, spec.grid)
-        report = nonequidistribution_report(st, spec, "phase", 0.1)
+        report = scan(st, spec, "phase", 0.1)
         # hits use the lower bump and misses the upper, so for a uniform
         # state the two ratios bracket 1 from opposite sides
         assert 1.0 / 3.0 <= report.sup_ratio <= 3.0
@@ -289,7 +302,7 @@ class TestNonequi:
         spec = t2_spec(arnold, 1024)
         amp = np.ones(1024, dtype=complex) / math.sqrt(1024)
         st = QuantumState(amp, spec.grid)
-        report = nonequidistribution_report(st, spec, "phase", 0.1)
+        report = scan(st, spec, "phase", 0.1)
         assert report.sup_ratio < 1.0 / 3.0
 
     @pytest.mark.parametrize("space, r, N", [("phase", 0.1, 1024), ("physical", 0.06, 4096)])
@@ -299,13 +312,13 @@ class TestNonequi:
         # rounding, must not move a witness center
         spec = t2_spec(arnold, N)
         _, psi_n = build_quasimode(spec)
-        report = nonequidistribution_report(psi_n, spec, space, r)
+        report = scan(psi_n, spec, space, r)
         rng = np.random.default_rng(11)
         for _ in range(4):
             noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             noise *= 1e-15 * psi_n.norm() / np.linalg.norm(noise)
             bumped = QuantumState(psi_n.amplitudes + noise, spec.grid)
-            moved = nonequidistribution_report(bumped, spec, space, r)
+            moved = scan(bumped, spec, space, r)
             for w in ("hit", "miss"):
                 assert moved.witnesses[w]["center"] == report.witnesses[w]["center"], w
             assert moved.sup_ratio == pytest.approx(report.sup_ratio, rel=1e-12)
@@ -313,7 +326,7 @@ class TestNonequi:
     def test_witnesses_are_extremes_within_tolerance(self, arnold):
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
-        report = nonequidistribution_report(psi_n, spec, "phase", 0.1)
+        report = scan(psi_n, spec, "phase", 0.1)
         vol = math.pi * 0.1**2
         tol = 1e-12 * psi_n.norm2()
         assert report.witnesses["hit"]["mass"] >= report.sup_ratio * vol - tol
@@ -371,9 +384,37 @@ class TestRunExperiment:
         spec = QuasimodeSpec(
             orbit=exp.orbit, phi=0.7, delta=0.24, grid=exp.grid, catmap=arnold
         )
-        direct = husimi_ball_report(exp.psi, spec, G=256)
+        direct = husimi_ball_report(exp.psi, spec, husimi(exp.psi, arnold, 256))
         assert np.allclose(exp.report["ball_masses"], direct.masses(), rtol=0, atol=1e-12)
         assert exp.report["off_support"] == pytest.approx(direct.off_support, abs=1e-12)
+
+    def test_one_grid_per_run(self, arnold, monkeypatch):
+        # run_pipeline builds one Husimi grid, and both reports read it:
+        # given exp.hgrid they reproduce the report's numbers exactly
+        grids = []
+
+        def counted(*args, **kwargs):
+            grids.append(husimi(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(quasimodes, "husimi", counted)
+        config = {"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "phi": 0.7, "r_phase": 0.1}
+        exp = run_pipeline(config)
+        assert len(grids) == 1 and grids[0] is exp.hgrid
+        spec = QuasimodeSpec(
+            orbit=exp.orbit, phi=0.7, delta=0.24, grid=exp.grid, catmap=arnold
+        )
+        ball = husimi_ball_report(exp.psi, spec, exp.hgrid)
+        assert ball.masses() == exp.report["ball_masses"]
+        assert ball.off_support == exp.report["off_support"]
+        nq = nonequidistribution_report(exp.psi_n, spec, "phase", 0.1, hgrid=exp.hgrid)
+        assert exp.report["nonequi"]["phase"] == {
+            "r": nq.radius,
+            "sup_ratio": nq.sup_ratio,
+            "inf_ratio": nq.inf_ratio,
+            "witnesses": nq.witnesses,
+            "cells": nq.cells,
+        }
 
     def test_schedule_overflow_surfaced(self, arnold):
         with pytest.raises(NTooLarge):
@@ -404,7 +445,7 @@ class TestPhiInvariance:
         for phi in (0.0, 1.1):
             spec = t2_spec(arnold, 4096, phi=phi)
             psi, _ = build_quasimode(spec)
-            report = husimi_ball_report(psi, spec, G=256)
+            report = husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
             assert all(m >= 0.0 for m in report.masses())
             assert sum(report.masses()) + report.off_support == pytest.approx(
                 psi.norm2(), rel=0.01
