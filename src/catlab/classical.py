@@ -2,8 +2,8 @@
 
 Exact integer arithmetic throughout: matrix powers use Python integers,
 periodic points live on rational lattices and are iterated mod l.  Floating
-point enters only in the derived hyperbolic data (Lyapunov exponent, axis
-angles, squeeze parameter) and in measure evaluations.
+point enters only in the derived hyperbolic data (Lyapunov exponent and
+the frame parameters b1, b2) and in measure evaluations.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -68,16 +68,10 @@ class CatMap:
         Matrix entries, row major; a*d - b*c == 1 and a + d > 2.
     lyapunov : float
         lambda > 0 with e^lambda + e^-lambda = a + d.
-    unstable_angle, stable_angle : float
-        Angles of the expanding/contracting eigenlines.  The unstable
-        angle lies in (-pi/2, pi/2]; the stable angle equals it plus the
-        line-to-line angle in (0, pi).
     b1, b2 : float
         Frame parameters: the matrix equals R(b1) B(b2) D(lambda)
-        B(b2)^-1 R(b1)^-1, with b1 in (-pi/2, pi/2].
-    squeeze : complex
-        -b2 * exp(-2i b1); selects the analyzing coherent state adapted
-        to this map.
+        B(b2)^-1 R(b1)^-1, with b1 in (-pi/2, pi/2].  They fix the
+        coherent states adapted to this map (coherent.z_parameter).
     """
 
     a: int
@@ -85,11 +79,8 @@ class CatMap:
     c: int
     d: int
     lyapunov: float
-    unstable_angle: float
-    stable_angle: float
     b1: float
     b2: float
-    squeeze: complex
 
     @property
     def trace(self) -> int:
@@ -98,9 +89,6 @@ class CatMap:
     @property
     def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
     def frame_matrix(self) -> np.ndarray:
         """Q = R(b1) B(b2), mapping the (q, p) frame to the eigenframe."""
@@ -157,25 +145,21 @@ def validate_cat_map(a: int, b: int, c: int, d: int) -> CatMap:
             f"trace {tr} < -2 is not supported: the negated matrix "
             f"{-a},{-b},{-c},{-d} is a different torus map"
         )
-    lam, ang_u, ang_s, b1, b2, squeeze = decompose_hyperbolic(
-        np.array([[a, b], [c, d]], dtype=float)
-    )
-    return CatMap(a, b, c, d, lam, ang_u, ang_s, b1, b2, squeeze)
+    lam, b1, b2 = decompose_hyperbolic(np.array([[a, b], [c, d]], dtype=float))
+    return CatMap(a, b, c, d, lam, b1, b2)
 
 
 def decompose_hyperbolic(matrix: np.ndarray):
     """Hyperbolic frame decomposition of a trace > 2 matrix.
 
-    Returns (lambda, unstable_angle, stable_angle, b1, b2, squeeze) such
-    that matrix = R(b1) B(b2) D(lambda) B(b2)^-1 R(b1)^-1 with
-    D(lambda) = diag(e^lambda, e^-lambda).
+    Returns (lambda, b1, b2) such that matrix = R(b1) B(b2) D(lambda)
+    B(b2)^-1 R(b1)^-1 with D(lambda) = diag(e^lambda, e^-lambda).
 
     The unstable eigenvector is oriented into the right half plane, giving
-    unstable_angle in (-pi/2, pi/2]; the stable angle is the unstable
-    angle plus the line angle between the two eigenlines, so it lies in
-    (unstable_angle, unstable_angle + pi).  b1 is reduced mod pi into
-    (-pi/2, pi/2], which leaves the reconstruction and the squeeze
-    parameter unchanged.
+    its angle ang_u in (-pi/2, pi/2]; the stable angle is ang_u plus the
+    line angle between the two eigenlines, so it lies in (ang_u, ang_u +
+    pi).  b1 is reduced mod pi into (-pi/2, pi/2], which leaves the
+    reconstruction unchanged.
     """
     m = np.asarray(matrix, dtype=float)
     tr = m[0, 0] + m[1, 1]
@@ -203,8 +187,7 @@ def decompose_hyperbolic(matrix: np.ndarray):
         b1 += math.pi
     while b1 > math.pi / 2:
         b1 -= math.pi
-    squeeze = -b2 * cmath.exp(-2j * b1)
-    return lam, ang_u, ang_s, b1, b2, squeeze
+    return lam, b1, b2
 
 
 def min_image(delta: np.ndarray) -> np.ndarray:
@@ -212,33 +195,23 @@ def min_image(delta: np.ndarray) -> np.ndarray:
     return (delta + 0.5) % 1.0 - 0.5
 
 
-def torus_distance(x: Sequence[float], y: Sequence[float]) -> float:
-    """Euclidean distance on the torus via minimal-image differences."""
-    dq = abs(x[0] - y[0]) % 1.0
-    dp = abs(x[1] - y[1]) % 1.0
-    dq = min(dq, 1.0 - dq)
-    dp = min(dp, 1.0 - dp)
-    return math.hypot(dq, dp)
-
-
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """A closed orbit on the lattice L_l.
+    """A prime closed orbit on the lattice L_l.
 
     jk is a (T, 2) int64 array of numerators: the orbit's points are
-    x_t = (jk[t, 0] / l, jk[t, 1] / l), with x_{t+1} = M x_t mod 1 exactly.
-    Enumerated orbits start at their lexicographically smallest (j, k).
+    x_t = (jk[t, 0] / l, jk[t, 1] / l), with x_{t+1} = M x_t mod 1 exactly,
+    one period of T distinct points.  Enumerated orbits start at their
+    lexicographically smallest (j, k).
     """
 
     jk: np.ndarray
     l: int
-    prime: bool = True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Orbit):
             return NotImplemented
-        same = self.l == other.l and self.prime == other.prime
-        return same and np.array_equal(self.jk, other.jk)
+        return self.l == other.l and np.array_equal(self.jk, other.jk)
 
     @property
     def length(self) -> int:
@@ -248,15 +221,6 @@ class Orbit:
         """The first point, exactly."""
         j, k = self.jk[0].tolist()
         return (Fraction(j, self.l), Fraction(k, self.l))
-
-    def min_separation(self) -> float:
-        pts = (self.jk / self.l).tolist()
-        n = len(pts)
-        if n < 2:
-            return math.inf
-        return min(
-            torus_distance(pts[s], pts[t]) for s in range(n) for t in range(s + 1, n)
-        )
 
 
 def fixed_point_count(catmap: CatMap, T: int) -> int:
@@ -344,7 +308,7 @@ def enumerate_prime_orbits(
     starts = codes[:, prime & (codes[0] == codes.min(axis=0))].T
     jk = np.stack([starts // l, starts % l], axis=-1)
     jk.flags.writeable = False
-    return [Orbit(orbit, l=l, prime=True) for orbit in jk]
+    return [Orbit(orbit, l=l) for orbit in jk]
 
 
 def orbit_through(catmap: CatMap, j: int, k: int, l: int) -> Orbit:
@@ -375,7 +339,7 @@ def orbit_through(catmap: CatMap, j: int, k: int, l: int) -> Orbit:
             )
     jk = np.array(pts, dtype=np.int64)
     jk.flags.writeable = False
-    return Orbit(jk, l=l, prime=True)
+    return Orbit(jk, l=l)
 
 
 def orbit_fourier_coefficient(orbit: Orbit, n: Tuple[int, int]) -> complex:

@@ -157,7 +157,9 @@ def cmd_expect(args) -> int:
     state = load_state(args.state)
     symbol = load_symbol_json(args.symbol)
     if args.mode == "aw":
-        val = antiwick_expectation(state, symbol, cat, G=args.G)
+        # a Fourier symbol takes the closed form and reads no grid
+        hgrid = None if symbol.fn is None else husimi(state, cat, args.G)
+        val = antiwick_expectation(state, symbol, cat, hgrid)
     elif args.mode == "w":
         if symbol.fourier is None:
             raise ConfigError(
@@ -185,8 +187,6 @@ def cmd_expect(args) -> int:
 
 def cmd_quasimode(args) -> int:
     cfg = parse_config_file(args.config)
-    if "matrix" not in cfg:
-        raise ConfigError("config needs a 'matrix' entry")
     t0 = time.perf_counter()
     exp = run_pipeline(cfg)
     t1 = time.perf_counter()

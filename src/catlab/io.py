@@ -290,7 +290,7 @@ def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
         if defect is not None:
             raise ConfigError(f"{path}: orbit {i}: {defect}")
         jk.flags.writeable = False
-        out.append(Orbit(jk, l=l, prime=True))
+        out.append(Orbit(jk, l=l))
     return out
 
 

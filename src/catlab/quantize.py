@@ -9,12 +9,12 @@ with z0 = coherent.z_parameter(catmap): the coherent projector's Fourier
 coefficients are Gaussian in n.  So anti-Wick values of Fourier symbols
 come from the state alone, sum_n c_n d_z(n) <psi|T(n) psi>, in O(N) per
 distinct n1 and per frequency, with no Husimi grid and no aliasing; see
-antiwick_plane_waves.  Other symbols are integrated against the Husimi
-density on a G x G grid: a bump symbol is evaluated only on the cells of
-its support ball, any other symbol on the full grid.  bump_masses
-integrates a whole scan of bumps of one radius at once: a bump's cell
-values depend on its center only through the center's offset within its
-grid cell, so each radial profile is evaluated once per distinct offset.
+antiwick_plane_waves.  Other symbols are sampled on every cell of a
+Husimi grid that the caller builds and integrated against it.
+bump_masses integrates a whole scan of bumps of one radius at once: a
+bump's cell values depend on its center only through the center's offset
+within its grid cell, so each radial profile is evaluated once per
+distinct offset.
 Weyl operators, and the Weyl/anti-Wick difference sum_n c_n (1 - d_z(n))
 T(n), are applied as one shift-phase per distinct n1 mod N: the
 translations that share a shift share it in one phase vector, so an apply
@@ -32,7 +32,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .classical import CatMap, min_image
-from .coherent import HusimiGrid, husimi, z_parameter
+from .coherent import HusimiGrid, z_parameter
 from .errors import RadiusOutOfRange
 from .hilbert import (
     LinearMap,
@@ -76,8 +76,7 @@ class Symbol:
     symbol on (broadcastable) coordinate arrays.  Fourier symbols keep fn
     None: evaluate sums their plane waves, and antiwick_expectation takes
     the closed form for them.  rho is the small-scale class exponent,
-    recorded for rate bookkeeping.  support_ball, set by bump_symbols, is a
-    (center, radius) ball outside which fn is exactly 0.
+    recorded for rate bookkeeping.
     """
 
     fourier: Optional[Dict[Freq, complex]] = None
@@ -85,7 +84,6 @@ class Symbol:
     rho: float = 0.0
     real: bool = False
     label: str = ""
-    support_ball: Optional[Tuple[Tuple[float, float], float]] = None
 
     def __post_init__(self):
         if self.fourier is None and self.fn is None:
@@ -108,10 +106,6 @@ class Symbol:
     @staticmethod
     def from_fourier(coeffs: Dict[Freq, complex], real: bool = False, label: str = "") -> "Symbol":
         return Symbol(fourier=dict(coeffs), real=real, label=label)
-
-    @staticmethod
-    def plane_wave(n: Freq) -> "Symbol":
-        return Symbol(fourier={(int(n[0]), int(n[1])): 1.0}, label=f"e_{n}")
 
     def evaluate(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         if self.fn is not None:
@@ -254,37 +248,27 @@ def antiwick_plane_waves(
 
 
 def antiwick_expectation(
-    psi: QuantumState,
-    symbol: Symbol,
-    catmap: CatMap,
-    G: int = 256,
-    hgrid: Optional[HusimiGrid] = None,
+    psi: QuantumState, symbol: Symbol, catmap: CatMap, hgrid: Optional[HusimiGrid] = None
 ) -> complex:
     """<psi| a^aw |psi>.
 
     A Fourier symbol takes the closed form sum_n c_n d_z(n) <psi|T(n) psi>
-    (antiwick_plane_waves) and reads neither G nor hgrid.  Any other
-    symbol is integrated against the Husimi density of psi on a G x G grid;
-    pass a precomputed HusimiGrid to amortize it over many symbols.
-    Symbols with a support ball are evaluated only on the cells within its
-    radius on both axes.
+    (antiwick_plane_waves) and reads no grid.  Any other symbol is sampled
+    on every cell of hgrid, the Husimi grid of psi that the caller builds,
+    and integrated against it.
+
+    Raises
+    ------
+    ValueError
+        For a symbol without Fourier data when hgrid is not given.
     """
     if symbol.fn is None:
         freqs = sorted(symbol.fourier)
         coefs = np.array([symbol.fourier[n] for n in freqs], dtype=complex)
         return complex(np.dot(coefs, antiwick_plane_waves(psi, catmap, freqs)))
     if hgrid is None:
-        hgrid = husimi(psi, catmap, G)
-    H = hgrid.values
-    c = hgrid.centers()
-    if symbol.support_ball is not None:
-        (q0, p0), radius = symbol.support_ball
-        iq = np.flatnonzero(np.abs(min_image(c - q0)) <= radius)
-        ip = np.flatnonzero(np.abs(min_image(c - p0)) <= radius)
-        vals = symbol.fn(c[iq, None], c[None, ip])
-        return complex(np.sum(vals * H[np.ix_(iq, ip)]) * hgrid.weight)
-    vals = symbol.sample(hgrid.G)
-    return complex(np.sum(vals * H) * hgrid.weight)
+        raise ValueError("a sampled symbol needs hgrid, the Husimi grid of psi")
+    return complex(np.sum(symbol.sample(hgrid.G) * hgrid.values) * hgrid.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +336,8 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
     b- is 1 on B2(x0, 2r/3) and supported in B2(x0, r); b+ is 1 on
     B2(x0, r) and supported in B2(x0, 3r/2); both use the standard
     exp(-1/(1-s^2)) transition, so b- <= indicator <= b+ pointwise.
+    Scans use bump_masses; these symbols, through antiwick_expectation,
+    are the oracle it is held to.
 
     Raises
     ------
@@ -365,7 +351,7 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
         def fn(q, p):
             return _bump_profile(_torus_radial(q, p, x0), r_in, r_out)
 
-        return Symbol(fn=fn, real=True, label=label, support_ball=(x0, r_out))
+        return Symbol(fn=fn, real=True, label=label)
 
     lower = make(*radii[0], f"bump-({x0},{r})")
     upper = make(*radii[1], f"bump+({x0},{r})")

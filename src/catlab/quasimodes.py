@@ -107,7 +107,7 @@ class ChosenN(NamedTuple):
     ehrenfest_ok: bool
 
 
-def choose_N(T: int, delta: float, lyapunov: float, cap: int = N_CAP) -> ChosenN:
+def choose_N(T: int, delta: float, lyapunov: float) -> ChosenN:
     """Dimension schedule N = ceil(e^{lambda T / delta} / (2 pi)).
 
     Also reports whether T <= delta T_E holds at the chosen N (it does,
@@ -116,15 +116,15 @@ def choose_N(T: int, delta: float, lyapunov: float, cap: int = N_CAP) -> ChosenN
     Raises
     ------
     NTooLarge
-        If the schedule exceeds cap; choose (T, delta) or N manually.
+        If the schedule exceeds N_CAP; choose (T, delta) or N manually.
     """
     _check_delta(delta)
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     N = math.ceil(math.exp(lyapunov * T / delta) / (2.0 * math.pi))
-    if N > cap:
+    if N > N_CAP:
         raise NTooLarge(
-            f"schedule gives N = {N} > cap {cap} for T={T}, delta={delta}; "
+            f"schedule gives N = {N} > cap {N_CAP} for T={T}, delta={delta}; "
             "set N explicitly or reduce T"
         )
     ok = T <= delta * ehrenfest_time(N, lyapunov)
@@ -193,8 +193,6 @@ class BallReport:
     balls: Tuple[Dict, ...]
     off_support: float
     radius: float
-    constant: float
-    total: float
 
     def masses(self) -> List[float]:
         return [b["mass"] for b in self.balls]
@@ -240,8 +238,8 @@ def husimi_ball_report(
 
     The balls are checked to be disjoint first (see _checked_ball_radius).
     hgrid may be the Husimi grid of any nonzero multiple of psi: the
-    density is quadratic in the state, so masses and total are read from
-    it scaled by ||psi||^2 / hgrid.state_norm2.
+    density is quadratic in the state, so the masses are read from it
+    scaled by ||psi||^2 / hgrid.state_norm2.
 
     Raises
     ------
@@ -257,14 +255,8 @@ def husimi_ball_report(
         {"t": t, "center": x, "radius": rho, "mass": ball_mass(hgrid, x, rho) * scale}
         for t, x in enumerate(pts)
     )
-    total = hgrid.total() * scale
-    return BallReport(
-        balls=balls,
-        off_support=total - sum(b["mass"] for b in balls),
-        radius=rho,
-        constant=C,
-        total=total,
-    )
+    off_support = hgrid.total() * scale - sum(b["mass"] for b in balls)
+    return BallReport(balls=balls, off_support=off_support, radius=rho)
 
 
 @dataclass(frozen=True)
@@ -495,7 +487,7 @@ def run_pipeline(config: Dict) -> Experiment:
     Recognized keys: matrix (4 ints), T or orbit_start ([j, k, l]), delta,
     N (optional, else the dimension schedule), phi, C0, c_sep, c1, G,
     frequencies, r_phase, r_physical, seed.  N, T, G and the entries of
-    orbit_start and frequencies must be exactly integers (_config_int);
+    matrix, orbit_start and frequencies must be exactly integers (_config_int);
     delta, phi, C0, c_sep, c1, r_phase and r_physical finite numbers
     (_config_float).
     Ball disjointness and resolution are checked before anything is built;
@@ -512,7 +504,9 @@ def run_pipeline(config: Dict) -> Experiment:
         timings[stage] = now - last
         last = now
 
-    cat = validate_cat_map(*config["matrix"])
+    if "matrix" not in config:
+        raise ConfigError("config needs a 'matrix' entry")
+    cat = validate_cat_map(*_config_int("matrix", config["matrix"], 4))
     delta = _config_float("delta", config.get("delta", 0.24))
     phi = _config_float("phi", config.get("phi", 0.0))
     C0 = _config_float("C0", config.get("C0", BALL_CONSTANT))
@@ -528,12 +522,14 @@ def run_pipeline(config: Dict) -> Experiment:
         j, k, l = _config_int("orbit_start", config["orbit_start"], 3)
         orbit = orbit_through(cat, j, k, l)
         T = orbit.length
-    else:
+    elif "T" in config:
         T = _config_int("T", config["T"])
         orbits = enumerate_prime_orbits(cat, T)
         if not orbits:
             raise PreconditionError(f"no prime orbit of length {T} for {cat}")
         orbit = orbits[0]
+    else:
+        raise ConfigError("config needs a 'T' or an 'orbit_start' entry")
 
     if "N" in config and config["N"] is not None:
         N = _config_int("N", config["N"])
@@ -553,6 +549,7 @@ def run_pipeline(config: Dict) -> Experiment:
     lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)
     res = residual(psi_n, phi, prop)
+    del prop  # no diagnostic applies U: free its chirps
     lap("quasimode")
     hgrid = husimi(psi_n, cat, G)
     lap("husimi")

@@ -402,7 +402,7 @@ class TestPropagator:
     def test_b_zero_rejected(self):
         from catlab.classical import CatMap
 
-        fake = CatMap(1, 0, 0, 1, 1.0, 0.0, math.pi / 2, 0.0, 0.0, 0j)
+        fake = CatMap(1, 0, 0, 1, 1.0, 0.0, 0.0)
         grid = choose_theta(validate_cat_map(2, 1, 1, 1), 8)
         with pytest.raises(UnsupportedMatrix):
             propagator(fake, grid)
@@ -569,3 +569,28 @@ class TestCrossMatrixStress:
                     assert abs(coh.norm2() - 1.0) < 1e-6
                     h = coarse_husimi(coh, cat, 64)
                     assert abs(h.total() - coh.norm2()) < 0.01
+
+
+def periodic_point_count(cat, t, N):
+    """#{x in (Z/N)^2 : (M^t - Id) x = 0 mod N}, in integer arithmetic."""
+    a, b, c, d = cat.matrix_power(t)
+    j = np.arange(N)[:, None]
+    k = np.arange(N)[None, :]
+    return int(np.count_nonzero((((a - 1) * j + b * k) % N == 0) & ((c * j + (d - 1) * k) % N == 0)))
+
+
+class TestTraceIdentity:
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.sampled_from(hyperbolic_maps()), N=st.integers(2, 96))
+    def test_trace_squared_counts_periodic_points(self, entries, N):
+        # the linear cat map is semiclassically exact (Keating, Nonlinearity
+        # 4, 1991): |Tr U^t|^2 is 0 or the number of fixed points of M^t on
+        # the lattice (Z/N)^2 / N
+        cat = validate_cat_map(*entries)
+        u = propagator(cat, choose_theta(cat, N))
+        columns = np.eye(N, dtype=complex)
+        for t in (1, 2, 3):
+            columns = np.column_stack([u.apply(col) for col in columns.T])
+            trace2 = abs(np.trace(columns)) ** 2
+            count = periodic_point_count(cat, t, N)
+            assert min(trace2, abs(trace2 - count)) <= 1e-12 * count, (t, trace2, count)

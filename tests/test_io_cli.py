@@ -17,6 +17,7 @@ from catlab import (
     choose_theta,
     enumerate_prime_orbits,
     fixed_point_count,
+    husimi,
     torus_coherent,
     validate_cat_map,
     weyl_quantize,
@@ -420,13 +421,42 @@ class TestCli:
             )
             assert rc == 0
             vals[mode] = json.loads(capsys.readouterr().out)["value"]
-        direct_aw = antiwick_expectation(st, sym, arnold, G=128)
+        direct_aw = antiwick_expectation(st, sym, arnold)
         assert vals["aw"][0] == pytest.approx(direct_aw.real, abs=1e-12)
         op = weyl_quantize(sym, grid)
         direct_w = np.vdot(st.amplitudes, op.apply(st.amplitudes))
         assert vals["w"][0] == pytest.approx(direct_w.real, abs=1e-12)
         # the two quantizations agree up to the semiclassical gap
         assert vals["aw"][0] == pytest.approx(vals["w"][0], abs=0.05)
+
+    def test_expect_fourier_symbol_builds_no_grid(self, arnold, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("husimi grid built")
+
+        monkeypatch.setattr("catlab.cli.husimi", refuse)
+        st = torus_coherent((0.25, 0.5), arnold, choose_theta(arnold, 256))
+        save_state(tmp_path / "psi.bin", st)
+        sym = Symbol.from_fourier({(1, 0): 0.5, (-1, 0): 0.5})
+        write_fourier_symbol(tmp_path / "sym.json", sym)
+        argv = ["expect", "--state", str(tmp_path / "psi.bin"), "--symbol",
+                str(tmp_path / "sym.json"), "--mode", "aw", "--matrix", "2,1,1,1"]
+        assert main(argv) == 0
+
+    def test_expect_sampled_symbol(self, arnold, tmp_path, capsys):
+        st = torus_coherent((0.3, 0.65), arnold, choose_theta(arnold, 256))
+        save_state(tmp_path / "psi.bin", st)
+        sym = Symbol(fn=lambda q, p: np.cos(2 * np.pi * q) * np.sin(2 * np.pi * p) + q * p)
+        write_sampled_symbol(tmp_path / "sym.json", sym, 64)
+        argv = ["expect", "--state", str(tmp_path / "psi.bin"), "--symbol",
+                str(tmp_path / "sym.json"), "--mode", "aw", "--matrix", "2,1,1,1", "--G", "128"]
+        assert main(argv) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        # the value of the grid the command builds at --G, as before the
+        # expectation stopped building its own
+        loaded = load_symbol_json(tmp_path / "sym.json")
+        direct = antiwick_expectation(st, loaded, arnold, husimi(st, arnold, 128))
+        assert value == [direct.real, direct.imag]
+        assert value[0] == pytest.approx(0.43879184621437006, abs=1e-14)
 
     def test_quasimode_command_and_determinism(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -469,6 +499,24 @@ class TestCli:
     def test_exit_code_config_error(self, capsys):
         assert main(["orbits", "--matrix", "1,1,1,1", "--T", "2", "--out", "/tmp/x.json"]) == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("matrix = 2,1,1,1\nN = 4096\n", "config needs a 'T' or an 'orbit_start' entry"),
+            ("matrix = 2,1,1\nT = 1\nN = 4096\n", "config key matrix needs 4 integers"),
+            ('matrix = "2,1,1,1"\nT = 1\nN = 4096\n', "config key matrix needs 4 integers"),
+            ("matrix = [2.5, 1, 1, 1]\nT = 1\nN = 4096\n",
+             "config key matrix must be an integer, got 2.5"),
+            ("T = 1\nN = 4096\n", "config needs a 'matrix' entry"),
+        ],
+        ids=["no-T", "three-entries", "string", "fraction", "no-matrix"],
+    )
+    def test_quasimode_config_defects(self, text, named, tmp_path, capsys):
+        cfg = write_config(tmp_path, text)
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and named in err
 
     def test_exit_code_precondition(self, tmp_path, capsys):
         rc = main(

@@ -78,7 +78,7 @@ class TestSymbol:
         Symbol.from_fourier({(1, 0): 0.5, (-1, 0): 0.5}, real=True)
 
     def test_plane_wave_values(self):
-        sym = Symbol.plane_wave((1, 0))
+        sym = Symbol.from_fourier({(1, 0): 1.0})
         q = np.array([0.25])
         p = np.array([0.4])
         # e_n(x) = exp(2 pi i (n2 q - n1 p)) = exp(-2 pi i p) for n = (1,0)
@@ -101,7 +101,7 @@ class TestWeyl:
     def test_plane_wave_is_translation(self, arnold):
         grid = choose_theta(arnold, 48)
         n = (2, -3)
-        op = weyl_quantize(Symbol.plane_wave(n), grid)
+        op = weyl_quantize(Symbol.from_fourier({n: 1.0}), grid)
         psi = random_state(grid, 1).amplitudes
         assert np.max(np.abs(op.apply(psi) - translation(n, grid).apply(psi))) == 0.0
 
@@ -160,8 +160,9 @@ class TestAntiWick:
         coh = torus_coherent((0.5, 0.5), arnold, grid1024)
         r = 10.0 * math.sqrt(grid1024.hbar)
         lower, upper = bump_symbols((0.5, 0.5), r)
-        lo = antiwick_expectation(coh, lower, arnold).real
-        hi = antiwick_expectation(coh, upper, arnold).real
+        h = husimi(coh, arnold, 256)
+        lo = antiwick_expectation(coh, lower, arnold, h).real
+        hi = antiwick_expectation(coh, upper, arnold, h).real
         assert lo == pytest.approx(1.0, abs=0.01)
         assert hi == pytest.approx(1.0, abs=0.01)
 
@@ -174,7 +175,7 @@ class TestAntiWick:
                 if (n1, n2) == (0, 0):
                     continue
                 val = antiwick_expectation(
-                    coh, Symbol.plane_wave((n1, n2)), arnold, hgrid=h
+                    coh, Symbol.from_fourier({(n1, n2): 1.0}), arnold, hgrid=h
                 )
                 assert abs(val) <= 1.0 + 1e-9
                 want = 2 * math.pi * (n2 * x0[0] - n1 * x0[1])
@@ -186,8 +187,9 @@ class TestAntiWick:
         lower, upper = bump_symbols((0.4, 0.4), 0.15)
         for seed in range(3):
             psi = random_state(grid1024, seed)
-            assert antiwick_expectation(psi, lower, arnold).real >= 0.0
-            assert antiwick_expectation(psi, upper, arnold).real >= 0.0
+            h = husimi(psi, arnold, 256)
+            assert antiwick_expectation(psi, lower, arnold, h).real >= 0.0
+            assert antiwick_expectation(psi, upper, arnold, h).real >= 0.0
 
 
 def full_grid_expectation(symbol, hgrid):
@@ -195,10 +197,11 @@ def full_grid_expectation(symbol, hgrid):
     return complex(np.sum(symbol.sample(hgrid.G) * hgrid.values) * hgrid.weight)
 
 
-def assert_matches_oracle(symbol, hgrid):
-    got = antiwick_expectation(None, symbol, None, hgrid=hgrid)
-    want = full_grid_expectation(symbol, hgrid)
-    assert abs(got - want) <= 1e-12 * hgrid.values.sum() * hgrid.weight
+def assert_matches_oracle(x0, r, hgrid):
+    """bump_masses at x0 against the full-grid oracle of both bump_symbols(x0, r)."""
+    for got, symbol in zip(bump_masses(hgrid, [x0], r), bump_symbols(x0, r)):
+        want = full_grid_expectation(symbol, hgrid)
+        assert abs(got[0] - want) <= 1e-12 * hgrid.values.sum() * hgrid.weight
 
 
 def random_hgrid(grid, G, seed):
@@ -265,7 +268,7 @@ class TestExpectationOracle:
         for h in hgrids:
             for n1 in range(-8, 9):
                 for n2 in range(-8, 9):
-                    want = full_grid_expectation(Symbol.plane_wave((n1, n2)), h)
+                    want = full_grid_expectation(Symbol.from_fourier({(n1, n2): 1.0}), h)
                     got = closed_form_quadrature(psi, arnold, (n1, n2), h.G)
                     assert abs(got - want) <= 1e-12
 
@@ -281,15 +284,13 @@ class TestExpectationOracle:
     def test_bumps_at_the_seam(self, hgrids):
         for h in hgrids:
             for r in (0.01, 0.05, 0.1, 0.2):
-                for sym in bump_symbols((0.005, 0.995), r):
-                    assert_matches_oracle(sym, h)
+                assert_matches_oracle((0.005, 0.995), r, h)
 
     def test_bumps_wrapping_most_of_the_torus(self, hgrids):
         for h in hgrids:
             for x0 in ((0.5, 0.5), (0.1, 0.9), (0.999, 0.001)):
                 for r in (0.24, 0.249, 0.2499):
-                    for sym in bump_symbols(x0, r):
-                        assert_matches_oracle(sym, h)
+                    assert_matches_oracle(x0, r, h)
 
     def test_bump_masses(self, hgrids):
         # centers whose patches wrap one seam or both, and a net whose
@@ -306,18 +307,20 @@ class TestExpectationOracle:
 
         monkeypatch.setattr(Symbol, "sample", refuse)
         h = hgrids[-1]
-        # a Fourier symbol reads neither the given grid nor a new one
-        monkeypatch.setattr("catlab.quantize.husimi", refuse)
+        # a Fourier symbol reads no grid, given or not
         monkeypatch.setattr(HusimiGrid, "centers", refuse)
-        antiwick_expectation(psi, Symbol.plane_wave((3, -2)), arnold, hgrid=h)
-        antiwick_expectation(psi, Symbol.plane_wave((3, -2)), arnold)
-        monkeypatch.undo()
-        monkeypatch.setattr(Symbol, "sample", refuse)
-        for sym in bump_symbols((0.3, 0.4), 0.1):
-            antiwick_expectation(None, sym, None, hgrid=h)
+        plane = Symbol.from_fourier({(3, -2): 1.0})
+        assert antiwick_expectation(psi, plane, arnold, hgrid=h) == antiwick_expectation(
+            psi, plane, arnold
+        )
         sampled = Symbol(fn=lambda q, p: q * p)
         with pytest.raises(AssertionError, match="full-grid sample"):
             antiwick_expectation(None, sampled, None, hgrid=h)
+
+    def test_sampled_symbol_needs_a_grid(self, arnold, psi):
+        for sym in (Symbol(fn=lambda q, p: q * p), bump_symbols((0.3, 0.4), 0.1)[0]):
+            with pytest.raises(ValueError, match="hgrid"):
+                antiwick_expectation(psi, sym, arnold)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -329,8 +332,7 @@ class TestExpectationOracle:
     )
     def test_property(self, grid1024, q0, p0, r, G, seed):
         h = random_hgrid(grid1024, G, seed)
-        for sym in bump_symbols((q0, p0), r):
-            assert_matches_oracle(sym, h)
+        assert_matches_oracle((q0, p0), r, h)
 
 
 def assert_bump_masses_match(hgrid, centers, r):
@@ -381,7 +383,9 @@ class TestClosedFormProperty:
         psi = random_state(grid, seed)
         h = husimi(psi, cat, resolving_G(cat, N, DEFAULT_FREQUENCIES))
         got = antiwick_plane_waves(psi, cat, DEFAULT_FREQUENCIES)
-        want = [full_grid_expectation(Symbol.plane_wave(n), h) for n in DEFAULT_FREQUENCIES]
+        want = [
+            full_grid_expectation(Symbol.from_fourier({n: 1.0}), h) for n in DEFAULT_FREQUENCIES
+        ]
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -649,7 +653,7 @@ class TestDenseAssembly:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 if sym.fourier is None:
-                    got_value = antiwick_expectation(psi, sym, cat, G=G)
+                    got_value = antiwick_expectation(psi, sym, cat, husimi(psi, cat, G))
                 else:
                     got = np.zeros((N, N), dtype=complex)
                     got_value = 0j
@@ -757,6 +761,7 @@ class TestDenseAssembly:
         for sym, expected in ((oracle_symbols()["gap"], 0), (oracle_symbols()["bump"], warns)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                antiwick_expectation(psi, sym, arnold, G=G)
+                hgrid = None if sym.fn is None else husimi(psi, arnold, G)
+                antiwick_expectation(psi, sym, arnold, hgrid)
             hits = [w for w in caught if "does not resolve sqrt(hbar)" in str(w.message)]
             assert len(hits) == expected
