@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import CatMap, min_image
 from .errors import ResolutionTooCoarse, TruncationFailure
-from .hilbert import PlanckGrid, QuantumState, _site_offset, _twist, _unit_phase
+from .hilbert import PlanckGrid, QuantumState, _poly_residues, _site_offset, _twist, _unit_phase
 
 __all__ = [
     "HusimiGrid",
@@ -183,9 +183,9 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
 
     The momentum half of the coherent state at x0 = (q0, p0).  The
     argument grows with m; when both coordinates of the center are
-    Fractions it is reduced in integer arithmetic, with the grid's exact
-    eta, and taken as a unit phase: int64 residues, Python integers only
-    where int64 could overflow.
+    Fractions it is reduced exactly, with the grid's exact eta, by the
+    Hilbert layer's residue rule (hilbert._poly_residues), and taken as a
+    unit phase.
     """
     N = grid.N
     q0f, p0f = x0[0], x0[1]
@@ -194,10 +194,7 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
         kp, lp = p0f.numerator, p0f.denominator
         pe, qe = _site_offset(grid)
         denom = lp * qe
-        if abs(kp) * (qe * int(np.abs(m).max()) + pe) < 2**62:
-            s = (kp * (qe * m + pe)) % denom
-        else:
-            s = ((kp * (qe * m.astype(object) + pe)) % denom).astype(np.int64)
+        s = _poly_residues((0, kp * qe, kp * pe), m, denom)
         # constant phase exp(-i pi N p0 q0) = exp(2 pi i (-N kp kq)/(2 lp lq))
         D = 2 * lp * q0f.denominator
         return _unit_phase(s, denom) * _unit_phase(-N * kp * q0f.numerator % D, D)

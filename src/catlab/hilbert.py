@@ -4,19 +4,21 @@ A state is a length-N complex vector over the theta-shifted position sites
 q_j = (j + theta2/(2 pi))/N with the plain Euclidean norm.  Wrapping a site
 index past N multiplies the amplitude by exp(-i theta1).
 
-Quantum translations act as index shifts with site-dependent phases; the
-quantum cat-map propagator is the discrete quadratic (Gauss-sum) kernel,
+Quantum translations, and their finite sums, act as index shifts with
+site-dependent phases: one builder, _shift_phase_map, makes each such
+operator and its adjoint from one phase per shift.  The quantum cat-map
+propagator is the discrete quadratic (Gauss-sum) kernel,
 applied matrix-free as chirp * FFT * chirp in O(N |b| log(N |b|)).  Its
 correctness is pinned by two oracles: unitarity, and the exact conjugation
 law  U T(n) U^-1 = T(Mn)  for integer translations.
 
 Every phase here is a rational multiple of 2 pi: the translations'
 momentum phases, the Bloch twists and the kernel's chirps.  Each is
-reduced in integer arithmetic and taken by one primitive, _unit_phase,
-which reads exp(2 pi i r/D) from two tables of about sqrt(D) exponentials;
-no exp runs over a vector of length N.  So translations compose as
-T(n) T(m) = exp(i pi (n ^ m)/N) T(n + m) exactly, up to the rounding of
-the phases themselves, at every n.
+reduced exactly by one residue rule, _poly_residues, and taken by one
+primitive, _unit_phase, which reads exp(2 pi i r/D) from two tables of
+about sqrt(D) exponentials; no exp runs over a vector of length N.  So
+translations compose as T(n) T(m) = exp(i pi (n ^ m)/N) T(n + m) exactly,
+up to the rounding of the phases themselves, at every n.
 
 Grids carry the Bloch angle exactly, as rational theta/pi.  choose_theta
 gives the parity one, theta = (0, 0) for even N and (pi, pi) for odd N:
@@ -32,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -245,17 +247,28 @@ def _unit_phase(r, D: int) -> np.ndarray:
     return phase
 
 
-def _residues(c: int, step: int, count: int, D: int) -> np.ndarray:
-    """(c + step k) mod D for k in [0, count), as int64; Python integers
-    where int64 could overflow."""
-    c, step = c % D, step % D
-    if D * count < 2**62:
-        r = np.arange(count, dtype=np.int64)
-        r *= step
-        r += c
-        r %= D
-        return r
-    return np.array([(c + step * k) % D for k in range(count)], dtype=np.int64)
+def _poly_residues(poly: Tuple[int, int, int], s, D: int) -> np.ndarray:
+    """P(s) mod D, P(s) = c2 s^2 + c1 s + c0 for poly = (c2, c1, c0), as int64
+    of the shape of the integers s: the one exact residue rule of the layer.
+    int64 arithmetic for arrays with |c2| smax^2 + |c1| smax + |c0| < 2^62
+    (smax = max |s|, at least 1), Python integers otherwise and for one s."""
+    c2, c1, c0 = poly
+    s = np.asarray(s)
+    if s.size > 1:
+        smax = max(int(np.abs(s).max()), 1)
+        if abs(c2) * smax * smax + abs(c1) * smax + abs(c0) < 2**62:
+            s = s.astype(np.int64, copy=False)
+            if c2:
+                r = s * c2
+                r += c1
+                r *= s
+            else:
+                r = s * c1
+            r += c0
+            r %= D
+            return r
+    r = [(c2 * v * v + c1 * v + c0) % D for v in s.ravel().tolist()]
+    return np.array(r, dtype=np.int64).reshape(s.shape)
 
 
 def _phase_progression(c: int, step: int, D: int, length: int) -> np.ndarray:
@@ -266,9 +279,9 @@ def _phase_progression(c: int, step: int, D: int, length: int) -> np.ndarray:
     entry, and no integer array of full length.
     """
     B = math.isqrt(max(length - 1, 0)) + 1
-    coarse = _unit_phase(_residues(c, step * B, -(-length // B), D), D)
-    fine = _unit_phase(_residues(0, step, B, D), D)
-    return np.outer(coarse, fine).reshape(-1)[:length]
+    coarse = _poly_residues((0, step * B % D, c % D), np.arange(-(-length // B)), D)
+    fine = _poly_residues((0, step % D, 0), np.arange(B), D)
+    return np.outer(_unit_phase(coarse, D), _unit_phase(fine, D)).reshape(-1)[:length]
 
 
 def _twist(grid: PlanckGrid, k):
@@ -276,7 +289,17 @@ def _twist(grid: PlanckGrid, k):
     with theta1 = pi u/v it is the unit phase of u k mod 2v over 2v."""
     y = grid.theta_over_pi[0]
     D = 2 * y.denominator
-    return _unit_phase(np.multiply(y.numerator, k) % D, D)
+    return _unit_phase(_poly_residues((0, y.numerator, 0), k, D), D)
+
+
+def _wrap_twist(grid: PlanckGrid, n1: int, vec: np.ndarray) -> np.ndarray:
+    """vec[j] *= exp(-i theta1 w_j) in place and returned, w_j = floor((j -
+    n1)/N): -(n1 // N + 1) on the sites j < n1 mod N, -(n1 // N) on the rest."""
+    if grid.theta_over_pi[0]:
+        s, wraps = n1 % grid.N, n1 // grid.N
+        vec[:s] *= _twist(grid, wraps + 1)
+        vec[s:] *= _twist(grid, wraps)
+    return vec
 
 
 def _site_offset(grid: PlanckGrid) -> Tuple[int, int]:
@@ -302,12 +325,7 @@ def _translation_data(n: Tuple[int, int], grid: PlanckGrid):
     N = grid.N
     p, q = _site_offset(grid)
     phase = _phase_progression(n2 * (p - n1 * q // 2), n2 * q, q * N, N)
-    if grid.theta_over_pi[0]:
-        # w_j = -(wraps + 1) on the sites j < s and -wraps on the others
-        s, wraps = n1 % N, n1 // N
-        phase[:s] *= _twist(grid, wraps + 1)
-        phase[s:] *= _twist(grid, wraps)
-    return n1, phase
+    return n1, _wrap_twist(grid, n1, phase)
 
 
 def _shift_phase(vec: np.ndarray, s: int, phase: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -319,58 +337,69 @@ def _shift_phase(vec: np.ndarray, s: int, phase: np.ndarray, out: np.ndarray) ->
     return out
 
 
+def _shift_phase_terms(fourier: Dict[Tuple[int, int], complex], grid: PlanckGrid):
+    """sum_n c_n T(n) as (s, f_s) terms sorted by shift, one per distinct
+    s = n1 mod N: f_s = sum c_n phase_n over the n with that shift, each
+    phase_n from _translation_data, accumulated from zeros in sorted order."""
+    N = grid.N
+    phases: Dict[int, np.ndarray] = {}
+    for n, c in sorted(fourier.items()):
+        n1, phase = _translation_data(n, grid)
+        f = phases.setdefault(n1 % N, np.zeros(N, dtype=complex))
+        f += c * phase
+    return sorted(phases.items())
+
+
+def _adjoint_terms(terms):
+    """The adjoint of a sum of shift-phase terms: the term (s, f) becomes
+    the shift -s mod N with the phase conj(f[j + s mod N])."""
+    return [((-s) % f.size, np.conj(np.concatenate((f[s:], f[:s])))) for s, f in terms]
+
+
+def _shift_phase_sum(terms, vec: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
+    """out = the sum of vec shifted times phase over the (shift, phase) terms;
+    tmp, scratch of vec's shape, is allocated only when a second term
+    needs it and none is given.  Returns out."""
+    if not terms:
+        out[...] = 0.0
+        return out
+    _shift_phase(vec, *terms[0], out)
+    for s, phase in terms[1:]:
+        if tmp is None:
+            tmp = np.empty_like(vec)
+        out += _shift_phase(vec, s, phase, tmp)
+    return out
+
+
+def _shift_phase_map(terms, N: int, label: str) -> LinearMap:
+    """The sum of the (shift, phase) terms as an operator; the adjoint's
+    terms are built once, on its first apply, since most callers only apply."""
+    adjoint_terms = functools.cache(lambda: _adjoint_terms(terms))
+
+    def apply(vec: np.ndarray) -> np.ndarray:
+        return _shift_phase_sum(terms, vec, np.empty_like(vec))
+
+    def adjoint(vec: np.ndarray) -> np.ndarray:
+        return _shift_phase_sum(adjoint_terms(), vec, np.empty_like(vec))
+
+    return LinearMap(N, apply, adjoint, label=label)
+
+
 def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
     """The unitary T_N(n) = T_{n/N} on H_{N,theta}.
 
-    Acts as a cyclic shift by n1 sites combined with the momentum phase
-    exp(2 pi i n2 q_j) referenced to half-integer shifted sites, with
-    exp(-i theta1) twists at position wraparound.  Every phase is reduced
-    in integer arithmetic before it is taken, so composition satisfies
-    T(n) T(m) = exp(i pi (n2 m1 - n1 m2)/N) T(n + m) exactly, up to
-    rounding of the phases themselves, at every n.  The adjoint T(-n)
-    builds its phases on its first use, since most callers only apply.
+    One shift-phase term: a cyclic shift by n1 sites with the momentum
+    phase exp(2 pi i n2 q_j), referenced to half-integer shifted sites, and
+    exp(-i theta1) twists at wraparound.  The phases are exact residues, so
+    T(n) T(m) = exp(i pi (n2 m1 - n1 m2)/N) T(n + m) to rounding, at every n.
     """
-    N = grid.N
     n1, phase = _translation_data(n, grid)
-
-    @functools.cache
-    def adjoint_data():
-        return _translation_data((-n[0], -n[1]), grid)
-
-    def apply(vec: np.ndarray) -> np.ndarray:
-        return _shift_phase(vec, n1 % N, phase, np.empty_like(vec))
-
-    def adjoint(vec: np.ndarray) -> np.ndarray:
-        n1_adj, phase_adj = adjoint_data()
-        return _shift_phase(vec, n1_adj % N, phase_adj, np.empty_like(vec))
-
-    return LinearMap(grid.N, apply, adjoint, label=f"T({n[0]},{n[1]})")
+    return _shift_phase_map([(n1 % grid.N, phase)], grid.N, label=f"T({n[0]},{n[1]})")
 
 
 # ---------------------------------------------------------------------------
 # Propagator
 # ---------------------------------------------------------------------------
-
-def _exact_quadratic_phase(poly: Tuple[int, int, int], s: np.ndarray, D: int) -> np.ndarray:
-    """exp(2 pi i P(s)/D) at the integer array s, P(s) = c2 s^2 + c1 s + c0
-    for poly = (c2, c1, c0), with P(s) reduced mod D exactly.
-
-    Uses int64 when |c2| smax^2 + |c1| smax + |c0| < 2^62, Python integers
-    otherwise, so the phase is accurate to about 2 ulp regardless of size.
-    """
-    c2, c1, c0 = poly
-    smax = int(np.max(np.abs(s))) if s.size else 0
-    if abs(c2) * smax * smax + abs(c1) * smax + abs(c0) < 2**62:
-        r = s.astype(np.int64)
-        r *= c2
-        r += c1
-        r *= s
-        r += c0
-        r %= D
-    else:
-        r = np.array([(c2 * v * v + c1 * v + c0) % D for v in s.tolist()], dtype=np.int64)
-    return _unit_phase(r, D)
-
 
 def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
     """The phase vectors of the Gauss-sum kernel: pre (length N |b|) and post.
@@ -403,7 +432,7 @@ def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
             s = np.arange(first + start, first + start + block.size, dtype=np.int64)
             s *= q
             s += p
-            block[...] = _exact_quadratic_phase(poly, s, D)
+            block[...] = _unit_phase(_poly_residues(poly, s, D), D)
 
     pre = np.empty(L, dtype=complex)
     for w in range(absB):
@@ -463,9 +492,7 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
         return np.conjugate(out, out=out)
 
     u = LinearMap(N, apply, adjoint, label=f"U{catmap.entries}")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    v /= _norm(v)
+    v = random_states(np.random.default_rng(0), N, 1)[0]
     w = u.apply(v)
     defect = abs(_norm(w) - 1.0)
     roundtrip = np.max(np.abs(u.apply_adjoint(w) - v))
@@ -484,7 +511,8 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
 def random_states(rng: np.random.Generator, N: int, count: int) -> np.ndarray:
     """count unit vectors of C^N with Gaussian real and imaginary parts, one per row."""
     s = rng.standard_normal((count, N)) + 1j * rng.standard_normal((count, N))
-    return s / np.sqrt(_real_inner(s, s))[:, None]
+    s /= np.sqrt(_real_inner(s, s))[:, None]
+    return s
 
 
 def egorov_defect(

@@ -16,11 +16,11 @@ bump's cell values depend on its center only through the center's offset
 within its grid cell, so each radial profile is evaluated once per
 distinct offset.
 Weyl operators, and the Weyl/anti-Wick difference sum_n c_n (1 - d_z(n))
-T(n), are applied as one shift-phase per distinct n1 mod N: the
-translations that share a shift share it in one phase vector, so an apply
-is one cyclic shift and multiply per distinct n1.  The gap is the norm of
-that difference, found by Lanczos iteration; no N x N array is built
-anywhere.
+T(n), are translation sums, which hilbert.py builds (_shift_phase_terms,
+_shift_phase_map): the translations that share a shift n1 mod N share it
+in one phase vector, so an apply is one cyclic shift and multiply per
+distinct n1.  The gap is the norm of that difference, found by Lanczos
+iteration; no N x N array is built anywhere.
 """
 
 from __future__ import annotations
@@ -38,14 +38,17 @@ from .hilbert import (
     LinearMap,
     PlanckGrid,
     QuantumState,
+    _adjoint_terms,
     _norm,
     _phase_progression,
     _real_inner,
-    _shift_phase,
+    _shift_phase_map,
+    _shift_phase_sum,
+    _shift_phase_terms,
     _site_offset,
-    _translation_data,
-    _twist,
     _unit_phase,
+    _wrap_twist,
+    random_states,
 )
 
 __all__ = [
@@ -121,64 +124,13 @@ class Symbol:
         return self.evaluate(c[:, None], c[None, :])
 
 
-def _shift_phase_terms(fourier: Dict[Freq, complex], grid: PlanckGrid):
-    """The translation sum sum_n c_n T(n) as shift-phase terms, forward and adjoint.
-
-    Translations whose n1 agree mod N shift alike, so the sum is one
-    phase vector per distinct shift s = n1 mod N: f_s = sum c_n phase_n
-    over those n, accumulated from zeros in sorted(fourier) order, each
-    phase_n that of hilbert._translation_data.  The adjoint of the term
-    (s, f_s) shifts by -s with the phase conj(f_s[j + s mod N]).  Returns
-    the two lists of (shift, phase) pairs.
-    """
-    N = grid.N
-    phases: Dict[int, np.ndarray] = {}
-    for n, c in sorted(fourier.items()):
-        n1, phase = _translation_data(n, grid)
-        f = phases.setdefault(n1 % N, np.zeros(N, dtype=complex))
-        f += c * phase
-    forward = sorted(phases.items())
-    backward = [((-s) % N, np.conj(np.concatenate((f[s:], f[:s])))) for s, f in forward]
-    return forward, backward
-
-
-def _shift_phase_sum(terms, vec: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = sum over the (shift, phase) terms of vec shifted times phase,
-    one slice multiply per term and one add per term after the first;
-    tmp is scratch of vec's shape.  Returns out."""
-    if not terms:
-        out[...] = 0.0
-        return out
-    (s, phase), *rest = terms
-    _shift_phase(vec, s, phase, out)
-    for s, phase in rest:
-        out += _shift_phase(vec, s, phase, tmp)
-    return out
-
-
 def weyl_quantize(symbol: Symbol, grid: PlanckGrid) -> LinearMap:
-    """Weyl operator sum_n a~(n) T_N(n), one shift-phase per distinct n1 mod N.
-
-    Each apply, or adjoint, is one cyclic shift and phase multiply per
-    distinct shift of the translation sum (see _shift_phase_terms), summed
-    into one output vector.
-    """
+    """Weyl operator sum_n a~(n) T_N(n): an apply, or adjoint, is one cyclic
+    shift and phase multiply per distinct n1 mod N (hilbert._shift_phase_terms)."""
     if symbol.fourier is None:
         raise ValueError("Weyl quantization needs Fourier data")
-    forward, backward = _shift_phase_terms(symbol.fourier, grid)
-
-    def apply(vec: np.ndarray) -> np.ndarray:
-        return _shift_phase_sum(forward, vec, np.empty_like(vec), np.empty_like(vec))
-
-    def adjoint(vec: np.ndarray) -> np.ndarray:
-        return _shift_phase_sum(backward, vec, np.empty_like(vec), np.empty_like(vec))
-
-    return LinearMap(
-        grid.N,
-        apply,
-        adjoint,
-        label=f"weyl({symbol.label or len(symbol.fourier)} terms)",
-    )
+    terms = _shift_phase_terms(symbol.fourier, grid)
+    return _shift_phase_map(terms, grid.N, f"weyl({symbol.label or len(symbol.fourier)} terms)")
 
 
 def _damping(catmap: CatMap, N: int, freqs: Sequence[Freq]) -> np.ndarray:
@@ -216,13 +168,10 @@ def antiwick_plane_waves(
     prod = np.empty(N, dtype=complex)
     conj_prod = np.empty(N, dtype=complex)
     for n1, n2s in wanted.items():
-        # w_j = -(q + 1) on the sites j < s and -q on the others
-        s, q = n1 % N, n1 // N
+        s = n1 % N
         np.multiply(conj_amp[:s], amp[N - s :], out=prod[:s])
         np.multiply(conj_amp[s:], amp[: N - s], out=prod[s:])
-        if grid.theta_over_pi[0]:
-            prod[:s] *= _twist(grid, q + 1)
-            prod[s:] *= _twist(grid, q)
+        _wrap_twist(grid, n1, prod)
         np.conj(prod, out=conj_prod)
         for n2 in n2s:
             k = abs(n2)
@@ -429,11 +378,11 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
     The difference is the translation sum D = sum_n c_n (1 - d_z(n)) T(n).
     Its norm is the square root of the top eigenvalue of D* D, found by a
     three-term Lanczos recurrence from a seeded random start, D and D*
-    applied as one shift-phase per distinct n1 mod N (_shift_phase_terms)
-    into buffers that every step reuses.  The iteration stops when the top
-    Ritz pair's residual is below _LANCZOS_TOL of its Ritz value, or after
-    N steps, when the Krylov space is all of H_N.  Scales like
-    hbar^(1 - 2 rho).
+    applied as one shift-phase per distinct n1 mod N (_shift_phase_terms,
+    _adjoint_terms) into buffers that every step reuses.  The iteration
+    stops when the top Ritz pair's residual is below _LANCZOS_TOL of its
+    Ritz value, or after N steps, when the Krylov space is all of H_N.
+    Scales like hbar^(1 - 2 rho).
     """
     if symbol.fourier is None:
         raise ValueError("gap computation needs Fourier data for the Weyl side")
@@ -442,10 +391,9 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
     coeffs = {
         n: symbol.fourier[n] * (1.0 - d) for n, d in zip(freqs, damping) if d != 1.0
     }
-    forward, backward = _shift_phase_terms(coeffs, grid)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    v /= _norm(v)
+    forward = _shift_phase_terms(coeffs, grid)
+    backward = _adjoint_terms(forward)
+    v = random_states(np.random.default_rng(0), grid.N, 1)[0]
     # the step's four vectors besides v, reused: v_prev and w trade places
     # with v as the recurrence moves on
     v_prev, w, dv, tmp = (np.zeros_like(v) for _ in range(4))

@@ -198,6 +198,11 @@ class BallReport:
         return [b["mass"] for b in self.balls]
 
 
+def _ball_radius(spec: QuasimodeSpec, C: float) -> float:
+    """C sqrt(hbar) e^{lambda T}: the orbit balls' radius, or half the radius floor."""
+    return C * math.sqrt(spec.grid.hbar) * math.exp(spec.catmap.lyapunov * spec.T)
+
+
 def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
     """Radius rho = C sqrt(hbar) e^{lambda T} of the balls at the orbit points.
 
@@ -213,7 +218,7 @@ def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
     BallsOverlap
         When 2 rho >= 1/l.
     """
-    rho = C * math.sqrt(spec.grid.hbar) * math.exp(spec.catmap.lyapunov * spec.T)
+    rho = _ball_radius(spec, C)
     l = spec.orbit.l
     if 2.0 * rho >= 1.0 / l:
         raise BallsOverlap(
@@ -223,9 +228,29 @@ def _checked_ball_radius(spec: QuasimodeSpec, C: float) -> float:
     return rho
 
 
-def _radius_floor(spec: QuasimodeSpec, C_sep: float) -> float:
-    """Smallest admissible non-equidistribution radius 2 C_sep sqrt(hbar) e^{lambda T}."""
-    return 2.0 * C_sep * math.sqrt(spec.grid.hbar) * math.exp(spec.catmap.lyapunov * spec.T)
+def _radius_range(spec: QuasimodeSpec, space: str, C_sep: float, c1: float):
+    """Admissible non-equidistribution radii [2 C_sep sqrt(hbar) e^{lambda T},
+    hi], hi = c1/T in physical space and c1/sqrt(T) in phase space."""
+    hi = c1 / spec.T if space == "physical" else c1 / math.sqrt(spec.T)
+    return 2.0 * _ball_radius(spec, C_sep), hi
+
+
+def _check_radius(spec: QuasimodeSpec, space: str, r: float, C_sep: float, c1: float) -> None:
+    """Raise RadiusOutOfRange unless r lies in _radius_range."""
+    r_lo, r_hi = _radius_range(spec, space, C_sep, c1)
+    if not (r_lo <= r <= r_hi):
+        raise RadiusOutOfRange(
+            f"radius {r} outside admissible [{r_lo:.5f}, {r_hi:.5f}] for "
+            f"{space} space at T={spec.T}, N={spec.grid.N}",
+            admissible=(r_lo, r_hi),
+        )
+
+
+def _check_frequencies(frequencies: Sequence[Tuple[int, int]]) -> None:
+    """Raise PreconditionError for a frequency outside |n|_inf <= 8."""
+    for n in frequencies:
+        if max(abs(n[0]), abs(n[1])) > 8:
+            raise PreconditionError(f"frequency {n} outside |n|_inf <= 8")
 
 
 def husimi_ball_report(
@@ -278,9 +303,7 @@ def scmeasure_error(
     The anti-Wick values come from the state in closed form
     (antiwick_plane_waves), all frequencies in one pass; no Husimi grid.
     """
-    for n in frequencies:
-        if max(abs(n[0]), abs(n[1])) > 8:
-            raise PreconditionError(f"frequency {n} outside |n|_inf <= 8")
+    _check_frequencies(frequencies)
     values = antiwick_plane_waves(psi_n, spec.catmap, frequencies)
     rows = []
     worst = 0.0
@@ -342,20 +365,11 @@ def nonequidistribution_report(
     Raises
     ------
     RadiusOutOfRange
-        When r is outside [2 C_sep sqrt(hbar) e^{lambda T}, c1/T] (physical)
-        or [2 C_sep sqrt(hbar) e^{lambda T}, c1/sqrt(T)] (phase).
+        When r is outside _radius_range(spec, space, C_sep, c1).
     ValueError
         For a phase-space scan without hgrid, or an unknown space.
     """
-    T = spec.T
-    r_lo = _radius_floor(spec, C_sep)
-    r_hi = c1 / T if space == "physical" else c1 / math.sqrt(T)
-    if not (r_lo <= r <= r_hi):
-        raise RadiusOutOfRange(
-            f"radius {r} outside admissible [{r_lo:.5f}, {r_hi:.5f}] for "
-            f"{space} space at T={T}, N={spec.grid.N}",
-            admissible=(r_lo, r_hi),
-        )
+    _check_radius(spec, space, r, C_sep, c1)
     orbit_pts = (spec.orbit.jk / spec.orbit.l).tolist()
     net = _net_centers_1d(r)
 
@@ -481,16 +495,22 @@ def _config_float(key: str, value) -> float:
     raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
 
 
+_CONFIG_KEYS = frozenset({"matrix", "T", "orbit_start", "delta", "N", "phi", "C0", "c_sep",
+                          "c1", "G", "frequencies", "r_phase", "r_physical", "outputs"})
+
+
 def run_pipeline(config: Dict) -> Experiment:
     """Build a quasimode per config and run every diagnostic.
 
     Recognized keys: matrix (4 ints), T or orbit_start ([j, k, l]), delta,
     N (optional, else the dimension schedule), phi, C0, c_sep, c1, G,
-    frequencies, r_phase, r_physical, seed.  N, T, G and the entries of
+    frequencies, r_phase, r_physical, and outputs, which only the CLI
+    reads; any other key is a ConfigError.  N, T, G and the entries of
     matrix, orbit_start and frequencies must be exactly integers (_config_int);
     delta, phi, C0, c_sep, c1, r_phase and r_physical finite numbers
     (_config_float).
-    Ball disjointness and resolution are checked before anything is built;
+    Ball disjointness and resolution, the frequencies and both
+    non-equidistribution radii are checked before anything is built;
     the propagator, the quasimode and the Husimi grid of psi_n are built
     once and shared by the diagnostics that read them; file emission is
     the CLI's job.
@@ -504,6 +524,9 @@ def run_pipeline(config: Dict) -> Experiment:
         timings[stage] = now - last
         last = now
 
+    unknown = [str(key) for key in config if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     if "matrix" not in config:
         raise ConfigError("config needs a 'matrix' entry")
     cat = validate_cat_map(*_config_int("matrix", config["matrix"], 4))
@@ -543,8 +566,18 @@ def run_pipeline(config: Dict) -> Experiment:
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
-    # refuse overlapping or unresolved balls before building anything
+    # refuse bad balls, frequencies and radii before building anything
     _check_resolution(G, _checked_ball_radius(spec, C0))
+    _check_frequencies(freqs)
+    r_lo, _ = _radius_range(spec, "phase", c_sep, c1)
+    r_phase = _config_float(
+        "r_phase", config.get("r_phase", min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T)))
+    )
+    r_physical = _config_float(
+        "r_physical", config.get("r_physical", min(max(0.05, r_lo), 0.99 * c1 / T))
+    )
+    _check_radius(spec, "phase", r_phase, c_sep, c1)
+    _check_radius(spec, "physical", r_physical, c_sep, c1)
     prop = propagator(cat, grid)
     lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)
@@ -560,13 +593,6 @@ def run_pipeline(config: Dict) -> Experiment:
     sc = scmeasure_error(psi_n, spec, freqs)
     lap("scmeasure")
 
-    r_lo = _radius_floor(spec, c_sep)
-    r_phase = _config_float(
-        "r_phase", config.get("r_phase", min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T)))
-    )
-    r_physical = _config_float(
-        "r_physical", config.get("r_physical", min(max(0.05, r_lo), 0.99 * c1 / T))
-    )
     nq_phase = nonequidistribution_report(
         psi_n, spec, "phase", r_phase, C_sep=c_sep, c1=c1, hgrid=hgrid
     )

@@ -11,6 +11,7 @@ from catlab import (
     NoInvariantTheta,
     PlanckGrid,
     QuantumState,
+    Symbol,
     UnsupportedMatrix,
     choose_theta,
     egorov_defect,
@@ -19,9 +20,10 @@ from catlab import (
     torus_coherent,
     translation,
     validate_cat_map,
+    weyl_quantize,
 )
 from catlab import hilbert
-from catlab.hilbert import _exact_quadratic_phase, _require_invariant_theta, _unit_phase
+from catlab.hilbert import _poly_residues, _require_invariant_theta, _unit_phase
 
 from conftest import (
     coarse_husimi,
@@ -89,24 +91,38 @@ class TestUnitPhase:
 
 
 class TestExactQuadraticPhase:
+    """_poly_residues, the one residue rule behind every phase of the layer."""
+
     @staticmethod
     def _reference(poly, s, D):
         c2, c1, c0 = poly
-        return np.array([exact_phase(Fraction(c2 * v * v + c1 * v + c0, D)) for v in s])
+        return [(c2 * v * v + c1 * v + c0) % D for v in s]
 
     def test_python_int_branch(self):
         # |c2| s^2 >= 2^62: int64 would overflow, Python integers are used
         poly, D = (-7, 12345, -(3 << 40)), 8 * 1000003 * 3
         s = np.array([2**31 + 11, -(2**31) - 3, 3 * 2**30, 5, 0])
         assert 7 * int(np.abs(s).max()) ** 2 >= 2**62
-        got = _exact_quadratic_phase(poly, s, D)
-        assert np.max(np.abs(got - self._reference(poly, s.tolist(), D))) <= 1e-15
+        got = _poly_residues(poly, s, D)
+        assert got.dtype == np.int64
+        assert got.tolist() == self._reference(poly, s.tolist(), D)
 
     def test_int64_branch(self):
         poly, D = (5, -4, 2), 2 * 4096 * 4
         s = 2 * np.arange(8192) + 1
-        got = _exact_quadratic_phase(poly, s, D)
-        assert np.max(np.abs(got - self._reference(poly, s.tolist(), D))) <= 1e-15
+        got = _poly_residues(poly, s, D)
+        assert got.tolist() == self._reference(poly, s.tolist(), D)
+        phase = _unit_phase(got, D)
+        want = np.array([exact_phase(Fraction(v, D)) for v in got.tolist()])
+        assert np.max(np.abs(phase - want)) <= 1e-15
+
+    @pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])
+    def test_two_dimensional_s(self, big):
+        poly, D = ((3, -2**40, 7) if big else (3, -11, 7)), 2 * 3**20
+        s = np.arange(-12, 12).reshape(4, 6) * (2**21 if big else 1)
+        got = _poly_residues(poly, s, D)
+        assert got.shape == (4, 6)
+        assert got.ravel().tolist() == self._reference(poly, s.ravel().tolist(), D)
 
 
 class TestChooseTheta:
@@ -233,24 +249,55 @@ class TestTranslation:
             assert np.max(np.abs(tn.conj().T - tmn)) < 1e-14
 
     def test_adjoint_built_on_first_use(self, arnold, monkeypatch):
+        # one phase build per translation; the adjoint's terms come from the
+        # forward ones on the first adjoint apply, and only once
         grid = choose_theta(arnold, 21)
-        calls = []
-        build = hilbert._translation_data
+        data_calls, adjoint_calls = [], []
+        build, adjoint_terms = hilbert._translation_data, hilbert._adjoint_terms
 
-        def counting(n, g):
-            calls.append(n)
+        def counting_data(n, g):
+            data_calls.append(n)
             return build(n, g)
 
-        monkeypatch.setattr(hilbert, "_translation_data", counting)
+        def counting_adjoint(terms):
+            adjoint_calls.append(len(terms))
+            return adjoint_terms(terms)
+
+        monkeypatch.setattr(hilbert, "_translation_data", counting_data)
+        monkeypatch.setattr(hilbert, "_adjoint_terms", counting_adjoint)
         psi = random_state(grid, 4).amplitudes
         t = translation((3, -2), grid)
         t.apply(psi)
-        assert calls == [(3, -2)]
+        assert data_calls == [(3, -2)] and adjoint_calls == []
         first = t.apply_adjoint(psi)
         second = t.apply_adjoint(psi)
-        assert calls == [(3, -2), (-3, 2)]
+        assert data_calls == [(3, -2)] and adjoint_calls == [1]
+        assert np.array_equal(first, second)
         expect = translation((-3, 2), grid).apply(psi)
-        assert np.array_equal(first, expect) and np.array_equal(second, expect)
+        assert np.max(np.abs(first - expect)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [(3, -2), (0, 5), (-25, 7), (21, 1), (123456, -98765)])
+    def test_translation_is_one_term_weyl_operator(self, arnold, n):
+        # one builder: T(n) and the Weyl operator of e_n agree bit for bit
+        for grid in (choose_theta(arnold, 21), twisted_grid()[1]):
+            psi = random_state(grid, 5).amplitudes
+            t = translation(n, grid)
+            w = weyl_quantize(Symbol.from_fourier({n: 1.0}), grid)
+            assert np.array_equal(t.apply(psi), w.apply(psi))
+            assert np.array_equal(t.apply_adjoint(psi), w.apply_adjoint(psi))
+
+    @pytest.mark.parametrize("k", [10, 11, 12, 40])
+    def test_twist_exact_past_int64(self, k):
+        # theta1/pi = u/v with u k >= 2^63 for k >= 11: the twist residue
+        # u k mod 2v must not wrap in int64
+        den = 3 * 2**57 + 1
+        grid = PlanckGrid(16, (Fraction(2 * den - 7, den), Fraction(0)))
+        psi = random_state(grid, 6).amplitudes
+        step, lhs = translation((16, 0), grid), psi
+        for _ in range(k):
+            lhs = step.apply(lhs)
+        rhs = translation((16 * k, 0), grid).apply(psi)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
     def test_integer_translation_eigenrelations(self):
         cat = validate_cat_map(1, 2, 1, 3)

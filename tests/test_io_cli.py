@@ -509,8 +509,13 @@ class TestCli:
             ("matrix = [2.5, 1, 1, 1]\nT = 1\nN = 4096\n",
              "config key matrix must be an integer, got 2.5"),
             ("T = 1\nN = 4096\n", "config needs a 'matrix' entry"),
+            ("matrix = 2,1,1,1\nT = 2\nN = 4096\ndetla = 0.1\n",
+             "unknown config key(s): detla"),
+            ("matrix = 2,1,1,1\nT = 2\nN = 4096\nseed = 3\n", "unknown config key(s): seed"),
+            ("matrix = 2,1,1,1\nT = 2\nNN = 4096\ng = 256\n", "unknown config key(s): NN, g"),
         ],
-        ids=["no-T", "three-entries", "string", "fraction", "no-matrix"],
+        ids=["no-T", "three-entries", "string", "fraction", "no-matrix", "misspelled-delta",
+             "seed", "two-unknown"],
     )
     def test_quasimode_config_defects(self, text, named, tmp_path, capsys):
         cfg = write_config(tmp_path, text)
@@ -697,6 +702,39 @@ class TestQuasimodePipeline:
         assert "error[ResolutionTooCoarse]: ball radius 0.0056" in err
         assert "at G = 256; G >= 357 resolves it" in err
         assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("r_physical = 0.2", "error[RadiusOutOfRange]: radius 0.2 outside admissible "
+             "[0.00134, 0.07500] for physical space at T=2, N=1048576"),
+            ("r_phase = 0.5", "error[RadiusOutOfRange]: radius 0.5 outside admissible "
+             "[0.00134, 0.10607] for phase space at T=2, N=1048576"),
+            ("r_phase = 0.001", "error[RadiusOutOfRange]: radius 0.001 outside admissible "
+             "[0.00134, 0.10607] for phase space at T=2, N=1048576"),
+            ("frequencies = [[1, 0], [9, 0]]",
+             "error[PreconditionError]: frequency (9, 0) outside |n|_inf <= 8"),
+        ],
+        ids=["physical-above", "phase-above", "phase-below", "frequency"],
+    )
+    def test_out_of_range_refused_before_building(
+        self, line, message, tmp_path, monkeypatch, capsys
+    ):
+        # the radii and frequencies depend only on N, T and the config, so
+        # they are refused before the propagator, quasimode and grid
+        calls = record_calls(monkeypatch, "propagator", "husimi")
+        cfg = write_config(tmp_path, f"matrix = 2,1,1,1\nT = 2\nN = 1048576\nG = 2048\n{line}\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.strip() == message
+        assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
+
+    def test_outputs_key_accepted(self, tmp_path):
+        # outputs is the one config key that only the CLI reads
+        cfg = write_config(tmp_path, self.CONFIG + 'outputs = ["orbit"]\n')
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert (tmp_path / "report.orbit.json").exists()
+        assert not (tmp_path / "report.state.bin").exists()
+        assert not (tmp_path / "report.husimi.csv").exists()
 
     def test_resolution_warning_once(self, tmp_path, recwarn):
         # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384
