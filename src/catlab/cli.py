@@ -64,6 +64,24 @@ def _parse_ladder(text: str) -> List[int]:
     return ladder
 
 
+_OUTPUTS = ("state", "husimi", "orbit")
+
+
+def _parse_outputs(value) -> List[str]:
+    """The quasimode config's outputs as a list of names, from a JSON list,
+    a comma list or one name; a name outside _OUTPUTS is a ConfigError."""
+    names = [s.strip() for s in value.split(",")] if isinstance(value, str) else value
+    if not isinstance(names, list):
+        raise ConfigError(f"config key outputs needs a list of names, got {value!r}")
+    unknown = [str(name) for name in names if name not in _OUTPUTS]
+    if unknown:
+        raise ConfigError(
+            f"unknown output(s) {', '.join(unknown)} in config key outputs; "
+            f"known: {', '.join(_OUTPUTS)}"
+        )
+    return names
+
+
 def _write_manifest(out: Path, config: Dict) -> None:
     clean = {k: v for k, v in config.items() if not callable(v)}
     doc = {"tool": "catlab", "version": __version__, "resolved_config": clean}
@@ -187,13 +205,13 @@ def cmd_expect(args) -> int:
 
 def cmd_quasimode(args) -> int:
     cfg = parse_config_file(args.config)
+    outputs = _parse_outputs(cfg.get("outputs", list(_OUTPUTS)))
     t0 = time.perf_counter()
     exp = run_pipeline(cfg)
     t1 = time.perf_counter()
     out = Path(args.out)
     out.write_text(canonical_json(exp.report))
     _write_manifest(out, cfg)
-    outputs = cfg.get("outputs", ["state", "husimi", "orbit"])
     if "state" in outputs:
         save_state(out.parent / (out.stem + ".state.bin"), exp.psi_n)
     if "husimi" in outputs:

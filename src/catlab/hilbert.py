@@ -7,8 +7,11 @@ index past N multiplies the amplitude by exp(-i theta1).
 Quantum translations, and their finite sums, act as index shifts with
 site-dependent phases: one builder, _shift_phase_map, makes each such
 operator and its adjoint from one phase per shift.  The quantum cat-map
-propagator is the discrete quadratic (Gauss-sum) kernel,
-applied matrix-free as chirp * FFT * chirp in O(N |b| log(N |b|)).  Its
+propagator is the discrete quadratic (Gauss-sum) kernel, applied
+matrix-free in O(N |b| log(N |b|)) as chirp * FFT(N |b|) * chirp, or, when
+N |b| has a prime factor p with p^2 > N |b| (where numpy's FFT would run
+Bluestein's algorithm on every apply), as chirp * convolution * chirp: two
+FFTs of a 5-smooth length against a chirp transformed once per build.  Its
 correctness is pinned by two oracles: unitarity, and the exact conjugation
 law  U T(n) U^-1 = T(Mn)  for integer translations.
 
@@ -401,7 +404,20 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
 # Propagator
 # ---------------------------------------------------------------------------
 
-def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
+def _fill_phases(out: np.ndarray, first: int, q: int, p: int, poly, D: int) -> None:
+    """out[i] = exp(2 pi i P(s)/D) with s = q (first + i) + p and P = poly, in
+    blocks of sites, so that the integer temporaries stay small; a block is
+    longer than sqrt(D), so that it reads the tables of _unit_phase."""
+    size = max(_CHIRP_BLOCK, 2 * math.isqrt(D))
+    for start in range(0, out.size, size):
+        block = out[start : start + size]
+        s = np.arange(first + start, first + start + block.size, dtype=np.int64)
+        s *= q
+        s += p
+        block[...] = _unit_phase(_poly_residues(poly, s, D), D)
+
+
+def _chirp_arrays(catmap: CatMap, grid: PlanckGrid, convolution: bool = False):
     """The phase vectors of the Gauss-sum kernel: pre (length N |b|) and post.
 
         pre[m]  = exp(i pi (a (m+eta)^2 - 2 eta (m+eta))/(N b)) exp(-i theta1 w),
@@ -410,9 +426,9 @@ def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
     with w = m // N.  With eta = p/q, s = q m + p (or q j + p) and theta1 =
     pi u/v, both are unit phases over D = 2 N |b| q^2 v of the integer
     quadratics sgn(b) v (a s^2 - 2 p s) - u w N |b| q^2 and sgn(b) v (d s^2 -
-    2 p s + 2 p^2).  Each is built in blocks of sites, so that the build's
-    integer temporaries stay small; a block is longer than sqrt(D), so
-    that it reads the tables of _unit_phase.
+    2 p s + 2 p^2).  For the convolution form, where the kernel's -2 x y is
+    (x - y)^2 - x^2 - y^2, they are the chirps of a - 1 and d - 1 with no
+    term linear in s: the eta-linear terms cancel, as x - y = m - j.
     """
     a, b, _, d = catmap.entries
     N = grid.N
@@ -424,22 +440,56 @@ def _chirp_arrays(catmap: CatMap, grid: PlanckGrid):
     half = N * absB * q * q
     D = 2 * half * v
     sv = v if b > 0 else -v
-    size = max(_CHIRP_BLOCK, 2 * math.isqrt(D))
-
-    def fill(out, first, poly):
-        for start in range(0, out.size, size):
-            block = out[start : start + size]
-            s = np.arange(first + start, first + start + block.size, dtype=np.int64)
-            s *= q
-            s += p
-            block[...] = _unit_phase(_poly_residues(poly, s, D), D)
+    if convolution:
+        a, d, linear, const = a - 1, d - 1, 0, 0
+    else:
+        linear, const = -2 * sv * p, 2 * sv * p * p
 
     pre = np.empty(L, dtype=complex)
     for w in range(absB):
-        fill(pre[w * N : (w + 1) * N], w * N, (sv * a, -2 * sv * p, -u * w * half))
+        _fill_phases(pre[w * N : (w + 1) * N], w * N, q, p, (sv * a, linear, -u * w * half), D)
     post = np.empty(N, dtype=complex)
-    fill(post, 0, (sv * d, -2 * sv * p, 2 * sv * p * p))
+    _fill_phases(post, 0, q, p, (sv * d, linear, const), D)
     return pre, post, L
+
+
+def _bluestein_class(L: int) -> bool:
+    """True when L has a prime factor p with p^2 > L: the only FFT lengths
+    at which numpy's pocketfft falls back to Bluestein's algorithm."""
+    r, f = L, 2
+    while f * f <= r:
+        while r % f == 0:
+            r //= f
+        f += 1
+    return r > 1 and r * r > L
+
+
+def _five_smooth_at_least(n: int) -> int:
+    """The least integer >= n with no prime factor above 5."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolution_kernel(b: int, N: int, L: int, M: int) -> np.ndarray:
+    """FFT(h) / sqrt(L) for h(k) = exp(i pi sgn(b) k^2/L), placed circularly
+    at k mod M for k in (-L, N): the unit phase of sgn(b) k^2 mod 2 L."""
+    poly, D = (1 if b > 0 else -1, 0, 0), 2 * L
+    kernel = np.zeros(M, dtype=complex)
+    _fill_phases(kernel[:N], 0, 1, 0, poly, D)
+    _fill_phases(kernel[M - L + 1 :], 1 - L, 1, 0, poly, D)
+    np.fft.fft(kernel, out=kernel)
+    kernel *= 1.0 / math.sqrt(L)
+    return kernel
 
 
 def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
@@ -451,10 +501,20 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
                    exp(i pi (a x_kw^2 - 2 x_kw x_j' + d x_j'^2)/(N b))
                    exp(-i theta1 w),
 
-    with x_kw = k + eta + N w and x_j' = j' + eta, applied as
-    chirp * FFT(N |b|) * chirp.  The global phase is fixed by this kernel
-    normalization (principal positive square root); quasi-energies reported
-    downstream are relative to it.
+    with x_kw = k + eta + N w and x_j' = j' + eta, applied in one of two forms:
+
+    - direct: chirp * FFT(N |b|) * chirp;
+    - convolution: with -2 x y = (x - y)^2 - x^2 - y^2, chirp * (linear
+      convolution with h(k) = exp(i pi k^2/(N b))) * chirp, taken as two
+      FFTs of the least 5-smooth length M >= N |b| + N - 1.  The transform
+      of h is built once, here; the adjoint, a correlation with the same h,
+      reads it too.
+
+    The convolution form is used exactly when N |b| has a prime factor p
+    with p^2 > N |b|, the lengths at which numpy's FFT falls back to
+    Bluestein's algorithm and pads to about 2 N |b| on every apply.  The
+    global phase is fixed by the kernel normalization (principal positive
+    square root); quasi-energies reported downstream are relative to it.
 
     Raises
     ------
@@ -469,27 +529,48 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
         # hyperbolic integral matrices always have b != 0 (b = 0 forces |trace| = 2)
         raise UnsupportedMatrix("matrix has b = 0; not hyperbolic over SL(2,Z)")
     _require_invariant_theta(catmap, grid)
-    pre, post, L = _chirp_arrays(catmap, grid)
     N = grid.N
     absB = abs(b)
-    # the kernel's transform, its 1/sqrt(L) applied inside the FFT
-    transform = functools.partial(np.fft.fft if b > 0 else np.fft.ifft, norm="ortho")
+    if _bluestein_class(N * absB):
+        pre, post, L = _chirp_arrays(catmap, grid, convolution=True)
+        M = _five_smooth_at_least(L + N - 1)
+        kernel = _convolution_kernel(b, N, L, M)
 
-    def apply(vec: np.ndarray) -> np.ndarray:
-        ext = np.tile(vec, absB)
-        ext *= pre
-        return post * transform(ext)[:N]
+        def apply(vec: np.ndarray) -> np.ndarray:
+            F = np.fft.fft((pre.reshape(absB, N) * vec).reshape(-1), M)
+            F *= kernel
+            return post * np.fft.ifft(F, out=F)[:N]
 
-    def adjoint(vec: np.ndarray) -> np.ndarray:
-        # the adjoint of the transform is conj o transform o conj, so the
-        # adjoint needs no second kind of FFT
-        g = np.zeros(L, dtype=complex)
-        np.conjugate(vec, out=g[:N])
-        g[:N] *= post
-        F = transform(g)
-        F *= pre
-        out = F.reshape(absB, N).sum(axis=0)
-        return np.conjugate(out, out=out)
+        def adjoint(vec: np.ndarray) -> np.ndarray:
+            # conj o U* o conj is a correlation with h: the forward steps
+            # with fft and ifft swapped, on the same kernel
+            F = np.fft.ifft(np.conjugate(vec) * post, M)
+            F *= kernel
+            F = np.fft.fft(F, out=F)[:L]
+            F *= pre
+            out = F.reshape(absB, N).sum(axis=0)
+            return np.conjugate(out, out=out)
+
+    else:
+        pre, post, L = _chirp_arrays(catmap, grid)
+        # the kernel's transform, its 1/sqrt(L) applied inside the FFT
+        transform = functools.partial(np.fft.fft if b > 0 else np.fft.ifft, norm="ortho")
+
+        def apply(vec: np.ndarray) -> np.ndarray:
+            ext = np.tile(vec, absB)
+            ext *= pre
+            return post * transform(ext)[:N]
+
+        def adjoint(vec: np.ndarray) -> np.ndarray:
+            # the adjoint of the transform is conj o transform o conj, so the
+            # adjoint needs no second kind of FFT
+            g = np.zeros(L, dtype=complex)
+            np.conjugate(vec, out=g[:N])
+            g[:N] *= post
+            F = transform(g)
+            F *= pre
+            out = F.reshape(absB, N).sum(axis=0)
+            return np.conjugate(out, out=out)
 
     u = LinearMap(N, apply, adjoint, label=f"U{catmap.entries}")
     v = random_states(np.random.default_rng(0), N, 1)[0]

@@ -36,16 +36,16 @@ def hyperbolic_maps():
     ]
 
 
-def twisted_grid():
-    """Map 2,5,1,3 at N = 600 with theta/pi = (2/3, 4/3).
+def twisted_grid(N=600):
+    """Map 2,5,1,3 at N (600 unless given) with theta/pi = (2/3, 4/3).
 
-    The angle is off the parity rule but passes the exact invariance check,
-    so the propagator builds there, and a wrapped site's theta1 twist is
-    neither 1 nor -1: coherent states, Husimi grids and anti-Wick
-    operators agree only if they twist the same way.
+    The angle is off the parity rule but passes the exact invariance check
+    at N = 600 and N = 402, so the propagator builds there, and a wrapped
+    site's theta1 twist is neither 1 nor -1: coherent states, Husimi grids
+    and anti-Wick operators agree only if they twist the same way.
     """
     cat = validate_cat_map(2, 5, 1, 3)
-    return cat, PlanckGrid(600, (Fraction(2, 3), Fraction(4, 3)))
+    return cat, PlanckGrid(N, (Fraction(2, 3), Fraction(4, 3)))
 
 
 def random_state(grid, seed=0):

@@ -35,6 +35,8 @@ from conftest import (
 )
 
 NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)]
+# |b| = 1, 2, 3 and b < 0
+CONVOLUTION_MAPS = [(2, 1, 1, 1), (5, 2, 2, 1), (2, 3, 1, 2), (1, -1, -1, 2)]
 
 
 def exact_phase(x):
@@ -396,9 +398,18 @@ class TestPropagator:
                 lhs = U @ translation_entries(n, grid) @ U.conj().T
                 assert np.max(np.abs(lhs - translation_entries(mn, grid))) < 1e-12
 
-    @pytest.mark.parametrize("N", [256, 1024])
-    def test_fast_matches_dense_kernel(self, N):
-        cat = validate_cat_map(2, 3, 1, 2)
+    @pytest.mark.parametrize(
+        "entries, N",
+        [pytest.param((2, 3, 1, 2), N, id=str(N)) for N in (256, 1024)]
+        # N |b| with a prime factor p, p^2 > N |b|: the convolution form
+        + [
+            pytest.param(e, N, id=",".join(map(str, e)) + f"-{N}")
+            for N in (482, 1009)
+            for e in CONVOLUTION_MAPS
+        ],
+    )
+    def test_fast_matches_dense_kernel(self, entries, N):
+        cat = validate_cat_map(*entries)
         grid = choose_theta(cat, N)
         u = propagator(cat, grid)
         Ud = propagator_dense(cat, grid)
@@ -408,13 +419,42 @@ class TestPropagator:
 
     def test_fast_matches_dense_kernel_off_parity(self):
         # theta1 = 2 pi/3: the per-wrap twist of the kernel is neither 1
-        # nor -1, so its sign and size are seen
-        cat, grid = twisted_grid()
-        u = propagator(cat, grid)
-        Ud = propagator_dense(cat, grid)
-        psi = random_state(grid, 8).amplitudes
-        assert np.max(np.abs(u.apply(psi) - Ud @ psi)) < 1e-12
-        assert np.max(np.abs(u.apply_adjoint(psi) - Ud.conj().T @ psi)) < 1e-12
+        # nor -1, so its sign and size are seen; N |b| = 3000 takes the
+        # direct form, 2010 = 2 3 5 67 the convolution form
+        for N in (600, 402):
+            cat, grid = twisted_grid(N)
+            u = propagator(cat, grid)
+            Ud = propagator_dense(cat, grid)
+            psi = random_state(grid, 8).amplitudes
+            assert np.max(np.abs(u.apply(psi) - Ud @ psi)) < 1e-12
+            assert np.max(np.abs(u.apply_adjoint(psi) - Ud.conj().T @ psi)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "N, lengths",
+        [(1009, {2025}), (1024, {1024}), (1536, {1536})],
+        ids=["1009", "1024", "1536"],
+    )
+    def test_form_follows_fft_length(self, arnold, N, lengths, monkeypatch):
+        # 1009 is prime: two FFTs of 2025 = 3^4 5^2, the least 5-smooth
+        # length >= 2 N - 1, and none of length N; 1024 and 1536 = 2^9 3,
+        # whose largest prime factor 3 has 3^2 < 1536, keep the direct form
+        seen = set()
+
+        def recording(transform):
+            def run(a, n=None, *args, **kwargs):
+                seen.add(np.shape(a)[-1] if n is None else n)
+                return transform(a, n, *args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
+        grid = choose_theta(arnold, N)
+        u = propagator(arnold, grid)
+        psi = random_state(grid, 9).amplitudes
+        u.apply(psi)
+        u.apply_adjoint(psi)
+        assert seen == lengths
 
     def test_unitarity_random_states(self, arnold, grid4096):
         u = propagator(arnold, grid4096)
@@ -440,6 +480,18 @@ class TestPropagator:
         finally:
             tracemalloc.stop()
         assert peak <= 7.5 * 16 * grid.N * abs(arnold.b)
+
+    def test_build_memory_convolution_form(self, arnold):
+        # N = 1048573 is prime: the build and its unitarity check hold at
+        # most 5 vectors of the convolution length M = 2^21
+        grid = choose_theta(arnold, 1048573)
+        tracemalloc.start()
+        try:
+            propagator(arnold, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 16 * 2**21
 
     def test_incompatible_theta_rejected(self, arnold):
         bad = PlanckGrid(8, (Fraction(1, 5), Fraction(7, 20)))

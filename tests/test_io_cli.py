@@ -736,6 +736,27 @@ class TestQuasimodePipeline:
         assert not (tmp_path / "report.state.bin").exists()
         assert not (tmp_path / "report.husimi.csv").exists()
 
+    @pytest.mark.parametrize(
+        "value, name", [("stat", "stat"), ('["orbit", "orbitx"]', "orbitx")]
+    )
+    def test_unknown_outputs_refused_before_building(
+        self, value, name, tmp_path, monkeypatch, capsys
+    ):
+        calls = record_calls(monkeypatch, "propagator")
+        cfg = write_config(tmp_path, self.CONFIG + f"outputs = {value}\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 2
+        assert f"unknown output(s) {name} in config key outputs" in capsys.readouterr().err
+        assert calls == {"propagator": []}
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+    @pytest.mark.parametrize("value", ["state, orbit", '["state", "orbit"]'])
+    def test_outputs_list_writes_exactly_those(self, value, tmp_path):
+        cfg = write_config(tmp_path, self.CONFIG + f"outputs = {value}\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert (tmp_path / "report.state.bin").exists()
+        assert (tmp_path / "report.orbit.json").exists()
+        assert not (tmp_path / "report.husimi.csv").exists()
+
     def test_resolution_warning_once(self, tmp_path, recwarn):
         # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384
         cfg = write_config(tmp_path, self.CONFIG.replace("4096", "16384"))
