@@ -8,16 +8,17 @@ Quantum translations, and their finite sums, act as index shifts with
 site-dependent phases: one builder, _shift_phase_map, makes each such
 operator and its adjoint from one phase per shift.  The quantum cat-map
 propagator is the discrete quadratic (Gauss-sum) kernel, applied
-matrix-free in O(N |b| log(N |b|)) as chirp * FFT(N |b|) * chirp, or, when
-N |b| has a prime factor p with p^2 > N |b| (where numpy's FFT would run
-Bluestein's algorithm on every apply), as chirp * convolution * chirp: two
-FFTs of a 5-smooth length against a chirp transformed once per build.  Its
-correctness is pinned by two oracles: unitarity, and the exact conjugation
-law  U T(n) U^-1 = T(Mn)  for integer translations.
+matrix-free in O(N log N) whatever |b|: with g = gcd(b, N), each column
+lives on one residue class mod g, and U = post * B * pre with B one
+batched FFT of length N/g between a reshape and a gather (a chirp
+convolution of 5-smooth length where numpy's FFT would run Bluestein's
+algorithm).  Its correctness is pinned by two oracles: unitarity, and the
+exact conjugation law  U T(n) U^-1 = T(Mn)  for integer translations.
 
 Every phase here is a rational multiple of 2 pi: the translations'
-momentum phases, the Bloch twists and the kernel's chirps.  Each is
-reduced exactly by one residue rule, _poly_residues, and taken by one
+momentum phases, the Bloch twists and the kernel's phases.  Each is
+reduced exactly by a residue rule (_poly_residues for polynomials,
+_residues for sums of products of residues) and taken by one
 primitive, _unit_phase, which reads exp(2 pi i r/D) from two tables of
 about sqrt(D) exponentials; no exp runs over a vector of length N.  So
 translations compose as T(n) T(m) = exp(i pi (n ^ m)/N) T(n + m) exactly,
@@ -206,8 +207,8 @@ def _require_invariant_theta(catmap: CatMap, grid: PlanckGrid) -> None:
 # ---------------------------------------------------------------------------
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j, 1])
-# the least number of sites per block of a chirp build
-_CHIRP_BLOCK = 1 << 14
+# the least number of sites per block of a propagator phase build
+_PHASE_BLOCK = 1 << 14
 
 
 def _quarter_reduced_phase(k: np.ndarray, D: int) -> np.ndarray:
@@ -404,53 +405,16 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
 # Propagator
 # ---------------------------------------------------------------------------
 
-def _fill_phases(out: np.ndarray, first: int, q: int, p: int, poly, D: int) -> None:
-    """out[i] = exp(2 pi i P(s)/D) with s = q (first + i) + p and P = poly, in
-    blocks of sites, so that the integer temporaries stay small; a block is
-    longer than sqrt(D), so that it reads the tables of _unit_phase."""
-    size = max(_CHIRP_BLOCK, 2 * math.isqrt(D))
-    for start in range(0, out.size, size):
-        block = out[start : start + size]
-        s = np.arange(first + start, first + start + block.size, dtype=np.int64)
-        s *= q
-        s += p
-        block[...] = _unit_phase(_poly_residues(poly, s, D), D)
+def _residues(terms, D: int) -> np.ndarray:
+    """sum c x mod D over at most 8 (c, x) terms, integers or int64 arrays in
+    [0, D) that broadcast, such as modular inverses times sites: in int64 when
+    D < 2^30 (the sum of products fits), else in Python integers."""
+    dtype = np.int64 if D < 2**30 else object
 
+    def cast(v):
+        return np.asarray(v % D if isinstance(v, int) else v).astype(dtype, copy=False)
 
-def _chirp_arrays(catmap: CatMap, grid: PlanckGrid, convolution: bool = False):
-    """The phase vectors of the Gauss-sum kernel: pre (length N |b|) and post.
-
-        pre[m]  = exp(i pi (a (m+eta)^2 - 2 eta (m+eta))/(N b)) exp(-i theta1 w),
-        post[j] = exp(i pi (d (j+eta)^2 - 2 eta j)/(N b)),
-
-    with w = m // N.  With eta = p/q, s = q m + p (or q j + p) and theta1 =
-    pi u/v, both are unit phases over D = 2 N |b| q^2 v of the integer
-    quadratics sgn(b) v (a s^2 - 2 p s) - u w N |b| q^2 and sgn(b) v (d s^2 -
-    2 p s + 2 p^2).  For the convolution form, where the kernel's -2 x y is
-    (x - y)^2 - x^2 - y^2, they are the chirps of a - 1 and d - 1 with no
-    term linear in s: the eta-linear terms cancel, as x - y = m - j.
-    """
-    a, b, _, d = catmap.entries
-    N = grid.N
-    absB = abs(b)
-    L = N * absB
-    p, q = _site_offset(grid)
-    y = grid.theta_over_pi[0]
-    u, v = y.numerator, y.denominator
-    half = N * absB * q * q
-    D = 2 * half * v
-    sv = v if b > 0 else -v
-    if convolution:
-        a, d, linear, const = a - 1, d - 1, 0, 0
-    else:
-        linear, const = -2 * sv * p, 2 * sv * p * p
-
-    pre = np.empty(L, dtype=complex)
-    for w in range(absB):
-        _fill_phases(pre[w * N : (w + 1) * N], w * N, q, p, (sv * a, linear, -u * w * half), D)
-    post = np.empty(N, dtype=complex)
-    _fill_phases(post, 0, q, p, (sv * d, linear, const), D)
-    return pre, post, L
+    return np.asarray(sum(cast(c) * cast(x) for c, x in terms) % D, dtype=np.int64)
 
 
 def _bluestein_class(L: int) -> bool:
@@ -480,97 +444,133 @@ def _five_smooth_at_least(n: int) -> int:
     return best
 
 
-def _convolution_kernel(b: int, N: int, L: int, M: int) -> np.ndarray:
-    """FFT(h) / sqrt(L) for h(k) = exp(i pi sgn(b) k^2/L), placed circularly
-    at k mod M for k in (-L, N): the unit phase of sgn(b) k^2 mod 2 L."""
-    poly, D = (1 if b > 0 else -1, 0, 0), 2 * L
-    kernel = np.zeros(M, dtype=complex)
-    _fill_phases(kernel[:N], 0, 1, 0, poly, D)
-    _fill_phases(kernel[M - L + 1 :], 1 - L, 1, 0, poly, D)
-    np.fft.fft(kernel, out=kernel)
-    kernel *= 1.0 / math.sqrt(L)
-    return kernel
-
-
 def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
-    """The quantum cat map U on H_{N,theta}, matrix-free.
+    """The quantum cat map U on H_{N,theta}, matrix-free, in O(N log N).
 
-    Realized by the discrete quadratic kernel
+    U is the Gauss-sum (Hannay-Berry) kernel, e(s) = exp(2 pi i s),
+        U[j, k] = (N |b|)^{-1/2} sum_{w=0}^{|b|-1}
+                  e((a x_w^2 - 2 x_w y + d y^2)/(2 N b) - t w),
+    x_w = k + eta + N w, y = j + eta, t = theta1/(2 pi), applied as one
+    kernel of total length N whatever |b| is.  With g = gcd(b, N), n = N/g
+    and beta = b/g, the g-block rule: w = w1 + |beta| w2, and the w2-sum,
+    of g-th roots of unity, is g on the class j = a k + z mod g and 0 off
+    it, z = eta (a - 1) - t b + a N beta/2 (an integer for an invariant
+    theta).  There the w1-sum is a Gauss sum of length |beta| in a x' - y'
+    + beta h, x' = (k + eta)/g, y' = (j + eta)/g, h = a n/2 - t; as a n
+    is prime to beta, completing its square leaves U[j, k] = C n^{-1/2}
+    e((nu y'^2 + 2 mu x' y' - a mu x'^2)/(2 n) + lam (a x' - y') + beta h
+    (eps - i h)/2), with i = (a n)^-1 mod beta, mu = (a n i - 1)/beta,
+    nu = (d - i n)/beta, eps = i mu + 1 + beta mu mod 2, lam = eps/2 - i h
+    and C an eighth root of unity.  For k = g k' + kappa, j = g j' + r
+    the cross term is mu j' k'/n plus terms of k or j alone: U v = post *
+    B(pre * v), B a reshape to (g, n) (a row per class kappa), one batched
+    length-n FFT along the rows and a read of site j in row kappa(r),
+    column -mu j' mod n.  pre and post are unit phases of exact residues;
+    C is one Hannay-Berry element (|b|/g terms) over the new kernel's value
+    there, rounded to the eighth root of unity: the global phase is exact.
+    Where numpy's FFT would run Bluestein's algorithm (n has a prime
+    factor p with p^2 > n), the DFT is the linear convolution with h(l) =
+    e(l^2/(2 n)), its chirps folded into pre and post: two FFTs of the
+    least 5-smooth M >= 2 n - 1 against h's transform, built once, which
+    the adjoint, the correlation with h, reads too.
 
-        U[j', k] = (N |b|)^{-1/2} sum_{w=0}^{|b|-1}
-                   exp(i pi (a x_kw^2 - 2 x_kw x_j' + d x_j'^2)/(N b))
-                   exp(-i theta1 w),
-
-    with x_kw = k + eta + N w and x_j' = j' + eta, applied in one of two forms:
-
-    - direct: chirp * FFT(N |b|) * chirp;
-    - convolution: with -2 x y = (x - y)^2 - x^2 - y^2, chirp * (linear
-      convolution with h(k) = exp(i pi k^2/(N b))) * chirp, taken as two
-      FFTs of the least 5-smooth length M >= N |b| + N - 1.  The transform
-      of h is built once, here; the adjoint, a correlation with the same h,
-      reads it too.
-
-    The convolution form is used exactly when N |b| has a prime factor p
-    with p^2 > N |b|, the lengths at which numpy's FFT falls back to
-    Bluestein's algorithm and pads to about 2 N |b| on every apply.  The
-    global phase is fixed by the kernel normalization (principal positive
-    square root); quasi-energies reported downstream are relative to it.
-
-    Raises
-    ------
-    NoInvariantTheta
-        If grid.theta is not compatible with the map.
-    UnsupportedMatrix
-        If the kernel fails its unitarity spot check (not expected for
-        any hyperbolic SL(2,Z) matrix; defensive).
+    Raises NoInvariantTheta for an incompatible grid.theta, and
+    UnsupportedMatrix if C is no eighth root of unity or the unitarity spot
+    check fails (neither expected for a hyperbolic SL(2,Z) map; defensive).
     """
-    b = catmap.b
+    a, b, _, d = catmap.entries
     if b == 0:
         # hyperbolic integral matrices always have b != 0 (b = 0 forces |trace| = 2)
         raise UnsupportedMatrix("matrix has b = 0; not hyperbolic over SL(2,Z)")
     _require_invariant_theta(catmap, grid)
     N = grid.N
-    absB = abs(b)
-    if _bluestein_class(N * absB):
-        pre, post, L = _chirp_arrays(catmap, grid, convolution=True)
-        M = _five_smooth_at_least(L + N - 1)
-        kernel = _convolution_kernel(b, N, L, M)
+    g = math.gcd(b, N)
+    n, beta, p, q = N // g, b // g, *_site_offset(grid)
+    h = Fraction(a * n, 2) - (t := grid.theta_over_pi[0] / 2)
+    inv = pow(a * n, -1, abs(beta))
+    mu, nu = (a * n * inv - 1) // beta, (d - inv * n) // beta
+    eps = (inv * mu + 1 + beta * mu) % 2
+    lam = Fraction(eps, 2) - inv * h
+    z = int((a - 1) * Fraction(p, q) - t * b + Fraction(a * N * beta, 2)) % g
 
-        def apply(vec: np.ndarray) -> np.ndarray:
-            F = np.fft.fft((pre.reshape(absB, N) * vec).reshape(-1), M)
+    # over D, s = q k + p = q g x' (or q j + p = q g y'): pre holds the x' terms, the
+    # constant and x' (r + eta)/g; post the y' terms and (y' - (r + eta)/g) (kappa + eta)/g
+    W = 2 * N * g * q * q
+    const = beta * h * (eps - inv * h) / 2
+    D = math.lcm(W, (lam / (q * g)).denominator, const.denominator)
+    classes = np.arange(g)
+    kappa = pow(a, -1, g) * (classes - z) % g
+    R, K = q * (((a % g) * classes + z) % g) + p, q * kappa + p
+    perm = (n * kappa + ((-mu % n) * np.arange(n) % n)[:, None]).reshape(-1)
+    cross, chirp, bluestein = 2 * mu * (D // W), -(D // (2 * n)), _bluestein_class(n)
+    pre_c1 = _residues([(cross, R), (int(lam * a * D / (q * g)), 1)], D)
+    post_c1 = _residues([(cross, K), (-int(lam * D / (q * g)), 1)], D)
+    post_c0 = _residues([(-cross, _residues([(q * classes + p, K)], D))], D)
+    pre, post = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
+    step = -(-max(_PHASE_BLOCK, 2 * math.isqrt(D)) // g)  # rows of >= 2 sqrt(D) sites
+    for lo in range(0, n, step):
+        k1 = np.arange(lo, min(n, lo + step))[:, None]
+        m = (-mu % n) * k1 % n  # the row read for site j = g k1 + r
+        s = q * (g * k1 + classes) + p
+        s2 = _residues([(s, s)], D)
+        # e(-m k'/n) = e(-m^2/(2 n)) e(-k'^2/(2 n)) h(m - k') for Bluestein
+        r = [(chirp, _residues([(k1, k1)], D))] if bluestein else []
+        r += [(-a * mu * (D // W), s2), (int(const * D), 1), (pre_c1, s)]
+        pre.reshape(n, g)[lo : lo + step] = _unit_phase(_residues(r, D), D)
+        r = [(chirp, _residues([(m, m)], D))] if bluestein else []
+        r += [(nu * (D // W), s2), (post_c0, 1), (post_c1, s)]
+        post.reshape(n, g)[lo : lo + step] = _unit_phase(_residues(r, D), D)
+
+    # C from U[z, 0] = g (N |b|)^-1/2 e(c0) sum_{w < |beta|} e(c2 w^2 + c1 w): the w2-sum is g
+    c2, c1 = Fraction(a * n, 2 * beta), Fraction(a * p - (y := q * z + p), b * q) - t
+    c0 = Fraction(a * p * p - 2 * p * y + d * y * y, 2 * N * b * q * q)
+    Dw = math.lcm(c2.denominator, c1.denominator)
+    c2, c1, ratio = int(c2 * Dw), int(c1 * Dw), 0
+    for lo in range(0, abs(beta), _PHASE_BLOCK):
+        w = np.arange(lo, min(abs(beta), lo + _PHASE_BLOCK))
+        ratio += _unit_phase(_residues([(c2, w * w % Dw), (c1, w)], Dw), Dw).sum()
+    ratio *= _unit_phase(c0.numerator % c0.denominator, c0.denominator) / abs(beta) ** 0.5
+    ratio = complex(ratio) / (pre[0] * post[z])
+    C = complex(_unit_phase(round(np.angle(ratio) * 4 / math.pi) % 8, 8))
+    if abs(ratio - C) > 1e-6:
+        raise UnsupportedMatrix(f"{catmap} at N={N}: constant {ratio:.3f} no 8th root of 1")
+    post *= C
+
+    if bluestein:
+        # h at l in (-n, n), placed at l mod M; h(-l) = h(l)
+        M = _five_smooth_at_least(2 * n - 1)
+        kernel = np.zeros(M, dtype=complex)
+        kernel[:n] = _unit_phase(_residues([(np.arange(n),) * 2], 2 * n), 2 * n) / math.sqrt(n)
+        kernel[M - n + 1 :] = kernel[n - 1 : 0 : -1]
+        kernel = np.fft.fft(kernel, out=kernel)
+
+        def convolution(first, second, x: np.ndarray) -> np.ndarray:
+            F = first(x, M)
             F *= kernel
-            return post * np.fft.ifft(F, out=F)[:N]
+            return second(F, out=F)[:, :n]
 
-        def adjoint(vec: np.ndarray) -> np.ndarray:
-            # conj o U* o conj is a correlation with h: the forward steps
-            # with fft and ifft swapped, on the same kernel
-            F = np.fft.ifft(np.conjugate(vec) * post, M)
-            F *= kernel
-            F = np.fft.fft(F, out=F)[:L]
-            F *= pre
-            out = F.reshape(absB, N).sum(axis=0)
-            return np.conjugate(out, out=out)
+        # the transpose, the correlation with h, swaps fft and ifft
+        forward = functools.partial(convolution, np.fft.fft, np.fft.ifft)
+        transposed = functools.partial(convolution, np.fft.ifft, np.fft.fft)
+    else:  # in place; the DFT matrix is symmetric, its own transpose
+        def forward(x: np.ndarray) -> np.ndarray:
+            return np.fft.fft(x, norm="ortho", out=x)
 
-    else:
-        pre, post, L = _chirp_arrays(catmap, grid)
-        # the kernel's transform, its 1/sqrt(L) applied inside the FFT
-        transform = functools.partial(np.fft.fft if b > 0 else np.fft.ifft, norm="ortho")
+        transposed = forward
 
-        def apply(vec: np.ndarray) -> np.ndarray:
-            ext = np.tile(vec, absB)
-            ext *= pre
-            return post * transform(ext)[:N]
+    def apply(vec: np.ndarray) -> np.ndarray:
+        out = forward((pre * vec).reshape(n, g).T).reshape(-1)[perm]
+        out *= post
+        return out
 
-        def adjoint(vec: np.ndarray) -> np.ndarray:
-            # the adjoint of the transform is conj o transform o conj, so the
-            # adjoint needs no second kind of FFT
-            g = np.zeros(L, dtype=complex)
-            np.conjugate(vec, out=g[:N])
-            g[:N] *= post
-            F = transform(g)
-            F *= pre
-            out = F.reshape(absB, N).sum(axis=0)
-            return np.conjugate(out, out=out)
+    def adjoint(vec: np.ndarray) -> np.ndarray:
+        # U* = conj o pre B^T post o conj: scatter, transposed transform
+        x = np.empty((g, n), dtype=complex)
+        x.reshape(-1)[perm] = np.conjugate(vec) * post
+        F = transposed(x)
+        del x
+        out = F.T.reshape(-1) * pre
+        return np.conjugate(out, out=out)
 
     u = LinearMap(N, apply, adjoint, label=f"U{catmap.entries}")
     v = random_states(np.random.default_rng(0), N, 1)[0]

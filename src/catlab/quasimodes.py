@@ -582,7 +582,7 @@ def run_pipeline(config: Dict) -> Experiment:
     lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)
     res = residual(psi_n, phi, prop)
-    del prop  # no diagnostic applies U: free its chirps
+    del prop  # no diagnostic applies U: free its phase vectors and index map
     lap("quasimode")
     hgrid = husimi(psi_n, cat, G)
     lap("husimi")

@@ -37,6 +37,16 @@ from conftest import (
 NONSYM = [(1, 2, 1, 3), (1, 4, 1, 5), (2, 3, 1, 2), (2, -1, -1, 1), (3, 2, 4, 3)]
 # |b| = 1, 2, 3 and b < 0
 CONVOLUTION_MAPS = [(2, 1, 1, 1), (5, 2, 2, 1), (2, 3, 1, 2), (1, -1, -1, 2)]
+# the maps of the benchmark's propagator workload, two per |b| = 1, 2, 3
+PERFBENCH_MAPS = [(2, 1, 1, 1), (1, 1, 8, 9), (5, 2, 2, 1), (1, 2, 4, 9), (2, 3, 1, 2), (4, 3, 9, 7)]
+# g = gcd(b, N) from 1 to 6, even and odd N, b < 0, and the kernel's
+# support on one class of j mod g: 1,-4,-1,5 is nonzero on 1/4 of it at
+# N = 12 and 100, and 3,5,1,2 at N = 30 and 1,6,1,7 at N = 72 have g = 6
+EVERY_GCD = [
+    ((5, 2, 2, 1), 64), ((5, 2, 2, 1), 250), ((2, 3, 1, 2), 96), ((2, 3, 1, 2), 99),
+    ((4, 3, 9, 7), 81), ((1, -4, -1, 5), 12), ((1, -4, -1, 5), 100), ((3, 5, 1, 2), 30),
+    ((1, 6, 1, 7), 72),
+] + [(e, N) for e in PERFBENCH_MAPS for N in (1, 2)]
 
 
 def exact_phase(x):
@@ -401,12 +411,13 @@ class TestPropagator:
     @pytest.mark.parametrize(
         "entries, N",
         [pytest.param((2, 3, 1, 2), N, id=str(N)) for N in (256, 1024)]
-        # N |b| with a prime factor p, p^2 > N |b|: the convolution form
+        # N/gcd(b, N) with a prime factor p, p^2 > N/gcd(b, N): the convolution form
         + [
             pytest.param(e, N, id=",".join(map(str, e)) + f"-{N}")
             for N in (482, 1009)
             for e in CONVOLUTION_MAPS
-        ],
+        ]
+        + [pytest.param(e, N, id=",".join(map(str, e)) + f"-{N}") for e, N in EVERY_GCD],
     )
     def test_fast_matches_dense_kernel(self, entries, N):
         cat = validate_cat_map(*entries)
@@ -419,8 +430,8 @@ class TestPropagator:
 
     def test_fast_matches_dense_kernel_off_parity(self):
         # theta1 = 2 pi/3: the per-wrap twist of the kernel is neither 1
-        # nor -1, so its sign and size are seen; N |b| = 3000 takes the
-        # direct form, 2010 = 2 3 5 67 the convolution form
+        # nor -1, so its sign and size are seen; at N = 600, gcd(5, N) = 5
+        # and the direct form runs at 120; 402 = 2 3 67 takes the convolution form
         for N in (600, 402):
             cat, grid = twisted_grid(N)
             u = propagator(cat, grid)
@@ -430,11 +441,19 @@ class TestPropagator:
             assert np.max(np.abs(u.apply_adjoint(psi) - Ud.conj().T @ psi)) < 1e-12
 
     @pytest.mark.parametrize(
-        "N, lengths",
-        [(1009, {2025}), (1024, {1024}), (1536, {1536})],
-        ids=["1009", "1024", "1536"],
+        "entries, N, lengths",
+        [
+            pytest.param((2, 1, 1, 1), 1009, {2025}, id="1009"),
+            pytest.param((2, 1, 1, 1), 1024, {1024}, id="1024"),
+            pytest.param((2, 1, 1, 1), 1536, {1536}, id="1536"),
+        ]
+        # |b| = 3, 2, 3: no FFT longer than N, and 512 = N/gcd(2, N)
+        + [
+            pytest.param(e, 1024, lengths, id=",".join(map(str, e)) + "-1024")
+            for e, lengths in [((2, 3, 1, 2), {1024}), ((5, 2, 2, 1), {512}), ((4, 3, 9, 7), {1024})]
+        ],
     )
-    def test_form_follows_fft_length(self, arnold, N, lengths, monkeypatch):
+    def test_form_follows_fft_length(self, entries, N, lengths, monkeypatch):
         # 1009 is prime: two FFTs of 2025 = 3^4 5^2, the least 5-smooth
         # length >= 2 N - 1, and none of length N; 1024 and 1536 = 2^9 3,
         # whose largest prime factor 3 has 3^2 < 1536, keep the direct form
@@ -449,8 +468,9 @@ class TestPropagator:
 
         monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
-        grid = choose_theta(arnold, N)
-        u = propagator(arnold, grid)
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        u = propagator(cat, grid)
         psi = random_state(grid, 9).amplitudes
         u.apply(psi)
         u.apply_adjoint(psi)
@@ -480,6 +500,60 @@ class TestPropagator:
         finally:
             tracemalloc.stop()
         assert peak <= 7.5 * 16 * grid.N * abs(arnold.b)
+
+    def test_build_memory_without_b(self):
+        # |b| = 3 runs one kernel of total length N: the build and its
+        # unitarity check hold at most 7.5 vectors of length N
+        cat = validate_cat_map(4, 3, 9, 7)
+        grid = choose_theta(cat, 2**20)
+        tracemalloc.start()
+        try:
+            propagator(cat, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 16 * grid.N
+
+    @pytest.mark.parametrize("N", [12, 14])
+    def test_python_integer_residues_match_dense_kernel(self, N):
+        # 1,1,k,k+1 admits theta/pi = (0, 2/k) at even N; at k = 10001 the
+        # kernel's phases lie over D = 2 N (2 k)^2 > 2^30, where
+        # hilbert._residues works in Python integers
+        k = 10001
+        cat = validate_cat_map(1, 1, k, k + 1)
+        grid = PlanckGrid(N, (Fraction(0), Fraction(2, k)))
+        u = propagator(cat, grid)
+        Ud = propagator_dense(cat, grid)
+        basis = np.eye(N, dtype=complex)
+        assert np.max(np.abs(np.column_stack([u.apply(e) for e in basis]) - Ud)) < 1e-10
+        assert np.max(np.abs(np.column_stack([u.apply_adjoint(e) for e in basis]) - Ud.conj().T)) < 1e-10
+
+    @pytest.mark.parametrize("N", [31, 32, 33])
+    def test_b_beyond_N_matches_dense_kernel(self, N):
+        # A^5 = 89,55,55,34 for Arnold's A: |b| = 55 > N
+        cat = validate_cat_map(89, 55, 55, 34)
+        grid = choose_theta(cat, N)
+        u = propagator(cat, grid)
+        Ud = propagator_dense(cat, grid)
+        basis = np.eye(N, dtype=complex)
+        assert np.max(np.abs(np.column_stack([u.apply(e) for e in basis]) - Ud)) < 1e-10
+
+    @pytest.mark.parametrize("N", [4096, 4099])
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (2, 3, 1, 2), (1, -1, -1, 2)])
+    def test_power_is_one_kernel(self, entries, N):
+        # U_{M^t} = c U_M^t, t = 2..6, with c = exp(-i pi sgn(b) (t - 1)/4)
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        u = propagator(cat, grid)
+        psi = random_state(grid, 11).amplitudes
+        M = np.array([[cat.a, cat.b], [cat.c, cat.d]])
+        pushed = u.apply(psi)
+        for t in range(2, 7):
+            pushed = u.apply(pushed)
+            power = validate_cat_map(*map(int, np.linalg.matrix_power(M, t).ravel()))
+            ut = propagator(power, grid).apply(psi)
+            c = cmath.exp(-0.25j * math.pi * (t - 1) * np.sign(cat.b))
+            assert np.max(np.abs(ut - c * pushed)) < 1e-10
 
     def test_build_memory_convolution_form(self, arnold):
         # N = 1048573 is prime: the build and its unitarity check hold at
@@ -574,7 +648,7 @@ class TestEgorovDefect:
 
 class TestRandomMapsProperty:
     @settings(max_examples=40, deadline=None)
-    @given(entries=st.sampled_from(hyperbolic_maps()), N=st.integers(3, 48))
+    @given(entries=st.sampled_from(hyperbolic_maps()), N=st.integers(1, 48))
     def test_fast_propagator_matches_dense_kernel(self, entries, N):
         # odd N has theta = (pi, pi): the kernel's w-sum carries the twist
         cat = validate_cat_map(*entries)
