@@ -63,7 +63,6 @@ from .quantize import (
     weyl_quantize,
 )
 from .quasimodes import (
-    BallReport,
     Experiment,
     QuasimodeSpec,
     build_quasimode,

@@ -64,24 +64,6 @@ def _parse_ladder(text: str) -> List[int]:
     return ladder
 
 
-_OUTPUTS = ("state", "husimi", "orbit")
-
-
-def _parse_outputs(value) -> List[str]:
-    """The quasimode config's outputs as a list of names, from a JSON list,
-    a comma list or one name; a name outside _OUTPUTS is a ConfigError."""
-    names = [s.strip() for s in value.split(",")] if isinstance(value, str) else value
-    if not isinstance(names, list):
-        raise ConfigError(f"config key outputs needs a list of names, got {value!r}")
-    unknown = [str(name) for name in names if name not in _OUTPUTS]
-    if unknown:
-        raise ConfigError(
-            f"unknown output(s) {', '.join(unknown)} in config key outputs; "
-            f"known: {', '.join(_OUTPUTS)}"
-        )
-    return names
-
-
 def _write_manifest(out: Path, config: Dict) -> None:
     clean = {k: v for k, v in config.items() if not callable(v)}
     doc = {"tool": "catlab", "version": __version__, "resolved_config": clean}
@@ -142,7 +124,7 @@ def cmd_orbits(args) -> int:
     orbits = enumerate_prime_orbits(cat, args.T, lattice_guard=args.guard)
     out = Path(args.out)
     save_orbits_json(out, orbits, cat)
-    _write_manifest(out, {"matrix": args.matrix, "T": args.T, "guard": args.guard})
+    _write_manifest(out, vars(args))
     print(f"{len(orbits)} prime orbit(s) of length {args.T} -> {out}")
     return 0
 
@@ -165,7 +147,7 @@ def cmd_husimi(args) -> int:
     h = husimi(state, cat, args.G)
     out = Path(args.out)
     save_husimi_csv(out, h)
-    _write_manifest(out, {"state": args.state, "matrix": args.matrix, "G": args.G})
+    _write_manifest(out, vars(args))
     print(f"husimi grid {args.G}x{args.G} -> {out} (total mass {h.total():.6f})")
     return 0
 
@@ -205,13 +187,13 @@ def cmd_expect(args) -> int:
 
 def cmd_quasimode(args) -> int:
     cfg = parse_config_file(args.config)
-    outputs = _parse_outputs(cfg.get("outputs", list(_OUTPUTS)))
     t0 = time.perf_counter()
     exp = run_pipeline(cfg)
     t1 = time.perf_counter()
     out = Path(args.out)
     out.write_text(canonical_json(exp.report))
-    _write_manifest(out, cfg)
+    _write_manifest(out, exp.config)
+    outputs = exp.config["outputs"]
     if "state" in outputs:
         save_state(out.parent / (out.stem + ".state.bin"), exp.psi_n)
     if "husimi" in outputs:
@@ -254,7 +236,7 @@ def cmd_selftest(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(canonical_json(report))
-        _write_manifest(out, {"seed": args.seed})
+        _write_manifest(out, vars(args))
     return 0 if ok else 1
 
 
@@ -350,9 +332,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
     except CatlabError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,9 +64,6 @@ from .quantize import (
 
 __all__ = [
     "QuasimodeSpec",
-    "BallReport",
-    "NonequiReport",
-    "ScMeasureReport",
     "ehrenfest_time",
     "choose_N",
     "build_quasimode",
@@ -74,6 +72,8 @@ __all__ = [
     "scmeasure_error",
     "nonequidistribution_report",
     "Experiment",
+    "CONFIG",
+    "OUTPUTS",
     "run_pipeline",
     "propagator_check",
     "waw_gap_sweep",
@@ -102,6 +102,11 @@ def _check_delta(delta: float) -> None:
         raise ConfigError(f"delta must lie in (0, 1/4), got {delta}")
 
 
+def _time_window_ok(T: int, delta: float, N: int, lyapunov: float) -> bool:
+    """The time window T <= delta T_E at N, up to 1e-12 of rounding."""
+    return T <= delta * ehrenfest_time(N, lyapunov) + 1e-12
+
+
 class ChosenN(NamedTuple):
     N: int
     ehrenfest_ok: bool
@@ -127,8 +132,7 @@ def choose_N(T: int, delta: float, lyapunov: float) -> ChosenN:
             f"schedule gives N = {N} > cap {N_CAP} for T={T}, delta={delta}; "
             "set N explicitly or reduce T"
         )
-    ok = T <= delta * ehrenfest_time(N, lyapunov)
-    return ChosenN(N, ok)
+    return ChosenN(N, _time_window_ok(T, delta, N, lyapunov))
 
 
 @dataclass(frozen=True)
@@ -147,12 +151,11 @@ class QuasimodeSpec:
 
     def __post_init__(self):
         _check_delta(self.delta)
-        T = self.orbit.length
-        te = ehrenfest_time(self.grid.N, self.catmap.lyapunov)
-        if T > self.delta * te + 1e-12:
+        N, lyapunov = self.grid.N, self.catmap.lyapunov
+        if not _time_window_ok(self.T, self.delta, N, lyapunov):
             raise PreconditionError(
-                f"orbit length T={T} exceeds delta T_E = {self.delta * te:.4f} "
-                f"at N={self.grid.N}"
+                f"orbit length T={self.T} exceeds delta T_E = "
+                f"{self.delta * ehrenfest_time(N, lyapunov):.4f} at N={N}"
             )
         _require_invariant_theta(self.catmap, self.grid)
 
@@ -184,18 +187,6 @@ def residual(psi_n: QuantumState, phi: float, prop: LinearMap) -> float:
     """|| (U - e^{i phi}) psi || for a normalized state psi."""
     out = prop.apply(psi_n.amplitudes) - np.exp(1j * phi) * psi_n.amplitudes
     return _norm(out)
-
-
-@dataclass(frozen=True)
-class BallReport:
-    """Per-orbit-point Husimi ball masses and the off-support remainder."""
-
-    balls: Tuple[Dict, ...]
-    off_support: float
-    radius: float
-
-    def masses(self) -> List[float]:
-        return [b["mass"] for b in self.balls]
 
 
 def _ball_radius(spec: QuasimodeSpec, C: float) -> float:
@@ -258,10 +249,12 @@ def husimi_ball_report(
     spec: QuasimodeSpec,
     hgrid: HusimiGrid,
     C: float = BALL_CONSTANT,
-) -> BallReport:
+) -> Dict:
     """Husimi mass in balls of radius C sqrt(hbar) e^{lambda T} at orbit points.
 
-    The balls are checked to be disjoint first (see _checked_ball_radius).
+    Returns the report block: ball_constant C, ball_radius, ball_masses in
+    orbit order and off_support, the mass outside the balls.  The balls
+    are checked to be disjoint first (see _checked_ball_radius).
     hgrid may be the Husimi grid of any nonzero multiple of psi: the
     density is quadratic in the state, so the masses are read from it
     scaled by ||psi||^2 / hgrid.state_norm2.
@@ -274,61 +267,46 @@ def husimi_ball_report(
         When the radius is below 2/G.
     """
     rho = _checked_ball_radius(spec, C)
-    pts = (spec.orbit.jk / spec.orbit.l).tolist()
     scale = psi.norm2() / hgrid.state_norm2
-    balls = tuple(
-        {"t": t, "center": x, "radius": rho, "mass": ball_mass(hgrid, x, rho) * scale}
-        for t, x in enumerate(pts)
-    )
-    off_support = hgrid.total() * scale - sum(b["mass"] for b in balls)
-    return BallReport(balls=balls, off_support=off_support, radius=rho)
-
-
-@dataclass(frozen=True)
-class ScMeasureReport:
-    """Anti-Wick expectations vs orbit delta-measure Fourier coefficients."""
-
-    per_frequency: Tuple[Dict, ...]
-    max_error: float
-    rate_bound: float  # c hbar^{1/2 - delta} with c = 1
+    masses = [ball_mass(hgrid, x, rho) * scale for x in (spec.orbit.jk / spec.orbit.l).tolist()]
+    return {
+        "ball_constant": C,
+        "ball_radius": rho,
+        "ball_masses": masses,
+        "off_support": hgrid.total() * scale - sum(masses),
+    }
 
 
 def scmeasure_error(
     psi_n: QuantumState,
     spec: QuasimodeSpec,
     frequencies: Sequence[Tuple[int, int]],
-) -> ScMeasureReport:
+) -> Dict:
     """max_n | <psi| e_n^aw |psi> - mu_gamma(e_n) | over the given frequencies.
 
-    The anti-Wick values come from the state in closed form
-    (antiwick_plane_waves), all frequencies in one pass; no Husimi grid.
+    Returns the report block: scmeasure maps "n1,n2" to the anti-Wick
+    value lhs, the orbit coefficient rhs (each [re, im]) and their
+    distance error; scmeasure_max_error is the largest error and
+    scmeasure_rate_bound is hbar^{1/2 - delta}.  The anti-Wick values
+    come from the state in closed form (antiwick_plane_waves), all
+    frequencies in one pass; no Husimi grid.
     """
     _check_frequencies(frequencies)
     values = antiwick_plane_waves(psi_n, spec.catmap, frequencies)
-    rows = []
+    rows = {}
     worst = 0.0
     for n, value in zip(frequencies, values):
         lhs = complex(value)
         rhs = orbit_fourier_coefficient(spec.orbit, n)
         err = abs(lhs - rhs)
         worst = max(worst, err)
-        rows.append(
-            {"n": (int(n[0]), int(n[1])), "lhs": lhs, "rhs": rhs, "error": err}
-        )
-    bound = spec.grid.hbar ** (0.5 - spec.delta)
-    return ScMeasureReport(tuple(rows), worst, bound)
-
-
-@dataclass(frozen=True)
-class NonequiReport:
-    """Extremal ball-mass ratios over orbit points and a separated net."""
-
-    space: str
-    radius: float
-    sup_ratio: float
-    inf_ratio: float
-    witnesses: Dict
-    cells: int
+        rows[f"{n[0]},{n[1]}"] = {"lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
+                                  "error": err}
+    return {
+        "scmeasure": rows,
+        "scmeasure_max_error": worst,
+        "scmeasure_rate_bound": spec.grid.hbar ** (0.5 - spec.delta),
+    }
 
 
 def _net_centers_1d(r: float) -> np.ndarray:
@@ -351,7 +329,7 @@ def nonequidistribution_report(
     C_sep: float = SEP_CONSTANT,
     c1: float = C1_CONSTANT,
     hgrid: Optional[HusimiGrid] = None,
-) -> NonequiReport:
+) -> Dict:
     """Scan ball masses at orbit points plus a 3r-separated net of centers.
 
     Physical space uses exact interval masses of |psi|^2 and reads no
@@ -360,7 +338,8 @@ def nonequidistribution_report(
     certifying hits and the upper bump certifying misses.  Ratios are the
     extreme masses over ball volume; each witness is the first center, in
     scan order, whose mass is within _WITNESS_TOL ||psi_n||^2 of its
-    extreme, and reports its own mass.
+    extreme, and reports its own mass.  Returns the report block: r,
+    sup_ratio, inf_ratio, witnesses and cells, the number of net cells.
 
     Raises
     ------
@@ -392,29 +371,25 @@ def nonequidistribution_report(
     tol = _WITNESS_TOL * psi_n.norm2()
     i_hit = int(np.flatnonzero(hits >= hits.max() - tol)[0])
     i_miss = int(np.flatnonzero(misses <= misses.min() + tol)[0])
-    sup_ratio = hits.max() / vol
-    inf_ratio = misses.min() / vol
-    witnesses = {
-        "hit": {"center": centers[i_hit], "mass": float(hits[i_hit])},
-        "miss": {"center": centers[i_miss], "mass": float(misses[i_miss])},
+    return {
+        "r": r,
+        "sup_ratio": float(hits.max() / vol),
+        "inf_ratio": float(misses.min() / vol),
+        "witnesses": {
+            "hit": {"center": centers[i_hit], "mass": float(hits[i_hit])},
+            "miss": {"center": centers[i_miss], "mass": float(misses[i_miss])},
+        },
+        "cells": cells,
     }
-    return NonequiReport(
-        space=space,
-        radius=r,
-        sup_ratio=float(sup_ratio),
-        inf_ratio=float(inf_ratio),
-        witnesses=witnesses,
-        cells=cells,
-    )
 
 
 # ---------------------------------------------------------------------------
 # End-to-end experiment
 # ---------------------------------------------------------------------------
 
-DEFAULT_FREQUENCIES = [
+DEFAULT_FREQUENCIES = tuple(
     (n1, n2) for n1 in range(-2, 3) for n2 in range(-2, 3) if (n1, n2) != (0, 0)
-]
+)
 
 # Fourier coefficients of the real symbol whose Weyl/anti-Wick gap the
 # waw-gap sweeps measure.
@@ -451,11 +426,14 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 class Experiment:
     """One quasimode run: the report and the objects it was computed from.
 
-    hgrid is the Husimi grid of psi_n at the configured G; timings maps
-    each pipeline stage to its wall-clock seconds.
+    config maps every CONFIG key to the value that ran, defaults, the
+    chosen orbit's T and orbit_start, the schedule's N and the derived
+    radii included; hgrid is the Husimi grid of psi_n at the configured
+    G; timings maps each pipeline stage to its wall-clock seconds.
     """
 
     report: Dict
+    config: Dict
     catmap: CatMap
     orbit: Orbit
     grid: PlanckGrid
@@ -495,20 +473,60 @@ def _config_float(key: str, value) -> float:
     raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
 
 
-_CONFIG_KEYS = frozenset({"matrix", "T", "orbit_start", "delta", "N", "phi", "C0", "c_sep",
-                          "c1", "G", "frequencies", "r_phase", "r_physical", "outputs"})
+def _config_pairs(key: str, value) -> Tuple[Tuple[int, int], ...]:
+    """A config value that must be a list of integer pairs."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {key} needs a list of pairs, got {value!r}")
+    return tuple(_config_int(key, n, 2) for n in value)
+
+
+# the artifacts catlab quasimode can write beside the report
+OUTPUTS = ("state", "husimi", "orbit")
+
+
+def _config_outputs(key: str, value) -> Tuple[str, ...]:
+    """Output names from a list, a comma list or one name, each in OUTPUTS."""
+    names = [s.strip() for s in value.split(",")] if isinstance(value, str) else value
+    if not isinstance(names, list):
+        raise ConfigError(f"config key {key} needs a list of names, got {value!r}")
+    unknown = [str(name) for name in names if name not in OUTPUTS]
+    if unknown:
+        raise ConfigError(
+            f"unknown output(s) {', '.join(unknown)} in config key {key}; "
+            f"known: {', '.join(OUTPUTS)}"
+        )
+    return tuple(names)
+
+
+# Every quasimode config key: (parser, default).  A parser takes (key,
+# value) and returns the value or raises a ConfigError naming the key.
+# matrix is required, and so is T or orbit_start (which wins); a default
+# of None is filled in by the run: N by the dimension schedule (also for
+# N = None), r_phase and r_physical inside their admissible ranges.
+CONFIG = {
+    "matrix": (partial(_config_int, count=4), None),
+    "T": (_config_int, None),
+    "orbit_start": (partial(_config_int, count=3), None),
+    "N": (lambda key, value: None if value is None else _config_int(key, value), None),
+    "delta": (_config_float, 0.24),
+    "phi": (_config_float, 0.0),
+    "C0": (_config_float, BALL_CONSTANT),
+    "c_sep": (_config_float, SEP_CONSTANT),
+    "c1": (_config_float, C1_CONSTANT),
+    "G": (_config_int, 256),
+    "frequencies": (_config_pairs, DEFAULT_FREQUENCIES),
+    "r_phase": (_config_float, None),
+    "r_physical": (_config_float, None),
+    "outputs": (_config_outputs, OUTPUTS),
+}
 
 
 def run_pipeline(config: Dict) -> Experiment:
     """Build a quasimode per config and run every diagnostic.
 
-    Recognized keys: matrix (4 ints), T or orbit_start ([j, k, l]), delta,
-    N (optional, else the dimension schedule), phi, C0, c_sep, c1, G,
-    frequencies, r_phase, r_physical, and outputs, which only the CLI
-    reads; any other key is a ConfigError.  N, T, G and the entries of
-    matrix, orbit_start and frequencies must be exactly integers (_config_int);
-    delta, phi, C0, c_sep, c1, r_phase and r_physical finite numbers
-    (_config_float).
+    The keys, their parsers and their defaults are CONFIG's; an unknown
+    key is a ConfigError, and every key is parsed before any work.  outputs
+    is read by the CLI only.
     Ball disjointness and resolution, the frequencies and both
     non-equidistribution radii are checked before anything is built;
     the propagator, the quasimode and the Husimi grid of psi_n are built
@@ -524,130 +542,84 @@ def run_pipeline(config: Dict) -> Experiment:
         timings[stage] = now - last
         last = now
 
-    unknown = [str(key) for key in config if key not in _CONFIG_KEYS]
+    unknown = [str(key) for key in config if key not in CONFIG]
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     if "matrix" not in config:
         raise ConfigError("config needs a 'matrix' entry")
-    cat = validate_cat_map(*_config_int("matrix", config["matrix"], 4))
-    delta = _config_float("delta", config.get("delta", 0.24))
-    phi = _config_float("phi", config.get("phi", 0.0))
-    C0 = _config_float("C0", config.get("C0", BALL_CONSTANT))
-    c_sep = _config_float("c_sep", config.get("c_sep", SEP_CONSTANT))
-    c1 = _config_float("c1", config.get("c1", C1_CONSTANT))
-    G = _config_int("G", config.get("G", 256))
-    freqs = config.get("frequencies", DEFAULT_FREQUENCIES)
-    if not isinstance(freqs, (list, tuple)):
-        raise ConfigError(f"config key frequencies needs a list of pairs, got {freqs!r}")
-    freqs = [_config_int("frequencies", n, 2) for n in freqs]
+    cfg = {key: parse(key, config[key]) if key in config else default
+           for key, (parse, default) in CONFIG.items()}
+    cat = validate_cat_map(*cfg["matrix"])
+    delta, phi, c_sep, c1 = cfg["delta"], cfg["phi"], cfg["c_sep"], cfg["c1"]
 
-    if "orbit_start" in config:
-        j, k, l = _config_int("orbit_start", config["orbit_start"], 3)
-        orbit = orbit_through(cat, j, k, l)
-        T = orbit.length
-    elif "T" in config:
-        T = _config_int("T", config["T"])
-        orbits = enumerate_prime_orbits(cat, T)
+    if cfg["orbit_start"] is not None:
+        orbit = orbit_through(cat, *cfg["orbit_start"])
+    elif cfg["T"] is not None:
+        orbits = enumerate_prime_orbits(cat, cfg["T"])
         if not orbits:
-            raise PreconditionError(f"no prime orbit of length {T} for {cat}")
+            raise PreconditionError(f"no prime orbit of length {cfg['T']} for {cat}")
         orbit = orbits[0]
     else:
         raise ConfigError("config needs a 'T' or an 'orbit_start' entry")
+    T = cfg["T"] = orbit.length
+    cfg["orbit_start"] = (*orbit.jk[0].tolist(), orbit.l)
 
-    if "N" in config and config["N"] is not None:
-        N = _config_int("N", config["N"])
-        schedule = None
-    else:
-        chosen = choose_N(T, delta, cat.lyapunov)
-        N = chosen.N
-        schedule = {"N": chosen.N, "ehrenfest_ok": chosen.ehrenfest_ok}
+    schedule = None
+    if cfg["N"] is None:
+        schedule = choose_N(T, delta, cat.lyapunov)._asdict()
+        cfg["N"] = schedule["N"]
+    N = cfg["N"]
     lap("orbit")
 
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
     # refuse bad balls, frequencies and radii before building anything
-    _check_resolution(G, _checked_ball_radius(spec, C0))
-    _check_frequencies(freqs)
+    _check_resolution(cfg["G"], _checked_ball_radius(spec, cfg["C0"]))
+    _check_frequencies(cfg["frequencies"])
     r_lo, _ = _radius_range(spec, "phase", c_sep, c1)
-    r_phase = _config_float(
-        "r_phase", config.get("r_phase", min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T)))
-    )
-    r_physical = _config_float(
-        "r_physical", config.get("r_physical", min(max(0.05, r_lo), 0.99 * c1 / T))
-    )
-    _check_radius(spec, "phase", r_phase, c_sep, c1)
-    _check_radius(spec, "physical", r_physical, c_sep, c1)
+    if cfg["r_phase"] is None:
+        cfg["r_phase"] = min(max(0.1, r_lo), 0.99 * c1 / math.sqrt(T))
+    if cfg["r_physical"] is None:
+        cfg["r_physical"] = min(max(0.05, r_lo), 0.99 * c1 / T)
+    _check_radius(spec, "phase", cfg["r_phase"], c_sep, c1)
+    _check_radius(spec, "physical", cfg["r_physical"], c_sep, c1)
     prop = propagator(cat, grid)
     lap("propagator")
     psi, psi_n = build_quasimode(spec, prop)
     res = residual(psi_n, phi, prop)
     del prop  # no diagnostic applies U: free its phase vectors and index map
     lap("quasimode")
-    hgrid = husimi(psi_n, cat, G)
+    hgrid = husimi(psi_n, cat, cfg["G"])
     lap("husimi")
-
-    norm_sq = psi.norm2()
-    ball = husimi_ball_report(psi, spec, hgrid, C=C0)
-    lap("ball_report")
-    sc = scmeasure_error(psi_n, spec, freqs)
-    lap("scmeasure")
-
-    nq_phase = nonequidistribution_report(
-        psi_n, spec, "phase", r_phase, C_sep=c_sep, c1=c1, hgrid=hgrid
-    )
-    lap("nonequi_phase")
-    nq_phys = nonequidistribution_report(
-        psi_n, spec, "physical", r_physical, C_sep=c_sep, c1=c1
-    )
-    lap("nonequi_physical")
-
-    def cplx(z: complex):
-        return [float(z.real), float(z.imag)]
 
     report = {
         "matrix": list(cat.entries),
         "lyapunov": cat.lyapunov,
         "T": T,
-        "orbit": {
-            "l": orbit.l,
-            "points": orbit.jk.tolist(),
-        },
+        "orbit": {"l": orbit.l, "points": orbit.jk.tolist()},
         "N": N,
         "theta": [grid.theta[0], grid.theta[1]],
         "delta": delta,
         "phi": phi,
         "schedule": schedule,
-        "norm_sq": norm_sq,
+        "norm_sq": psi.norm2(),
         "residual": res,
         "residual_bound": 2.0 / math.sqrt(T),
-        "ball_constant": C0,
-        "ball_radius": ball.radius,
-        "ball_masses": [b["mass"] for b in ball.balls],
-        "off_support": ball.off_support,
-        "scmeasure": {
-            f"{row['n'][0]},{row['n'][1]}": {
-                "lhs": cplx(row["lhs"]),
-                "rhs": cplx(row["rhs"]),
-                "error": row["error"],
-            }
-            for row in sc.per_frequency
-        },
-        "scmeasure_max_error": sc.max_error,
-        "scmeasure_rate_bound": sc.rate_bound,
-        "nonequi": {
-            nq.space: {
-                "r": nq.radius,
-                "sup_ratio": nq.sup_ratio,
-                "inf_ratio": nq.inf_ratio,
-                "witnesses": nq.witnesses,
-                "cells": nq.cells,
-            }
-            for nq in (nq_phase, nq_phys)
-        },
     }
+    report.update(husimi_ball_report(psi, spec, hgrid, C=cfg["C0"]))
+    lap("ball_report")
+    report.update(scmeasure_error(psi_n, spec, cfg["frequencies"]))
+    lap("scmeasure")
+    report["nonequi"] = {}
+    for space in ("phase", "physical"):
+        report["nonequi"][space] = nonequidistribution_report(
+            psi_n, spec, space, cfg[f"r_{space}"], C_sep=c_sep, c1=c1, hgrid=hgrid
+        )
+        lap(f"nonequi_{space}")
     return Experiment(
         report=report,
+        config=cfg,
         catmap=cat,
         orbit=orbit,
         grid=grid,
@@ -742,6 +714,6 @@ def scmeasure_sweep(
     rows = []
     for spec in specs:
         _, psi_n = build_quasimode(spec)
-        err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES).max_error
+        err = scmeasure_error(psi_n, spec, DEFAULT_FREQUENCIES)["scmeasure_max_error"]
         rows.append([spec.grid.N, spec.grid.hbar, err])
     return ["N", "hbar", "max_error"], rows, loglog_slope(ladder, [r[2] for r in rows])

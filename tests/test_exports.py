@@ -32,7 +32,8 @@ def test_deleted_surface_is_gone():
 
     assert fields(catlab.CatMap) == {"a", "b", "c", "d", "lyapunov", "b1", "b2"}
     assert fields(catlab.Orbit) == {"jk", "l"}
-    assert fields(catlab.BallReport) == {"balls", "off_support", "radius"}
+    for gone in ("BallReport", "ScMeasureReport", "NonequiReport"):
+        assert not hasattr(catlab.quasimodes, gone) and gone not in exported, gone
     assert "support_ball" not in fields(catlab.Symbol)
     assert list(inspect.signature(catlab.choose_N).parameters) == ["T", "delta", "lyapunov"]
     assert list(inspect.signature(catlab.antiwick_expectation).parameters) == [

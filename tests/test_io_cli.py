@@ -23,7 +23,7 @@ from catlab import (
     weyl_quantize,
 )
 from catlab import io as catlab_io
-from catlab.cli import main, parse_config_file
+from catlab.cli import build_parser, main, parse_config_file
 from catlab.io import (
     MAGIC,
     canonical_json,
@@ -34,6 +34,7 @@ from catlab.io import (
     save_orbits_json,
     save_state,
 )
+from catlab.quasimodes import CONFIG
 
 from conftest import coarse_husimi, hyperbolic_maps, random_state
 
@@ -561,7 +562,11 @@ class TestCli:
         out = tmp_path / "new" / "deeper" / "out.json"
         assert main([command, *argv, "--out", str(out)]) == 0
         assert out.exists()
-        assert (out.parent / "out.manifest.json").exists()
+        manifest = json.loads((out.parent / "out.manifest.json").read_text())
+        if command != "quasimode":
+            # every argument, defaults applied by argparse
+            args = vars(build_parser().parse_args([command, *argv, "--out", str(out)]))
+            assert manifest["resolved_config"] == {k: v for k, v in args.items() if k != "fn"}
 
     def test_out_directory_is_a_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -727,6 +732,29 @@ class TestQuasimodePipeline:
         assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
         assert capsys.readouterr().err.strip() == message
         assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
+
+    @pytest.mark.parametrize(
+        "text, ran",
+        [
+            ("T = 2\nphi = 0.3\n", {"T": 2, "orbit_start": [1, 2, 5], "phi": 0.3,
+                                      "r_phase": 0.1, "r_physical": 0.05}),
+            ("orbit_start = 6,7,5\nr_phase = 0.09\nG = 384\n",
+             {"T": 2, "orbit_start": [1, 2, 5], "G": 384, "r_phase": 0.09, "r_physical": 0.05}),
+        ],
+        ids=["T", "orbit_start"],
+    )
+    def test_manifest_is_the_config_that_ran(self, text, ran, tmp_path, monkeypatch):
+        # every CONFIG key, defaulted ones included, with the value that ran
+        calls = record_calls(monkeypatch, "run_pipeline")
+        cfg = write_config(tmp_path, "matrix = 2,1,1,1\nN = 4096\n" + text)
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        expected = {key: default for key, (_, default) in CONFIG.items()}
+        expected.update(ran, matrix=[2, 1, 1, 1], N=4096)
+        expected = json.loads(canonical_json(expected))
+        [exp] = calls["run_pipeline"]
+        assert json.loads(canonical_json(exp.config)) == expected
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert manifest["resolved_config"] == expected
 
     def test_outputs_key_accepted(self, tmp_path):
         # outputs is the one config key that only the CLI reads

@@ -7,6 +7,7 @@ import pytest
 
 from catlab import (
     BallsOverlap,
+    ConfigError,
     NoInvariantTheta,
     NTooLarge,
     PreconditionError,
@@ -73,6 +74,21 @@ class TestChooseN:
         # the schedule lands just above the admissibility threshold
         assert 2 <= 0.24 * ehrenfest_time(485, LAMBDA)
         assert 2 > 0.24 * ehrenfest_time(482, LAMBDA)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_schedule_and_spec_share_the_time_window(self, arnold, T):
+        # the schedule's N is the first N where the spec's window holds
+        chosen = choose_N(T, 0.24, arnold.lyapunov)
+        assert chosen.ehrenfest_ok
+        orbit = enumerate_prime_orbits(arnold, T)[0]
+
+        def spec(N):
+            grid = choose_theta(arnold, N)
+            return QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
+
+        assert spec(chosen.N).grid.N == chosen.N
+        with pytest.raises(PreconditionError, match="exceeds delta T_E"):
+            spec(chosen.N - 1)
 
 
 class TestSpec:
@@ -186,18 +202,18 @@ class TestBallReport:
         spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
         psi, _ = build_quasimode(spec)
         report = husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
-        assert len(report.balls) == 1
-        assert report.balls[0]["mass"] == pytest.approx(1.0, abs=0.02)
+        assert len(report["ball_masses"]) == 1
+        assert report["ball_masses"][0] == pytest.approx(1.0, abs=0.02)
 
     def test_t2_two_balls(self, arnold, grid4096):
         spec = t2_spec(arnold, 4096)
         psi, _ = build_quasimode(spec)
         report = husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
-        assert len(report.balls) == 2
-        for m in report.masses():
+        assert len(report["ball_masses"]) == 2
+        for m in report["ball_masses"]:
             assert m == pytest.approx(1.0, abs=0.02)
-        assert abs(report.off_support) < 1e-6 * spec.T
-        assert sum(report.masses()) == pytest.approx(psi.norm2(), rel=0.01)
+        assert abs(report["off_support"]) < 1e-6 * spec.T
+        assert sum(report["ball_masses"]) == pytest.approx(psi.norm2(), rel=0.01)
 
     def test_overlap_detected_at_small_N(self, arnold):
         # N = 400: 2 C sqrt(hbar) e^{2 lambda} = 0.23 > 1/l = 0.2
@@ -214,15 +230,15 @@ class TestScMeasure:
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
         report = scmeasure_error(psi_n, spec, [(0, 0)])
-        assert report.max_error < 0.01
+        assert report["scmeasure_max_error"] < 0.01
 
     def test_low_frequencies_small_error(self, arnold):
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
         freqs = [(n1, n2) for n1 in range(-2, 3) for n2 in range(-2, 3)]
         report = scmeasure_error(psi_n, spec, freqs)
-        assert report.max_error < 0.15
-        assert report.rate_bound == pytest.approx(
+        assert report["scmeasure_max_error"] < 0.15
+        assert report["scmeasure_rate_bound"] == pytest.approx(
             spec.grid.hbar ** (0.5 - 0.24), rel=1e-12
         )
 
@@ -232,7 +248,7 @@ class TestScMeasure:
         for N in (1024, 4096):
             spec = t2_spec(arnold, N)
             _, psi_n = build_quasimode(spec)
-            errs.append(scmeasure_error(psi_n, spec, freqs).max_error)
+            errs.append(scmeasure_error(psi_n, spec, freqs)["scmeasure_max_error"])
         assert errs[1] < errs[0]
 
     def test_frequency_guard(self, arnold):
@@ -262,17 +278,17 @@ class TestNonequi:
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
         report = nonequidistribution_report(psi_n, spec, "physical", 0.06)
-        assert report.witnesses["hit"]["mass"] >= 1.0 / spec.T - 0.02
-        assert report.witnesses["miss"]["mass"] < 1e-6
-        assert report.cells > spec.T
+        assert report["witnesses"]["hit"]["mass"] >= 1.0 / spec.T - 0.02
+        assert report["witnesses"]["miss"]["mass"] < 1e-6
+        assert report["cells"] > spec.T
 
     def test_phase_witnesses(self, arnold):
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
         report = scan(psi_n, spec, "phase", 0.1)
-        assert report.witnesses["hit"]["mass"] >= 1.0 / spec.T - 0.02
-        assert report.witnesses["miss"]["mass"] < 1e-6
-        assert report.sup_ratio / max(report.inf_ratio, 1e-300) > 1e6
+        assert report["witnesses"]["hit"]["mass"] >= 1.0 / spec.T - 0.02
+        assert report["witnesses"]["miss"]["mass"] < 1e-6
+        assert report["sup_ratio"] / max(report["inf_ratio"], 1e-300) > 1e6
 
     def test_pigeonhole_miss(self, arnold):
         # whenever the net has more than T cells some net ball misses
@@ -280,8 +296,8 @@ class TestNonequi:
         _, psi_n = build_quasimode(spec)
         for r in (0.08, 0.1):
             report = scan(psi_n, spec, "phase", r)
-            assert report.cells > spec.T
-            assert report.witnesses["miss"]["mass"] < 1e-6
+            assert report["cells"] > spec.T
+            assert report["witnesses"]["miss"]["mass"] < 1e-6
 
     def test_random_state_is_lebesgue_like(self, arnold):
         spec = t2_spec(arnold, 1024)
@@ -292,8 +308,8 @@ class TestNonequi:
         report = scan(st, spec, "phase", 0.1)
         # hits use the lower bump and misses the upper, so for a uniform
         # state the two ratios bracket 1 from opposite sides
-        assert 1.0 / 3.0 <= report.sup_ratio <= 3.0
-        assert 1.0 / 3.0 <= report.inf_ratio <= 3.0
+        assert 1.0 / 3.0 <= report["sup_ratio"] <= 3.0
+        assert 1.0 / 3.0 <= report["inf_ratio"] <= 3.0
 
     def test_flat_state_is_momentum_strip(self, arnold):
         # all-equal amplitudes form a momentum eigenstate whose Husimi is a
@@ -303,7 +319,7 @@ class TestNonequi:
         amp = np.ones(1024, dtype=complex) / math.sqrt(1024)
         st = QuantumState(amp, spec.grid)
         report = scan(st, spec, "phase", 0.1)
-        assert report.sup_ratio < 1.0 / 3.0
+        assert report["sup_ratio"] < 1.0 / 3.0
 
     @pytest.mark.parametrize("space, r, N", [("phase", 0.1, 1024), ("physical", 0.06, 4096)])
     def test_witness_centers_survive_rounding(self, arnold, space, r, N):
@@ -320,8 +336,8 @@ class TestNonequi:
             bumped = QuantumState(psi_n.amplitudes + noise, spec.grid)
             moved = scan(bumped, spec, space, r)
             for w in ("hit", "miss"):
-                assert moved.witnesses[w]["center"] == report.witnesses[w]["center"], w
-            assert moved.sup_ratio == pytest.approx(report.sup_ratio, rel=1e-12)
+                assert moved["witnesses"][w]["center"] == report["witnesses"][w]["center"], w
+            assert moved["sup_ratio"] == pytest.approx(report["sup_ratio"], rel=1e-12)
 
     def test_witnesses_are_extremes_within_tolerance(self, arnold):
         spec = t2_spec(arnold, 1024)
@@ -329,8 +345,8 @@ class TestNonequi:
         report = scan(psi_n, spec, "phase", 0.1)
         vol = math.pi * 0.1**2
         tol = 1e-12 * psi_n.norm2()
-        assert report.witnesses["hit"]["mass"] >= report.sup_ratio * vol - tol
-        assert report.witnesses["miss"]["mass"] <= report.inf_ratio * vol + tol
+        assert report["witnesses"]["hit"]["mass"] >= report["sup_ratio"] * vol - tol
+        assert report["witnesses"]["miss"]["mass"] <= report["inf_ratio"] * vol + tol
 
 
 class TestSlope:
@@ -385,8 +401,8 @@ class TestRunExperiment:
             orbit=exp.orbit, phi=0.7, delta=0.24, grid=exp.grid, catmap=arnold
         )
         direct = husimi_ball_report(exp.psi, spec, husimi(exp.psi, arnold, 256))
-        assert np.allclose(exp.report["ball_masses"], direct.masses(), rtol=0, atol=1e-12)
-        assert exp.report["off_support"] == pytest.approx(direct.off_support, abs=1e-12)
+        assert np.allclose(exp.report["ball_masses"], direct["ball_masses"], rtol=0, atol=1e-12)
+        assert exp.report["off_support"] == pytest.approx(direct["off_support"], abs=1e-12)
 
     def test_one_grid_per_run(self, arnold, monkeypatch):
         # run_pipeline builds one Husimi grid, and both reports read it:
@@ -405,16 +421,9 @@ class TestRunExperiment:
             orbit=exp.orbit, phi=0.7, delta=0.24, grid=exp.grid, catmap=arnold
         )
         ball = husimi_ball_report(exp.psi, spec, exp.hgrid)
-        assert ball.masses() == exp.report["ball_masses"]
-        assert ball.off_support == exp.report["off_support"]
+        assert ball == {key: exp.report[key] for key in ball}
         nq = nonequidistribution_report(exp.psi_n, spec, "phase", 0.1, hgrid=exp.hgrid)
-        assert exp.report["nonequi"]["phase"] == {
-            "r": nq.radius,
-            "sup_ratio": nq.sup_ratio,
-            "inf_ratio": nq.inf_ratio,
-            "witnesses": nq.witnesses,
-            "cells": nq.cells,
-        }
+        assert exp.report["nonequi"]["phase"] == nq
 
     def test_schedule_overflow_surfaced(self, arnold):
         with pytest.raises(NTooLarge):
@@ -428,6 +437,28 @@ class TestRunExperiment:
         assert len(report["ball_masses"]) == 1
         assert report["residual"] <= 2.0
         assert report["norm_sq"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_unknown_output_refused_before_building(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built before the config was checked")
+
+        for name in ("choose_theta", "propagator", "husimi"):
+            monkeypatch.setattr(quasimodes, name, never)
+        config = {"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "outputs": ["orbit", "stat"]}
+        with pytest.raises(ConfigError) as exc:
+            run_pipeline(config)
+        assert str(exc.value) == (
+            "unknown output(s) stat in config key outputs; known: state, husimi, orbit"
+        )
+
+    def test_only_N_may_be_none(self, arnold):
+        with pytest.raises(ConfigError, match="config key delta must be a finite number, got None"):
+            run_pipeline({"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "delta": None})
+        # N = None takes the schedule, N = 485 at T = 2, where balls of
+        # C0 = 0.5 are disjoint
+        exp = run_pipeline({"matrix": [2, 1, 1, 1], "T": 2, "N": None, "C0": 0.5})
+        assert exp.config["N"] == 485
+        assert exp.report["schedule"] == {"N": 485, "ehrenfest_ok": True}
 
     def test_explicit_orbit_start(self, arnold):
         report = run_pipeline(
@@ -446,11 +477,11 @@ class TestPhiInvariance:
             spec = t2_spec(arnold, 4096, phi=phi)
             psi, _ = build_quasimode(spec)
             report = husimi_ball_report(psi, spec, husimi(psi, arnold, 256))
-            assert all(m >= 0.0 for m in report.masses())
-            assert sum(report.masses()) + report.off_support == pytest.approx(
+            assert all(m >= 0.0 for m in report["ball_masses"])
+            assert sum(report["ball_masses"]) + report["off_support"] == pytest.approx(
                 psi.norm2(), rel=0.01
             )
-            masses[phi] = report.masses()
+            masses[phi] = report["ball_masses"]
         for a, b in zip(masses[0.0], masses[1.1]):
             assert abs(a - b) < 1e-3
 
