@@ -83,10 +83,6 @@ class CatMap:
     b2: float
 
     @property
-    def trace(self) -> int:
-        return self.a + self.d
-
-    @property
     def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -269,6 +265,17 @@ def _lattice_fixed_points(catmap: CatMap, T: int, l: int) -> np.ndarray:
     return points
 
 
+def _check_lattice(l: int) -> None:
+    """Refuse a lattice denominator l < 1 (ConfigError) or l >= 2^31
+    (EnumerationTooLarge: the int64 arithmetic mod l would overflow)."""
+    if l < 1:
+        raise ConfigError(f"lattice denominator l = {l} must be positive")
+    if l >= _INT64_LATTICE_LIMIT:
+        raise EnumerationTooLarge(
+            f"lattice denominator l = {l} is not below 2^31, the int64 limit"
+        )
+
+
 def enumerate_prime_orbits(
     catmap: CatMap, T: int, lattice_guard: int = DEFAULT_LATTICE_GUARD
 ) -> List[Orbit]:
@@ -292,10 +299,7 @@ def enumerate_prime_orbits(
         raise EnumerationTooLarge(
             f"lattice denominator l = {l} exceeds guard {lattice_guard}"
         )
-    if l >= _INT64_LATTICE_LIMIT:
-        raise EnumerationTooLarge(
-            f"lattice denominator l = {l} is not below 2^31, the int64 limit"
-        )
+    _check_lattice(l)
     a, b, c, d = (x % l for x in catmap.entries)
     points = _lattice_fixed_points(catmap, T, l)
     j, k = points[:, 0], points[:, 1]
@@ -314,16 +318,11 @@ def enumerate_prime_orbits(
 def orbit_through(catmap: CatMap, j: int, k: int, l: int) -> Orbit:
     """The closed orbit of M through (j/l, k/l), walked exactly mod l.
 
-    It starts at (j mod l, k mod l).  Raises ValueError if l <= 0,
+    It starts at (j mod l, k mod l).  Raises ConfigError if l < 1,
     EnumerationTooLarge if l >= 2^31 (the int64 limit) and PreconditionError
     if the period exceeds 10^6.
     """
-    if l <= 0:
-        raise ValueError("denominator must be positive")
-    if l >= _INT64_LATTICE_LIMIT:
-        raise EnumerationTooLarge(
-            f"lattice denominator l = {l} is not below 2^31, the int64 limit"
-        )
+    _check_lattice(l)
     a, b, c, d = (x % l for x in catmap.entries)
     start = (j % l, k % l)
     pts = [start]

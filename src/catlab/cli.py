@@ -71,6 +71,17 @@ def _write_manifest(out: Path, config: Dict) -> None:
     manifest.write_text(canonical_json(doc))
 
 
+def _write_report(args, report: Dict) -> str:
+    """The report as canonical JSON, written to --out with its manifest when
+    --out is given; returns the text."""
+    text = canonical_json(report)
+    if args.out:
+        out = Path(args.out)
+        out.write_text(text)
+        _write_manifest(out, vars(args))
+    return text
+
+
 def _make_out_dir(args) -> None:
     """Create the parent directory of --out, for every subcommand that has one."""
     out = getattr(args, "out", None)
@@ -132,12 +143,7 @@ def cmd_orbits(args) -> int:
 def cmd_propagator_check(args) -> int:
     cat = _parse_matrix(args.matrix)
     report = propagator_check(cat, args.N, args.seed, args.states, args.nmax)
-    text = canonical_json(report)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text)
-        _write_manifest(out, vars(args))
-    sys.stdout.write(text)
+    sys.stdout.write(_write_report(args, report))
     return 0
 
 
@@ -176,12 +182,7 @@ def cmd_expect(args) -> int:
         "state": args.state,
         "symbol": args.symbol,
     }
-    text = canonical_json(report)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text)
-        _write_manifest(out, vars(args))
-    sys.stdout.write(text)
+    sys.stdout.write(_write_report(args, report))
     return 0
 
 
@@ -233,10 +234,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_selftest(args) -> int:
     report, ok = selftest(seed=args.seed)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(canonical_json(report))
-        _write_manifest(out, vars(args))
+    _write_report(args, report)
     return 0 if ok else 1
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import CatMap, min_image
-from .errors import ResolutionTooCoarse, TruncationFailure
-from .hilbert import PlanckGrid, QuantumState, _poly_residues, _site_offset, _twist, _unit_phase
+from .errors import ConfigError, ResolutionTooCoarse, TruncationFailure
+from .hilbert import PlanckGrid, QuantumState, _residues, _site_offset, _twist, _unit_phase
 
 __all__ = [
     "HusimiGrid",
@@ -109,9 +109,12 @@ def _truncation_cut(grid: PlanckGrid, im_z0: float) -> float:
 def _check_resolution(G: int, radius: Optional[float] = None) -> None:
     """The Husimi resolution precondition: a G x G grid needs G >= 16, and a
     ball read from it radius >= 2/G.  A failure is ResolutionTooCoarse,
-    naming G and, for a ball, the least G that resolves it."""
+    naming G and, for a ball, the least G that resolves it.  A radius
+    <= 0, which no G resolves, is a ConfigError."""
     if G < 16:
         raise ResolutionTooCoarse(f"G = {G} < 16")
+    if radius is not None and radius <= 0:
+        raise ConfigError(f"ball radius {radius} must be positive")
     if radius is not None and radius < 2.0 / G:
         raise ResolutionTooCoarse(
             f"ball radius {radius} < 2/G = {2.0 / G} at G = {G}; "
@@ -184,7 +187,7 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
     The momentum half of the coherent state at x0 = (q0, p0).  The
     argument grows with m; when both coordinates of the center are
     Fractions it is reduced exactly, with the grid's exact eta, by the
-    Hilbert layer's residue rule (hilbert._poly_residues), and taken as a
+    Hilbert layer's residue rule (hilbert._residues), and taken as a
     unit phase.
     """
     N = grid.N
@@ -194,7 +197,7 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
         kp, lp = p0f.numerator, p0f.denominator
         pe, qe = _site_offset(grid)
         denom = lp * qe
-        s = _poly_residues((0, kp * qe, kp * pe), m, denom)
+        s = _residues([(kp * qe, m % denom), (kp * pe, 1)], denom)
         # constant phase exp(-i pi N p0 q0) = exp(2 pi i (-N kp kq)/(2 lp lq))
         D = 2 * lp * q0f.denominator
         return _unit_phase(s, denom) * _unit_phase(-N * kp * q0f.numerator % D, D)

@@ -17,12 +17,12 @@ exact conjugation law  U T(n) U^-1 = T(Mn)  for integer translations.
 
 Every phase here is a rational multiple of 2 pi: the translations'
 momentum phases, the Bloch twists and the kernel's phases.  Each is
-reduced exactly by a residue rule (_poly_residues for polynomials,
-_residues for sums of products of residues) and taken by one
-primitive, _unit_phase, which reads exp(2 pi i r/D) from two tables of
-about sqrt(D) exponentials; no exp runs over a vector of length N.  So
-translations compose as T(n) T(m) = exp(i pi (n ^ m)/N) T(n + m) exactly,
-up to the rounding of the phases themselves, at every n.
+reduced exactly by one residue rule, _residues (a sum of products of
+residues mod D), and taken by one primitive, _unit_phase, which reads
+exp(2 pi i r/D) from two tables of about sqrt(D) exponentials; no exp
+runs over a vector of length N.  So translations compose as T(n) T(m) =
+exp(i pi (n ^ m)/N) T(n + m) exactly, up to the rounding of the phases
+themselves, at every n.
 
 Grids carry the Bloch angle exactly, as rational theta/pi.  choose_theta
 gives the parity one, theta = (0, 0) for even N and (pi, pi) for odd N:
@@ -251,28 +251,18 @@ def _unit_phase(r, D: int) -> np.ndarray:
     return phase
 
 
-def _poly_residues(poly: Tuple[int, int, int], s, D: int) -> np.ndarray:
-    """P(s) mod D, P(s) = c2 s^2 + c1 s + c0 for poly = (c2, c1, c0), as int64
-    of the shape of the integers s: the one exact residue rule of the layer.
-    int64 arithmetic for arrays with |c2| smax^2 + |c1| smax + |c0| < 2^62
-    (smax = max |s|, at least 1), Python integers otherwise and for one s."""
-    c2, c1, c0 = poly
-    s = np.asarray(s)
-    if s.size > 1:
-        smax = max(int(np.abs(s).max()), 1)
-        if abs(c2) * smax * smax + abs(c1) * smax + abs(c0) < 2**62:
-            s = s.astype(np.int64, copy=False)
-            if c2:
-                r = s * c2
-                r += c1
-                r *= s
-            else:
-                r = s * c1
-            r += c0
-            r %= D
-            return r
-    r = [(c2 * v * v + c1 * v + c0) % D for v in s.ravel().tolist()]
-    return np.array(r, dtype=np.int64).reshape(s.shape)
+def _residues(terms, D: int) -> np.ndarray:
+    """sum c x mod D over at most 8 (c, x) terms, as int64: the one exact
+    residue rule of the layer.  Each operand is a Python integer, reduced
+    here, or an integer array in [0, D) (a caller reduces negative sites
+    first); the arrays broadcast.  In int64 when D < 2^30 (the sum of
+    products fits), else in Python integers."""
+    dtype = np.int64 if D < 2**30 else object
+
+    def cast(v):
+        return np.asarray(v % D if isinstance(v, int) else v).astype(dtype, copy=False)
+
+    return np.asarray(sum(cast(c) * cast(x) for c, x in terms) % D, dtype=np.int64)
 
 
 def _phase_progression(c: int, step: int, D: int, length: int) -> np.ndarray:
@@ -283,8 +273,8 @@ def _phase_progression(c: int, step: int, D: int, length: int) -> np.ndarray:
     entry, and no integer array of full length.
     """
     B = math.isqrt(max(length - 1, 0)) + 1
-    coarse = _poly_residues((0, step * B % D, c % D), np.arange(-(-length // B)), D)
-    fine = _poly_residues((0, step % D, 0), np.arange(B), D)
+    coarse = _residues([(step * B, np.arange(-(-length // B))), (c, 1)], D)
+    fine = _residues([(step, np.arange(B))], D)
     return np.outer(_unit_phase(coarse, D), _unit_phase(fine, D)).reshape(-1)[:length]
 
 
@@ -293,7 +283,7 @@ def _twist(grid: PlanckGrid, k):
     with theta1 = pi u/v it is the unit phase of u k mod 2v over 2v."""
     y = grid.theta_over_pi[0]
     D = 2 * y.denominator
-    return _unit_phase(_poly_residues((0, y.numerator, 0), k, D), D)
+    return _unit_phase(_residues([(y.numerator, k % D)], D), D)
 
 
 def _wrap_twist(grid: PlanckGrid, n1: int, vec: np.ndarray) -> np.ndarray:
@@ -404,18 +394,6 @@ def translation(n: Tuple[int, int], grid: PlanckGrid) -> LinearMap:
 # ---------------------------------------------------------------------------
 # Propagator
 # ---------------------------------------------------------------------------
-
-def _residues(terms, D: int) -> np.ndarray:
-    """sum c x mod D over at most 8 (c, x) terms, integers or int64 arrays in
-    [0, D) that broadcast, such as modular inverses times sites: in int64 when
-    D < 2^30 (the sum of products fits), else in Python integers."""
-    dtype = np.int64 if D < 2**30 else object
-
-    def cast(v):
-        return np.asarray(v % D if isinstance(v, int) else v).astype(dtype, copy=False)
-
-    return np.asarray(sum(cast(c) * cast(x) for c, x in terms) % D, dtype=np.int64)
-
 
 def _bluestein_class(L: int) -> bool:
     """True when L has a prime factor p with p^2 > L: the only FFT lengths

@@ -296,19 +296,18 @@ def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
 
 def load_symbol_json(path: Union[str, Path]) -> Symbol:
     """{"kind": "fourier", "coefficients": [[n1, n2, re, im], ...]} or
-    {"kind": "sampled", "G": G, "grid_csv": name}, each with optional "rho"."""
+    {"kind": "sampled", "G": G, "grid_csv": name}; other keys are ignored."""
     path = Path(path)
     doc = _read_json(path, "symbol file")
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in ("fourier", "sampled"):
         raise ConfigError(f"{path}: unknown symbol kind {kind!r}")
     try:
-        rho = float(doc.get("rho", 0.0))
         if kind == "fourier":
             coeffs = {
                 (int(r[0]), int(r[1])): complex(r[2], r[3]) for r in doc["coefficients"]
             }
-            return Symbol(fourier=coeffs, rho=rho)
+            return Symbol(fourier=coeffs)
         G = int(doc["G"])
         grid_vals = np.loadtxt(path.parent / doc["grid_csv"], delimiter=",")
         if grid_vals.shape != (G, G):
@@ -319,6 +318,6 @@ def load_symbol_json(path: Union[str, Path]) -> Symbol:
             pi = np.clip((np.asarray(p) * _G).astype(int), 0, _G - 1)
             return _vals[qi, pi]
 
-        return Symbol(fn=fn, rho=rho)
+        return Symbol(fn=fn)
     except (KeyError, TypeError, ValueError, IndexError, OSError) as exc:
         raise ConfigError(f"{path}: malformed {kind} symbol ({exc})") from exc

@@ -78,21 +78,17 @@ class Symbol:
     exp(2 pi i (n ^ x)) with n ^ x = n2 x1 - n1 x2.  fn(q, p) evaluates the
     symbol on (broadcastable) coordinate arrays.  Fourier symbols keep fn
     None: evaluate sums their plane waves, and antiwick_expectation takes
-    the closed form for them.  rho is the small-scale class exponent,
-    recorded for rate bookkeeping.
+    the closed form for them.
     """
 
     fourier: Optional[Dict[Freq, complex]] = None
     fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    rho: float = 0.0
     real: bool = False
     label: str = ""
 
     def __post_init__(self):
         if self.fourier is None and self.fn is None:
             raise ValueError("symbol needs fourier data or an evaluation rule")
-        if not (0.0 <= self.rho < 0.5):
-            raise ValueError("rho must lie in [0, 1/2)")
         if self.fourier is not None:
             self.fourier = {
                 (int(n[0]), int(n[1])): complex(c) for n, c in self.fourier.items()
@@ -382,7 +378,7 @@ def weyl_antiwick_gap(symbol: Symbol, catmap: CatMap, grid: PlanckGrid) -> float
     _adjoint_terms) into buffers that every step reuses.  The iteration
     stops when the top Ritz pair's residual is below _LANCZOS_TOL of its
     Ritz value, or after N steps, when the Krylov space is all of H_N.
-    Scales like hbar^(1 - 2 rho).
+    Scales like hbar for a fixed smooth symbol.
     """
     if symbol.fourier is None:
         raise ValueError("gap computation needs Fourier data for the Weyl side")

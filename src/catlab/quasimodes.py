@@ -16,7 +16,7 @@ import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +31,12 @@ from .classical import (
 from .coherent import (
     HusimiGrid,
     _check_resolution,
+    _truncation_cut,
     axis_variances,
     ball_mass,
     husimi,
     torus_coherent,
+    z_parameter,
 )
 from .errors import (
     BallsOverlap,
@@ -102,21 +104,9 @@ def _check_delta(delta: float) -> None:
         raise ConfigError(f"delta must lie in (0, 1/4), got {delta}")
 
 
-def _time_window_ok(T: int, delta: float, N: int, lyapunov: float) -> bool:
-    """The time window T <= delta T_E at N, up to 1e-12 of rounding."""
-    return T <= delta * ehrenfest_time(N, lyapunov) + 1e-12
-
-
-class ChosenN(NamedTuple):
-    N: int
-    ehrenfest_ok: bool
-
-
-def choose_N(T: int, delta: float, lyapunov: float) -> ChosenN:
-    """Dimension schedule N = ceil(e^{lambda T / delta} / (2 pi)).
-
-    Also reports whether T <= delta T_E holds at the chosen N (it does,
-    by construction of the ceiling).
+def choose_N(T: int, delta: float, lyapunov: float) -> int:
+    """Dimension schedule N = ceil(e^{lambda T / delta} / (2 pi)): the least
+    N where the time window T <= delta T_E holds.
 
     Raises
     ------
@@ -132,15 +122,15 @@ def choose_N(T: int, delta: float, lyapunov: float) -> ChosenN:
             f"schedule gives N = {N} > cap {N_CAP} for T={T}, delta={delta}; "
             "set N explicitly or reduce T"
         )
-    return ChosenN(N, _time_window_ok(T, delta, N, lyapunov))
+    return N
 
 
 @dataclass(frozen=True)
 class QuasimodeSpec:
     """Parameters of one quasimode construction.
 
-    Validates the time-window invariant T <= delta T_E and the pairing of
-    the Bloch angle with the map.
+    Validates the time-window invariant T <= delta T_E (up to 1e-12 of
+    rounding) and the pairing of the Bloch angle with the map.
     """
 
     orbit: Orbit
@@ -151,11 +141,11 @@ class QuasimodeSpec:
 
     def __post_init__(self):
         _check_delta(self.delta)
-        N, lyapunov = self.grid.N, self.catmap.lyapunov
-        if not _time_window_ok(self.T, self.delta, N, lyapunov):
+        N = self.grid.N
+        window = self.delta * ehrenfest_time(N, self.catmap.lyapunov)
+        if self.T > window + 1e-12:
             raise PreconditionError(
-                f"orbit length T={self.T} exceeds delta T_E = "
-                f"{self.delta * ehrenfest_time(N, lyapunov):.4f} at N={N}"
+                f"orbit length T={self.T} exceeds delta T_E = {window:.4f} at N={N}"
             )
         _require_invariant_theta(self.catmap, self.grid)
 
@@ -473,6 +463,14 @@ def _config_float(key: str, value) -> float:
     raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
 
 
+def _config_positive(key: str, value) -> float:
+    """A config value that must be a finite number above 0."""
+    x = _config_float(key, value)
+    if x <= 0:
+        raise ConfigError(f"config key {key} must be positive, got {value!r}")
+    return x
+
+
 def _config_pairs(key: str, value) -> Tuple[Tuple[int, int], ...]:
     """A config value that must be a list of integer pairs."""
     if not isinstance(value, (list, tuple)):
@@ -500,9 +498,10 @@ def _config_outputs(key: str, value) -> Tuple[str, ...]:
 
 # Every quasimode config key: (parser, default).  A parser takes (key,
 # value) and returns the value or raises a ConfigError naming the key.
-# matrix is required, and so is T or orbit_start (which wins); a default
-# of None is filled in by the run: N by the dimension schedule (also for
-# N = None), r_phase and r_physical inside their admissible ranges.
+# matrix is required, and so is T or orbit_start (T, if given too, must be
+# the orbit's period); a default of None is filled in by the run: N by the
+# dimension schedule (also for N = None), r_phase and r_physical inside
+# their admissible ranges.
 CONFIG = {
     "matrix": (partial(_config_int, count=4), None),
     "T": (_config_int, None),
@@ -510,9 +509,9 @@ CONFIG = {
     "N": (lambda key, value: None if value is None else _config_int(key, value), None),
     "delta": (_config_float, 0.24),
     "phi": (_config_float, 0.0),
-    "C0": (_config_float, BALL_CONSTANT),
-    "c_sep": (_config_float, SEP_CONSTANT),
-    "c1": (_config_float, C1_CONSTANT),
+    "C0": (_config_positive, BALL_CONSTANT),
+    "c_sep": (_config_positive, SEP_CONSTANT),
+    "c1": (_config_positive, C1_CONSTANT),
     "G": (_config_int, 256),
     "frequencies": (_config_pairs, DEFAULT_FREQUENCIES),
     "r_phase": (_config_float, None),
@@ -527,11 +526,11 @@ def run_pipeline(config: Dict) -> Experiment:
     The keys, their parsers and their defaults are CONFIG's; an unknown
     key is a ConfigError, and every key is parsed before any work.  outputs
     is read by the CLI only.
-    Ball disjointness and resolution, the frequencies and both
-    non-equidistribution radii are checked before anything is built;
-    the propagator, the quasimode and the Husimi grid of psi_n are built
-    once and shared by the diagnostics that read them; file emission is
-    the CLI's job.
+    The Gaussian truncation, ball disjointness and resolution, the
+    frequencies and both non-equidistribution radii are checked before
+    anything is built; the propagator, the quasimode and the Husimi grid
+    of psi_n are built once and shared by the diagnostics that read them;
+    file emission is the CLI's job.
     """
     timings: Dict[str, float] = {}
     last = time.perf_counter()
@@ -554,6 +553,11 @@ def run_pipeline(config: Dict) -> Experiment:
 
     if cfg["orbit_start"] is not None:
         orbit = orbit_through(cat, *cfg["orbit_start"])
+        if cfg["T"] not in (None, orbit.length):
+            raise ConfigError(
+                f"config key T = {cfg['T']} differs from the period {orbit.length} "
+                f"of orbit_start {cfg['orbit_start']}"
+            )
     elif cfg["T"] is not None:
         orbits = enumerate_prime_orbits(cat, cfg["T"])
         if not orbits:
@@ -566,7 +570,7 @@ def run_pipeline(config: Dict) -> Experiment:
 
     schedule = None
     if cfg["N"] is None:
-        schedule = choose_N(T, delta, cat.lyapunov)._asdict()
+        schedule = {"N": choose_N(T, delta, cat.lyapunov)}
         cfg["N"] = schedule["N"]
     N = cfg["N"]
     lap("orbit")
@@ -574,7 +578,8 @@ def run_pipeline(config: Dict) -> Experiment:
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
-    # refuse bad balls, frequencies and radii before building anything
+    # refuse bad truncation, balls, frequencies and radii before building anything
+    _truncation_cut(grid, z_parameter(cat).imag)
     _check_resolution(cfg["G"], _checked_ball_radius(spec, cfg["C0"]))
     _check_frequencies(cfg["frequencies"])
     r_lo, _ = _radius_range(spec, "phase", c_sep, c1)

@@ -23,8 +23,8 @@ def test_deleted_surface_is_gone():
     exported = {n for name in MODULES for n in importlib.import_module(name).__all__}
     assert "torus_distance" not in exported
     assert not hasattr(catlab.classical, "torus_distance")
-    for cls, attr in ((catlab.CatMap, "as_array"), (catlab.Orbit, "min_separation"),
-                      (catlab.Symbol, "plane_wave")):
+    for cls, attr in ((catlab.CatMap, "as_array"), (catlab.CatMap, "trace"),
+                      (catlab.Orbit, "min_separation"), (catlab.Symbol, "plane_wave")):
         assert not hasattr(cls, attr), (cls, attr)
 
     def fields(cls):
@@ -34,8 +34,11 @@ def test_deleted_surface_is_gone():
     assert fields(catlab.Orbit) == {"jk", "l"}
     for gone in ("BallReport", "ScMeasureReport", "NonequiReport"):
         assert not hasattr(catlab.quasimodes, gone) and gone not in exported, gone
-    assert "support_ball" not in fields(catlab.Symbol)
+    assert fields(catlab.Symbol) == {"fourier", "fn", "real", "label"}
+    assert not hasattr(catlab.hilbert, "_poly_residues")
+    assert not hasattr(catlab.quasimodes, "ChosenN") and "ChosenN" not in exported
     assert list(inspect.signature(catlab.choose_N).parameters) == ["T", "delta", "lyapunov"]
+    assert type(catlab.choose_N(1, 0.24, 1.0)) is int
     assert list(inspect.signature(catlab.antiwick_expectation).parameters) == [
         "psi", "symbol", "catmap", "hgrid"
     ]

@@ -23,7 +23,7 @@ from catlab import (
     weyl_quantize,
 )
 from catlab import hilbert
-from catlab.hilbert import _poly_residues, _require_invariant_theta, _unit_phase
+from catlab.hilbert import _require_invariant_theta, _unit_phase
 
 from conftest import (
     coarse_husimi,
@@ -103,38 +103,50 @@ class TestUnitPhase:
 
 
 class TestExactQuadraticPhase:
-    """_poly_residues, the one residue rule behind every phase of the layer."""
-
-    @staticmethod
-    def _reference(poly, s, D):
-        c2, c1, c0 = poly
-        return [(c2 * v * v + c1 * v + c0) % D for v in s]
+    """_residues, the one residue rule behind every phase of the layer:
+    sum c x mod D, exact in int64 below D = 2^30 and in Python integers
+    above, for the kernel's quadratic phases as for the linear ones."""
 
     def test_python_int_branch(self):
-        # |c2| s^2 >= 2^62: int64 would overflow, Python integers are used
-        poly, D = (-7, 12345, -(3 << 40)), 8 * 1000003 * 3
-        s = np.array([2**31 + 11, -(2**31) - 3, 3 * 2**30, 5, 0])
-        assert 7 * int(np.abs(s).max()) ** 2 >= 2**62
-        got = _poly_residues(poly, s, D)
-        assert got.dtype == np.int64
-        assert got.tolist() == self._reference(poly, s.tolist(), D)
+        # D >= 2^30: a product of two residues overflows int64, so the
+        # residues are multiplied as Python integers
+        D = 8 * 1000003 * 3 * 2**20
+        s = np.array([2**31 + 11, 3 * 2**30, D - 1, 5, 0])
+        s2 = np.array([v * v % D for v in s.tolist()])
+        got = hilbert._residues([(-7, s2), (12345, s), (-(3 << 40), 1)], D)
+        assert (D - 1) ** 2 >= 2**63 and got.dtype == np.int64
+        assert got.tolist() == [(-7 * v * v + 12345 * v - (3 << 40)) % D for v in s.tolist()]
 
     def test_int64_branch(self):
-        poly, D = (5, -4, 2), 2 * 4096 * 4
+        D = 2 * 4096 * 4
         s = 2 * np.arange(8192) + 1
-        got = _poly_residues(poly, s, D)
-        assert got.tolist() == self._reference(poly, s.tolist(), D)
+        got = hilbert._residues([(5, s * s % D), (-4, s), (2, 1)], D)
+        assert got.tolist() == [(5 * v * v - 4 * v + 2) % D for v in s.tolist()]
         phase = _unit_phase(got, D)
         want = np.array([exact_phase(Fraction(v, D)) for v in got.tolist()])
         assert np.max(np.abs(phase - want)) <= 1e-15
 
     @pytest.mark.parametrize("big", [False, True], ids=["int64", "python-int"])
     def test_two_dimensional_s(self, big):
-        poly, D = ((3, -2**40, 7) if big else (3, -11, 7)), 2 * 3**20
-        s = np.arange(-12, 12).reshape(4, 6) * (2**21 if big else 1)
-        got = _poly_residues(poly, s, D)
-        assert got.shape == (4, 6)
-        assert got.ravel().tolist() == self._reference(poly, s.ravel().tolist(), D)
+        # a column of sites against a row of classes, as the kernel's blocks
+        D = 2 * 3**20 if big else 2 * 3**9
+        rows = np.arange(0, D, D // 5)[:, None]
+        cols = (np.arange(6) * 7919) % D
+        squares = np.array([[v * v % D] for v in rows.ravel().tolist()])
+        terms = [(3, squares), (-2**40, cols), (11, rows), (7, 1)]
+        got = hilbert._residues(terms, D)
+        assert got.shape == (len(rows), 6)
+        want = sum(c * np.asarray(x, dtype=object) for c, x in terms) % D
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("D", [2, 2 * 4099, 2**31 + 2])
+    def test_reduced_negative_operands(self, D):
+        # wrap counts and window sites may be negative: callers reduce them
+        # (k % D) first, and the residue is that of the unreduced sum
+        k = np.array([-(2**40) - 1, -D - 1, -1, 0, 1, D + 3])
+        got = hilbert._residues([(-5, k % D), (3, 1)], D)
+        assert got.tolist() == [(-5 * v + 3) % D for v in k.tolist()]
+        assert hilbert._residues([(-5, -7 % D)], D).shape == ()
 
 
 class TestChooseTheta:

@@ -42,7 +42,7 @@ from conftest import coarse_husimi, hyperbolic_maps, random_state
 def write_fourier_symbol(path, symbol):
     """A "fourier" symbol file holding the symbol's coefficients."""
     coefficients = [[n[0], n[1], c.real, c.imag] for n, c in sorted(symbol.fourier.items())]
-    doc = {"kind": "fourier", "rho": symbol.rho, "coefficients": coefficients}
+    doc = {"kind": "fourier", "coefficients": coefficients}
     path.write_text(json.dumps(doc))
 
 
@@ -50,7 +50,7 @@ def write_sampled_symbol(path, symbol, G):
     """A "sampled" symbol file and its G x G CSV grid beside it."""
     csv_path = path.with_suffix(".csv")
     np.savetxt(csv_path, np.real(symbol.sample(G)), fmt="%.16e", delimiter=",")
-    doc = {"kind": "sampled", "rho": symbol.rho, "G": G, "grid_csv": csv_path.name}
+    doc = {"kind": "sampled", "G": G, "grid_csv": csv_path.name}
     path.write_text(json.dumps(doc))
 
 
@@ -320,6 +320,15 @@ class TestSymbolFormat:
         got = back.evaluate(c[:, None], c[None, :])
         want = lower.sample(64)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_unread_keys_still_load(self, tmp_path):
+        # "rho", which older symbol files carry, is ignored like any other
+        # key the loader does not read
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(
+            {"kind": "fourier", "rho": 0.7, "coefficients": [[1, 0, 0.5, 0.0]]}
+        ))
+        assert load_symbol_json(path).fourier == {(1, 0): 0.5}
 
 
 class TestConfigParser:
@@ -610,13 +619,27 @@ class TestCli:
              "config key C0 must be a finite number, got True"),
             (["quasimode", "T = 2\nN = 4096\nr_phase = Infinity\n"],
              "config key r_phase must be a finite number, got inf"),
+            (["quasimode", "T = 2\nN = 4096\nC0 = 0\n"], "config key C0 must be positive, got 0"),
+            (["quasimode", "T = 2\nN = 4096\nC0 = -1\n"],
+             "config key C0 must be positive, got -1"),
+            (["quasimode", "T = 2\nN = 4096\nc_sep = 0\n"],
+             "config key c_sep must be positive, got 0"),
+            (["quasimode", "T = 2\nN = 4096\nc_sep = -1\n"],
+             "config key c_sep must be positive, got -1"),
+            (["quasimode", "T = 2\nN = 4096\nc1 = 0\n"], "config key c1 must be positive, got 0"),
+            (["quasimode", "orbit_start = 1,2,0\nN = 4096\n"],
+             "lattice denominator l = 0 must be positive"),
+            (["quasimode", "T = 3\norbit_start = 1,2,5\nN = 4096\n"],
+             "config key T = 3 differs from the period 2 of orbit_start (1, 2, 5)"),
         ],
         ids=["orbits-T", "check-states", "check-N", "check-nmax", "gap-ladder", "width-N",
              "width-ladder", "scmeasure-T", "scmeasure-delta", "quasimode-N", "quasimode-T",
              "quasimode-delta", "quasimode-N-text", "quasimode-N-fraction",
              "quasimode-T-fraction", "quasimode-orbit-start", "quasimode-frequencies",
              "quasimode-delta-text", "quasimode-phi-nan", "quasimode-C0-bool",
-             "quasimode-r-phase-inf"],
+             "quasimode-r-phase-inf", "quasimode-C0-zero", "quasimode-C0-negative",
+             "quasimode-c-sep-zero", "quasimode-c-sep-negative", "quasimode-c1-zero",
+             "quasimode-orbit-start-l", "quasimode-T-against-orbit-start"],
     )
     def test_out_of_range_input_is_config_error(self, argv, named, tmp_path, capsys):
         if argv[0] == "quasimode":
@@ -695,6 +718,16 @@ class TestQuasimodePipeline:
         cfg = write_config(tmp_path, "matrix = 2,1,1,1\nT = 2\n")
         assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
         assert "error[BallsOverlap]" in capsys.readouterr().err
+        assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
+
+    @pytest.mark.parametrize("N", [64, 100, 150, 200])
+    def test_truncation_refused_before_building(self, N, tmp_path, monkeypatch, capsys):
+        # this map's coherent state is squeezed so far that its Gaussian
+        # needs more than 64 lattice translates at these N
+        calls = record_calls(monkeypatch, "propagator", "husimi")
+        cfg = write_config(tmp_path, f"matrix = -300,90901,-1,303\nT = 1\nN = {N}\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        assert "error[TruncationFailure]: periodization needs" in capsys.readouterr().err
         assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
 
     def test_unresolved_balls_refused_before_building(self, tmp_path, monkeypatch, capsys):

@@ -84,12 +84,6 @@ class TestSymbol:
         # e_n(x) = exp(2 pi i (n2 q - n1 p)) = exp(-2 pi i p) for n = (1,0)
         assert sym.evaluate(q, p)[0] == pytest.approx(cmath.exp(-2j * math.pi * 0.4))
 
-    def test_rho_range(self):
-        with pytest.raises(ValueError):
-            Symbol.from_fourier({(0, 0): 1.0}).__class__(
-                fourier={(0, 0): 1.0}, rho=0.7
-            )
-
 
 class TestWeyl:
     def test_constant_is_identity(self, arnold):

@@ -7,6 +7,7 @@ import pytest
 
 from catlab import (
     BallsOverlap,
+    CatlabError,
     ConfigError,
     NoInvariantTheta,
     NTooLarge,
@@ -51,12 +52,10 @@ class TestChooseN:
     def test_t2_schedule(self):
         # 60-digit evaluation of exp(lambda T / delta)/(2 pi) gives 484.11,
         # so the ceiling is 485 (and T <= delta T_E indeed first holds there)
-        got = choose_N(2, 0.24, LAMBDA)
-        assert got.N == 485
-        assert got.ehrenfest_ok
+        assert choose_N(2, 0.24, LAMBDA) == 485
 
     def test_t3_schedule(self):
-        assert choose_N(3, 0.24, LAMBDA).N == 26700
+        assert choose_N(3, 0.24, LAMBDA) == 26700
 
     def test_t0_rejected(self):
         with pytest.raises(ValueError):
@@ -79,16 +78,15 @@ class TestChooseN:
     def test_schedule_and_spec_share_the_time_window(self, arnold, T):
         # the schedule's N is the first N where the spec's window holds
         chosen = choose_N(T, 0.24, arnold.lyapunov)
-        assert chosen.ehrenfest_ok
         orbit = enumerate_prime_orbits(arnold, T)[0]
 
         def spec(N):
             grid = choose_theta(arnold, N)
             return QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
 
-        assert spec(chosen.N).grid.N == chosen.N
+        assert spec(chosen).grid.N == chosen
         with pytest.raises(PreconditionError, match="exceeds delta T_E"):
-            spec(chosen.N - 1)
+            spec(chosen - 1)
 
 
 class TestSpec:
@@ -458,7 +456,7 @@ class TestRunExperiment:
         # C0 = 0.5 are disjoint
         exp = run_pipeline({"matrix": [2, 1, 1, 1], "T": 2, "N": None, "C0": 0.5})
         assert exp.config["N"] == 485
-        assert exp.report["schedule"] == {"N": 485, "ehrenfest_ok": True}
+        assert exp.report["schedule"] == {"N": 485}
 
     def test_explicit_orbit_start(self, arnold):
         report = run_pipeline(
@@ -467,6 +465,50 @@ class TestRunExperiment:
         ).report
         assert report["T"] == 2
         assert report["orbit"]["points"] == [[1, 2], [4, 3]]
+
+
+# one bad value per CONFIG key, each applied on top of DESK_CONFIG
+DESK_CONFIG = {"matrix": [2, 1, 1, 1], "T": 2, "N": 4096}
+BAD_CONFIGS = [
+    {"matrix": [2, 1, 1, 2]},
+    {"matrix": [1, 1, 0, 1]},
+    {"matrix": [2, 1, 1]},
+    {"T": 0},
+    {"T": 2.5},
+    {"orbit_start": [1, 2, 0]},
+    {"N": 0},
+    {"delta": 0.25},
+    {"delta": math.nan},
+    {"phi": math.nan},
+    *({key: value} for key in ("C0", "c_sep", "c1") for value in (0, -1)),
+    {"G": 8},
+    {"G": 2.5},
+    {"frequencies": [[9, 0]]},
+    {"frequencies": [[1]]},
+    {"r_phase": 0.5},
+    {"r_physical": 0.2},
+    {"outputs": ["stat"]},
+    {"T": 3, "orbit_start": [1, 2, 5]},
+]
+
+
+class TestBadConfig:
+    def test_table_covers_every_key(self):
+        assert {key for bad in BAD_CONFIGS for key in bad} == set(quasimodes.CONFIG)
+
+    @pytest.mark.parametrize(
+        "bad", BAD_CONFIGS,
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()).replace(" ", ""),
+    )
+    def test_refused_before_building(self, bad, monkeypatch):
+        # a bad value is a CatlabError with a reason, raised before the
+        # propagator is built; no value crashes or runs silently
+        def never(*args, **kwargs):
+            raise AssertionError("built before the config was refused")
+
+        monkeypatch.setattr(quasimodes, "propagator", never)
+        with pytest.raises(CatlabError):
+            run_pipeline({**DESK_CONFIG, **bad})
 
 
 class TestPhiInvariance:
