@@ -24,6 +24,7 @@ from .coherent import (
     HusimiGrid,
     axis_variances,
     ball_mass,
+    evolve_coherent,
     husimi,
     torus_coherent,
     z_parameter,
@@ -59,6 +60,7 @@ from .quantize import (
     bump_masses,
     bump_symbols,
     position_interval_mass,
+    position_interval_masses,
     weyl_antiwick_gap,
     weyl_quantize,
 )
@@ -71,6 +73,7 @@ from .quasimodes import (
     husimi_ball_report,
     nonequidistribution_report,
     residual,
+    return_amplitude,
     run_pipeline,
     scmeasure_error,
 )

@@ -292,8 +292,18 @@ def enumerate_prime_orbits(
     ------
     EnumerationTooLarge
         If l exceeds the lattice guard, or is 2^31 or more, where the int64
-        arithmetic mod l would overflow.
+        arithmetic mod l would overflow.  Since l = e^{lambda T} +
+        e^{-lambda T} - 2 > e^{lambda T} - 2, a T whose float bound is
+        past either limit is refused before tr(M^T) is computed exactly,
+        and the message gives log10 l, not l's digits.
     """
+    limit = min(lattice_guard, _INT64_LATTICE_LIMIT - 1)
+    if catmap.lyapunov * T > math.log(limit + 2) + 1e-9:
+        raise EnumerationTooLarge(
+            f"lattice denominator l = tr(M^T) - 2 has log10 l = "
+            f"{catmap.lyapunov * T / math.log(10):.1f}, above the guard "
+            f"{lattice_guard} or the int64 limit 2^31"
+        )
     l = fixed_point_count(catmap, T)
     if l > lattice_guard:
         raise EnumerationTooLarge(

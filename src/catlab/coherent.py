@@ -7,7 +7,11 @@ periodized, which realizes the torus projector exactly up to a controlled
 Gaussian tail.  One windowed transform, _coherent_window, holds the
 window bounds and the untwisted Gaussian weights, and hilbert._twist the
 theta1 twist of wrapped sites; coherent states and Husimi grids both read
-their windows from them.  Ball masses and variances read a Husimi grid
+their windows from them.  The width parameter is the caller's: Husimi
+grids use z0, and a coherent state carried by the propagator t times is,
+exactly, a unit phase times the Gaussian at M^t x mod 1 with the Moebius
+image z_t of z0 (evolve_coherent), its phase taken from one row of the
+propagator's kernel per step, so no vector of length N is needed.  Ball masses and variances read a Husimi grid
 that the caller builds, and _check_resolution states once what a grid
 and a ball read from it must resolve.  (Anti-Wick values of Fourier
 symbols need no window: quantize.py takes them in closed form.)
@@ -30,19 +34,29 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import CatMap, min_image
 from .errors import ConfigError, ResolutionTooCoarse, TruncationFailure
-from .hilbert import PlanckGrid, QuantumState, _residues, _site_offset, _twist, _unit_phase
+from .hilbert import (
+    PlanckGrid,
+    QuantumState,
+    _gauss_kernel,
+    _propagator_row,
+    _residues,
+    _site_offset,
+    _twist,
+    _unit_phase,
+)
 
 __all__ = [
     "HusimiGrid",
     "z_parameter",
     "torus_coherent",
+    "evolve_coherent",
     "husimi",
     "ball_mass",
     "axis_variances",
@@ -123,20 +137,20 @@ def _check_resolution(G: int, radius: Optional[float] = None) -> None:
 
 
 def _coherent_window(
-    grid: PlanckGrid, catmap: CatMap, G: Optional[int] = None
+    grid: PlanckGrid, z: complex, G: Optional[int] = None
 ) -> Callable[..., Tuple[np.ndarray, np.ndarray]]:
     """The windowed coherent-state transform behind every consumer.
 
     Returns window(q), which maps an array of position centers q to the
     extended site indices m and the untwisted Gaussian weights, both (P, K):
 
-        w[i, k] = c0 exp(i pi N z0 (y_m - q_i)^2),
+        w[i, k] = c0 exp(i pi N z (y_m - q_i)^2),
 
-    with m = m[i, k], y_m = (m + eta)/N, z0 = z_parameter(catmap) and
-    c0 = (2 N Im z0)^(1/4).  Row i starts at the first site of center i's
-    window, which holds the Gaussian down to 1e-14 of its peak; the rows
-    share the longest window's length K, and cells past a center's own
-    window weigh 0.  A wrapped site m stands for |m mod N> twisted by
+    with m = m[i, k], y_m = (m + eta)/N, z the caller's width parameter
+    (z_parameter(catmap) for Husimi grids) and c0 = (2 N Im z)^(1/4).
+    Row i starts at the first site of center i's window, which holds the
+    Gaussian down to 1e-14 of its peak; the rows share the longest
+    window's length K, and cells past a center's own window weigh 0.  A wrapped site m stands for |m mod N> twisted by
     _twist(grid, m // N), which undoes the exp(-i theta1) that an amplitude
     picks up when its index wraps past N: sum_k w[i, k] twist[i, k]
     |m mod N> is the plane Gaussian projected onto H_{N,theta}, and
@@ -160,9 +174,8 @@ def _coherent_window(
                 "quadrature identities may degrade",
                 stacklevel=3,
             )
-    z0 = z_parameter(catmap)
-    cut = _truncation_cut(grid, z0.imag)
-    c0 = (2.0 * N * z0.imag) ** 0.25
+    cut = _truncation_cut(grid, z.imag)
+    c0 = (2.0 * N * z.imag) ** 0.25
 
     def window(
         q: Sequence[float], point: Optional[Sequence] = None
@@ -174,7 +187,7 @@ def _coherent_window(
         m = lo + k
         dy = (m + eta) / N - q
         scale = c0 if point is None else c0 * _momentum_phase(grid, point, m)
-        w = scale * np.exp(1j * math.pi * N * z0 * dy * dy)
+        w = scale * np.exp(1j * math.pi * N * z * dy * dy)
         w[k >= length] = 0.0
         return m, w
 
@@ -206,25 +219,117 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
     return mom * cmath.exp(-1j * math.pi * N * p0 * q0)
 
 
-def torus_coherent(x0: Sequence, catmap: CatMap, grid: PlanckGrid) -> QuantumState:
-    """Torus coherent state at x0, adapted to the map's squeeze.
+def _torus_window(
+    x0: Sequence, z: complex, grid: PlanckGrid
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The torus coherent state at x0 with width parameter z, as (sites,
+    values): its K window sites folded to distinct sites in [0, N), and
+    its amplitudes there; every other amplitude is 0.  O(K) work."""
+    N = grid.N
+    m, w = _coherent_window(grid, z)([x0[0]], x0)
+    m, w = m[0], w[0] * _twist(grid, m[0] // N)
+    if m.size > N:
+        # wraps add in site order, as the window's sites run
+        w = np.concatenate([w, np.zeros(-m.size % N, dtype=complex)]).reshape(-1, N).sum(axis=0)
+        m = m[0] + np.arange(N)
+    return m % N, w / math.sqrt(N)
+
+
+def torus_coherent(
+    x0: Sequence, catmap: CatMap, grid: PlanckGrid, z: Optional[complex] = None
+) -> QuantumState:
+    """Torus coherent state at x0 with width parameter z, by default the
+    map-adapted z0 = z_parameter(catmap).
 
     Amplitudes are a_j = N^{-1/2} sum_w exp(i theta1 w) g(q_j + w) with g
-    the plane Gaussian of width parameter z_parameter(catmap); the sum is
-    truncated where the tail drops below 1e-14 of the peak.  Exact
-    centers, as Orbit.start() gives, are (Fraction, Fraction) pairs.  The
-    result is not normalized; its squared norm is 1 up to an
-    exponentially small error.
+    the plane Gaussian of width parameter z; the sum is truncated where
+    the tail drops below 1e-14 of the peak.  Exact centers, as
+    Orbit.start() gives, are (Fraction, Fraction) pairs.  The result is
+    not normalized; its squared norm is 1 up to an exponentially small
+    error.  evolve_coherent gives U^t of the z0 state as a unit phase
+    times the state at M^t x0 mod 1 with width z_t.
 
     Raises
     ------
     TruncationFailure
         If the truncated sum would need more than 64 lattice translates.
     """
-    m, w = _coherent_window(grid, catmap)([x0[0]], x0)
+    sites, values = _torus_window(x0, z_parameter(catmap) if z is None else z, grid)
     amp = np.zeros(grid.N, dtype=complex)
-    np.add.at(amp, m[0] % grid.N, w[0] * _twist(grid, m[0] // grid.N))
-    return QuantumState(amp / math.sqrt(grid.N), grid)
+    amp[sites] = values
+    return QuantumState(amp, grid)
+
+
+def _evolved_widths(catmap: CatMap, t: int) -> List[complex]:
+    """[z_0, ..., z_t]: the width parameters of U^s applied to the map-adapted
+    coherent state, z_0 = z_parameter(catmap) and the Moebius step z' =
+    (c + d z)/(a + b z) of M = (a, b; c, d), which carries the plane
+    p = z q to its image under M."""
+    a, b, c, d = catmap.entries
+    widths = [z_parameter(catmap)]
+    for _ in range(t):
+        z = widths[-1]
+        widths.append((c + d * z) / (a + b * z))
+    return widths
+
+
+def _coherent_path(x0: Sequence, catmap: CatMap, grid: PlanckGrid, t: int) -> Iterator:
+    """(kappa_s, x_s, z_s, sites, values) for s = 0, ..., t, with U^s
+    torus_coherent(x0) = kappa_s torus_coherent(x_s, z = z_s) and (sites,
+    values) that state's _torus_window, whose sites are one cyclic run
+    (m0 + k) mod N.
+
+    The cat map is metaplectic, so U carries a torus Gaussian to a torus
+    Gaussian: the centre moves to M x mod 1 (exactly, for Fraction
+    centres) and the width takes the Moebius step of _evolved_widths.
+    Only the unit phase kappa is computed, one step at a time:
+    kappa_{s+1} = kappa_s (U g_s)[j] / g_{s+1}[j] at the peak site j of
+    g_{s+1}, with row j of U from the propagator's own exact phases
+    (hilbert._propagator_row).  Each step costs O(K) for windows of K
+    sites, with no vector of length N.
+    """
+    a, b, c, d = catmap.entries
+    widths = _evolved_widths(catmap, t)
+    kernel = _gauss_kernel(catmap, grid) if t > 0 else None
+    kappa, x = complex(1.0), tuple(x0)
+    sites, values = _torus_window(x, widths[0], grid)
+    yield kappa, x, widths[0], sites, values
+    for z in widths[1:]:
+        x = ((a * x[0] + b * x[1]) % 1, (c * x[0] + d * x[1]) % 1)
+        image_sites, image_values = _torus_window(x, z, grid)
+        j = int(np.argmax(np.abs(image_values)))
+        step = (_propagator_row(kernel, image_sites[j], sites) * values).sum()
+        step /= image_values[j]
+        kappa *= complex(step) / abs(step)
+        sites, values = image_sites, image_values
+        yield kappa, x, z, sites, values
+
+
+def evolve_coherent(
+    x0: Sequence, catmap: CatMap, grid: PlanckGrid, t: int
+) -> Tuple[complex, Tuple, complex]:
+    """(kappa_t, x_t, z_t) with U^t torus_coherent(x0, catmap, grid) =
+    kappa_t torus_coherent(x_t, catmap, grid, z = z_t), without the
+    propagator.
+
+    x_t = M^t x0 mod 1 (exact for Fraction centres), z_t is the Moebius
+    image of _evolved_widths and kappa_t a unit phase, built step by step
+    from one row of U per step (see _coherent_path): O(t K) work for
+    windows of K sites.  Holds to the Gaussian truncation, 1e-14 of the
+    peak, while t is inside the time window.
+
+    Raises
+    ------
+    ConfigError
+        For t < 0.
+    TruncationFailure
+        If some z_s needs more than 64 lattice translates.
+    """
+    if t < 0:
+        raise ConfigError(f"t must be >= 0, got {t}")
+    for kappa, x, z, _, _ in _coherent_path(x0, catmap, grid, t):
+        pass
+    return kappa, x, z
 
 
 def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
@@ -244,7 +349,7 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
     """
     grid = psi.grid
     N = grid.N
-    window = _coherent_window(grid, catmap, G)
+    window = _coherent_window(grid, z_parameter(catmap), G)
     centers = (np.arange(G) + 0.5) / G
     P = G // math.gcd(N, G)
     step = N * P // G

@@ -12,8 +12,11 @@ matrix-free in O(N log N) whatever |b|: with g = gcd(b, N), each column
 lives on one residue class mod g, and U = post * B * pre with B one
 batched FFT of length N/g between a reshape and a gather (a chirp
 convolution of 5-smooth length where numpy's FFT would run Bluestein's
-algorithm).  Its correctness is pinned by two oracles: unitarity, and the
-exact conjugation law  U T(n) U^-1 = T(Mn)  for integer translations.
+algorithm).  One function of site indices, _gauss_kernel, gives pre and
+post: the build reads it at all N sites, and _propagator_row at the sites
+of one row, which is how coherent.py evolves Gaussians without building
+U.  Its correctness is pinned by two oracles: unitarity, and the exact
+conjugation law  U T(n) U^-1 = T(Mn)  for integer translations.
 
 Every phase here is a rational multiple of 2 pi: the translations'
 momentum phases, the Bloch twists and the kernel's phases.  Each is
@@ -38,7 +41,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -422,40 +425,30 @@ def _five_smooth_at_least(n: int) -> int:
     return best
 
 
-def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
-    """The quantum cat map U on H_{N,theta}, matrix-free, in O(N log N).
+class _Kernel(NamedTuple):
+    """The propagator's Gauss-sum kernel in its g-block form (see propagator).
 
-    U is the Gauss-sum (Hannay-Berry) kernel, e(s) = exp(2 pi i s),
-        U[j, k] = (N |b|)^{-1/2} sum_{w=0}^{|b|-1}
-                  e((a x_w^2 - 2 x_w y + d y^2)/(2 N b) - t w),
-    x_w = k + eta + N w, y = j + eta, t = theta1/(2 pi), applied as one
-    kernel of total length N whatever |b| is.  With g = gcd(b, N), n = N/g
-    and beta = b/g, the g-block rule: w = w1 + |beta| w2, and the w2-sum,
-    of g-th roots of unity, is g on the class j = a k + z mod g and 0 off
-    it, z = eta (a - 1) - t b + a N beta/2 (an integer for an invariant
-    theta).  There the w1-sum is a Gauss sum of length |beta| in a x' - y'
-    + beta h, x' = (k + eta)/g, y' = (j + eta)/g, h = a n/2 - t; as a n
-    is prime to beta, completing its square leaves U[j, k] = C n^{-1/2}
-    e((nu y'^2 + 2 mu x' y' - a mu x'^2)/(2 n) + lam (a x' - y') + beta h
-    (eps - i h)/2), with i = (a n)^-1 mod beta, mu = (a n i - 1)/beta,
-    nu = (d - i n)/beta, eps = i mu + 1 + beta mu mod 2, lam = eps/2 - i h
-    and C an eighth root of unity.  For k = g k' + kappa, j = g j' + r
-    the cross term is mu j' k'/n plus terms of k or j alone: U v = post *
-    B(pre * v), B a reshape to (g, n) (a row per class kappa), one batched
-    length-n FFT along the rows and a read of site j in row kappa(r),
-    column -mu j' mod n.  pre and post are unit phases of exact residues;
-    C is one Hannay-Berry element (|b|/g terms) over the new kernel's value
-    there, rounded to the eighth root of unity: the global phase is exact.
-    Where numpy's FFT would run Bluestein's algorithm (n has a prime
-    factor p with p^2 > n), the DFT is the linear convolution with h(l) =
-    e(l^2/(2 n)), its chirps folded into pre and post: two FFTs of the
-    least 5-smooth M >= 2 n - 1 against h's transform, built once, which
-    the adjoint, the correlation with h, reads too.
-
-    Raises NoInvariantTheta for an incompatible grid.theta, and
-    UnsupportedMatrix if C is no eighth root of unity or the unitarity spot
-    check fails (neither expected for a hyperbolic SL(2,Z) map; defensive).
+    U[j, k] = C post(j) pre(k) e(-m k'/n)/sqrt(n) when k = kappa[j mod g]
+    mod g, with k' = k // g and m = -mu (j // g) mod n, and U[j, k] = 0
+    off that class.  phases(k1, c, chirp) returns the unit phases (pre,
+    post) at the sites g k1 + c, k1 in [0, n) and c in [0, g) broadcast
+    together, from exact residues mod D; with chirp, pre and post also
+    hold the Bluestein chirps e(-k1^2/(2 n)) and e(-m^2/(2 n)).
     """
+
+    g: int
+    n: int
+    mu: int
+    kappa: np.ndarray
+    D: int
+    C: complex
+    phases: Callable
+
+
+def _gauss_kernel(catmap: CatMap, grid: PlanckGrid) -> _Kernel:
+    """The exact phases of U on H_{N,theta}: one rule for every site, which
+    the propagator's build reads for all N sites and _propagator_row for
+    the sites of one row.  Raises as propagator does."""
     a, b, _, d = catmap.entries
     if b == 0:
         # hyperbolic integral matrices always have b != 0 (b = 0 forces |trace| = 2)
@@ -479,25 +472,22 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
     classes = np.arange(g)
     kappa = pow(a, -1, g) * (classes - z) % g
     R, K = q * (((a % g) * classes + z) % g) + p, q * kappa + p
-    perm = (n * kappa + ((-mu % n) * np.arange(n) % n)[:, None]).reshape(-1)
-    cross, chirp, bluestein = 2 * mu * (D // W), -(D // (2 * n)), _bluestein_class(n)
+    cross, chirp_c = 2 * mu * (D // W), -(D // (2 * n))
     pre_c1 = _residues([(cross, R), (int(lam * a * D / (q * g)), 1)], D)
     post_c1 = _residues([(cross, K), (-int(lam * D / (q * g)), 1)], D)
     post_c0 = _residues([(-cross, _residues([(q * classes + p, K)], D))], D)
-    pre, post = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
-    step = -(-max(_PHASE_BLOCK, 2 * math.isqrt(D)) // g)  # rows of >= 2 sqrt(D) sites
-    for lo in range(0, n, step):
-        k1 = np.arange(lo, min(n, lo + step))[:, None]
-        m = (-mu % n) * k1 % n  # the row read for site j = g k1 + r
-        s = q * (g * k1 + classes) + p
+
+    def phases(k1, c, chirp: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        m = (-mu % n) * k1 % n  # the row read for site j = g k1 + c
+        s = q * (g * k1 + c) + p
         s2 = _residues([(s, s)], D)
         # e(-m k'/n) = e(-m^2/(2 n)) e(-k'^2/(2 n)) h(m - k') for Bluestein
-        r = [(chirp, _residues([(k1, k1)], D))] if bluestein else []
-        r += [(-a * mu * (D // W), s2), (int(const * D), 1), (pre_c1, s)]
-        pre.reshape(n, g)[lo : lo + step] = _unit_phase(_residues(r, D), D)
-        r = [(chirp, _residues([(m, m)], D))] if bluestein else []
-        r += [(nu * (D // W), s2), (post_c0, 1), (post_c1, s)]
-        post.reshape(n, g)[lo : lo + step] = _unit_phase(_residues(r, D), D)
+        r = [(chirp_c, _residues([(k1, k1)], D))] if chirp else []
+        r += [(-a * mu * (D // W), s2), (int(const * D), 1), (pre_c1[c], s)]
+        pre = _unit_phase(_residues(r, D), D)
+        r = [(chirp_c, _residues([(m, m)], D))] if chirp else []
+        r += [(nu * (D // W), s2), (post_c0[c], 1), (post_c1[c], s)]
+        return pre, _unit_phase(_residues(r, D), D)
 
     # C from U[z, 0] = g (N |b|)^-1/2 e(c0) sum_{w < |beta|} e(c2 w^2 + c1 w): the w2-sum is g
     c2, c1 = Fraction(a * n, 2 * beta), Fraction(a * p - (y := q * z + p), b * q) - t
@@ -508,11 +498,77 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
         w = np.arange(lo, min(abs(beta), lo + _PHASE_BLOCK))
         ratio += _unit_phase(_residues([(c2, w * w % Dw), (c1, w)], Dw), Dw).sum()
     ratio *= _unit_phase(c0.numerator % c0.denominator, c0.denominator) / abs(beta) ** 0.5
-    ratio = complex(ratio) / (pre[0] * post[z])
+    pre, post = phases(np.zeros(2, dtype=np.int64), np.array([0, z]))
+    ratio = complex(ratio) / (pre[0] * post[1])
     C = complex(_unit_phase(round(np.angle(ratio) * 4 / math.pi) % 8, 8))
     if abs(ratio - C) > 1e-6:
         raise UnsupportedMatrix(f"{catmap} at N={N}: constant {ratio:.3f} no 8th root of 1")
-    post *= C
+    return _Kernel(g, n, mu, kappa, D, C, phases)
+
+
+def _propagator_row(kernel: _Kernel, j: int, sites: np.ndarray) -> np.ndarray:
+    """U[j, sites] for one site j and int64 sites in [0, N): the entries the
+    propagator's apply reads for site j, from the same exact phases."""
+    g, n = kernel.g, kernel.n
+    j1, r = divmod(int(j), g)
+    k1, c = np.divmod(sites, g)
+    on = c == kernel.kappa[r]
+    # pre at the row's sites, post at j: one phases call, j last
+    pre, post = kernel.phases(np.append(k1[on], j1), np.append(c[on], r))
+    dft = _unit_phase(_residues([(kernel.mu * j1, k1[on])], n), n)  # e(-m k'/n)
+    row = np.zeros(sites.shape, dtype=complex)
+    row[on] = pre[:-1] * dft * (kernel.C * post[-1] / math.sqrt(n))
+    return row
+
+
+def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
+    """The quantum cat map U on H_{N,theta}, matrix-free, in O(N log N).
+
+    U is the Gauss-sum (Hannay-Berry) kernel, e(s) = exp(2 pi i s),
+        U[j, k] = (N |b|)^{-1/2} sum_{w=0}^{|b|-1}
+                  e((a x_w^2 - 2 x_w y + d y^2)/(2 N b) - t w),
+    x_w = k + eta + N w, y = j + eta, t = theta1/(2 pi), applied as one
+    kernel of total length N whatever |b| is.  With g = gcd(b, N), n = N/g
+    and beta = b/g, the g-block rule: w = w1 + |beta| w2, and the w2-sum,
+    of g-th roots of unity, is g on the class j = a k + z mod g and 0 off
+    it, z = eta (a - 1) - t b + a N beta/2 (an integer for an invariant
+    theta).  There the w1-sum is a Gauss sum of length |beta| in a x' - y'
+    + beta h, x' = (k + eta)/g, y' = (j + eta)/g, h = a n/2 - t; as a n
+    is prime to beta, completing its square leaves U[j, k] = C n^{-1/2}
+    e((nu y'^2 + 2 mu x' y' - a mu x'^2)/(2 n) + lam (a x' - y') + beta h
+    (eps - i h)/2), with i = (a n)^-1 mod beta, mu = (a n i - 1)/beta,
+    nu = (d - i n)/beta, eps = i mu + 1 + beta mu mod 2, lam = eps/2 - i h
+    and C an eighth root of unity.  For k = g k' + kappa, j = g j' + r
+    the cross term is mu j' k'/n plus terms of k or j alone: U v = post *
+    B(pre * v), B a reshape to (g, n) (a row per class kappa), one batched
+    length-n FFT along the rows and a read of site j in row kappa(r),
+    column -mu j' mod n.  pre and post are unit phases of exact residues
+    (_gauss_kernel, which _propagator_row shares); C is one Hannay-Berry
+    element (|b|/g terms) over the new kernel's value there, rounded to
+    the eighth root of unity: the global phase is exact.
+    Where numpy's FFT would run Bluestein's algorithm (n has a prime
+    factor p with p^2 > n), the DFT is the linear convolution with h(l) =
+    e(l^2/(2 n)), its chirps folded into pre and post: two FFTs of the
+    least 5-smooth M >= 2 n - 1 against h's transform, built once, which
+    the adjoint, the correlation with h, reads too.
+
+    Raises NoInvariantTheta for an incompatible grid.theta, and
+    UnsupportedMatrix if C is no eighth root of unity or the unitarity spot
+    check fails (neither expected for a hyperbolic SL(2,Z) map; defensive).
+    """
+    kernel = _gauss_kernel(catmap, grid)
+    N, g, n, mu = grid.N, kernel.g, kernel.n, kernel.mu
+    perm = (n * kernel.kappa + ((-mu % n) * np.arange(n) % n)[:, None]).reshape(-1)
+    bluestein = _bluestein_class(n)
+    classes = np.arange(g)
+    pre, post = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
+    step = -(-max(_PHASE_BLOCK, 2 * math.isqrt(kernel.D)) // g)  # rows of >= 2 sqrt(D) sites
+    for lo in range(0, n, step):
+        k1 = np.arange(lo, min(n, lo + step))[:, None]
+        pre_block, post_block = kernel.phases(k1, classes, bluestein)
+        pre.reshape(n, g)[lo : lo + step] = pre_block
+        post.reshape(n, g)[lo : lo + step] = post_block
+    post *= kernel.C
 
     if bluestein:
         # h at l in (-n, n), placed at l mod M; h(-l) = h(l)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
     "bump_symbols",
     "bump_masses",
     "position_interval_mass",
+    "position_interval_masses",
     "weyl_antiwick_gap",
 ]
 
@@ -355,13 +356,60 @@ def _bump_patch(G: int, frac: np.ndarray, r_in: float, r_out: float):
 # Position-space masses
 # ---------------------------------------------------------------------------
 
-def position_interval_mass(psi: QuantumState, q0: float, r: float) -> float:
-    """Mass of psi in the circle interval B1(q0, r): the squared amplitudes
-    of the sites in the interval (exact)."""
+def _interval_run(grid: PlanckGrid, q0: float, r: float) -> Tuple[int, int]:
+    """(first, count): the sites j with |min_image((j + eta)/N - q0)| <= r,
+    the float test as the site mask evaluates it, are the count sites
+    first, first + 1, ... taken mod N.  The run's ends come from the
+    interval's closed form and are moved until the sites at them pass and
+    their outer neighbours fail that same test."""
+    N, eta = grid.N, grid.eta
+
+    def inside(j: int) -> bool:
+        return bool(np.abs(min_image((np.array([j % N]) + eta) / N - q0))[0] <= r)
+
+    centre, half = N * q0 - eta, N * r
+    lo, hi = math.ceil(centre - half), math.floor(centre + half)
+    while hi - lo + 1 < N and inside(lo - 1):
+        lo -= 1
+    while lo <= hi and not inside(lo):
+        lo += 1
+    while hi - lo + 1 < N and inside(hi + 1):
+        hi += 1
+    while hi >= lo and not inside(hi):
+        hi -= 1
+    return lo % N, min(max(hi - lo + 1, 0), N)
+
+
+def position_interval_masses(
+    psi: QuantumState, centers: Sequence[float], r: float
+) -> List[float]:
+    """Mass of psi in each circle interval B1(q0, r), q0 in centers: the
+    squared amplitudes of the sites in the interval (exact).
+
+    |psi|^2 is formed once; each interval's sites are one run mod N
+    (_interval_run), so its mass is one slice sum, or for a run that wraps
+    past N the sum of its two slices joined in site order.  That is the
+    sum of the masked sites in the mask's order, so each mass equals the
+    sum over a site mask, bit for bit.
+    """
     if not (0.0 < r <= 0.5):
         raise RadiusOutOfRange(f"interval radius {r} outside (0, 1/2]", admissible=(0.0, 0.5))
-    d = np.abs(min_image(psi.grid.sites() - q0))
-    return float(np.sum(np.abs(psi.amplitudes[d <= r]) ** 2))
+    density = np.abs(psi.amplitudes) ** 2
+    N = psi.grid.N
+    masses = []
+    for q0 in centers:
+        first, count = _interval_run(psi.grid, q0, r)
+        if first + count <= N:
+            run = density[first : first + count]
+        else:
+            run = np.concatenate((density[: first + count - N], density[first:]))
+        masses.append(float(np.sum(run)))
+    return masses
+
+
+def position_interval_mass(psi: QuantumState, q0: float, r: float) -> float:
+    """Mass of psi in the circle interval B1(q0, r) (position_interval_masses)."""
+    return position_interval_masses(psi, [q0], r)[0]
 
 
 # ---------------------------------------------------------------------------

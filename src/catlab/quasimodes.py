@@ -1,7 +1,10 @@
 """Orbit quasimodes and their diagnostics.
 
 A quasimode is the phased sum of propagated coherent states along a prime
-closed orbit.  Within the admissible time window (orbit length at most
+closed orbit.  The cat map is metaplectic, so each propagated state is
+again a torus Gaussian, which coherent.evolve_coherent gives in closed
+form: the quasimode is built, and its residual evaluated, without the
+propagator.  Within the admissible time window (orbit length at most
 delta times the Ehrenfest time, delta < 1/4) the terms occupy disjoint
 phase-space balls, which yields the norm law, the residual bound, the ball
 decomposition of the Husimi density, recovery of the orbit delta measure,
@@ -11,11 +14,12 @@ reports numbers; assertions live in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,12 +35,13 @@ from .classical import (
 from .coherent import (
     HusimiGrid,
     _check_resolution,
+    _coherent_path,
+    _evolved_widths,
     _truncation_cut,
     axis_variances,
     ball_mass,
     husimi,
     torus_coherent,
-    z_parameter,
 )
 from .errors import (
     BallsOverlap,
@@ -46,10 +51,10 @@ from .errors import (
     RadiusOutOfRange,
 )
 from .hilbert import (
-    LinearMap,
     PlanckGrid,
     QuantumState,
     _norm,
+    _real_inner,
     _require_invariant_theta,
     choose_theta,
     egorov_defect,
@@ -60,7 +65,7 @@ from .quantize import (
     Symbol,
     antiwick_plane_waves,
     bump_masses,
-    position_interval_mass,
+    position_interval_masses,
     weyl_antiwick_gap,
 )
 
@@ -69,6 +74,7 @@ __all__ = [
     "ehrenfest_time",
     "choose_N",
     "build_quasimode",
+    "return_amplitude",
     "residual",
     "husimi_ball_report",
     "scmeasure_error",
@@ -153,30 +159,62 @@ class QuasimodeSpec:
     def T(self) -> int:
         return self.orbit.length
 
+    @cached_property
+    def gaussians(self) -> List[Tuple[complex, np.ndarray, np.ndarray]]:
+        """(kappa_t, sites, values) for t = 0, ..., T: U^t x = kappa_t
+        g_{x_t, z_t} for x the coherent state at the orbit's start, with
+        g_{x_t, z_t} given by its window (coherent.evolve_coherent).  Built
+        once per spec and shared by build_quasimode and return_amplitude;
+        it does not depend on phi."""
+        path = _coherent_path(self.orbit.start(), self.catmap, self.grid, self.T)
+        return [(kappa, sites, values) for kappa, _, _, sites, values in path]
 
-def build_quasimode(
-    spec: QuasimodeSpec, prop: Optional[LinearMap] = None
-) -> Tuple[QuantumState, QuantumState]:
-    """Sum_t e^{-i phi t} U^t |x_0, c0, theta> and its normalization.
 
-    Built by T-1 successive propagator applications starting from the
-    torus coherent state at the orbit's canonical point.
+def build_quasimode(spec: QuasimodeSpec) -> Tuple[QuantumState, QuantumState]:
+    """Sum_t e^{-i phi t} U^t |x_0, c0, theta> over t < T, and its normalization.
+
+    Each term is a closed-form torus Gaussian, kappa_t g_{x_t, z_t}
+    (spec.gaussians): the coherent state at the orbit's canonical point
+    x_0 is term 0, and term t sits at the orbit's point x_t with the
+    Moebius width z_t.  O(T K) work for windows of K sites, plus the
+    length-N sum; no propagator is built.
     """
-    if prop is None:
-        prop = propagator(spec.catmap, spec.grid)
-    term = torus_coherent(spec.orbit.start(), spec.catmap, spec.grid).amplitudes
-    total = term.copy()
-    for t in range(1, spec.T):
-        term = prop.apply(term)
-        total += np.exp(-1j * spec.phi * t) * term
-    psi = QuantumState(total, spec.grid)
+    amp = np.zeros(spec.grid.N, dtype=complex)
+    for t, (kappa, sites, values) in enumerate(spec.gaussians[: spec.T]):
+        if t == 0:
+            amp[sites] = values
+        else:
+            amp[sites] += (cmath.exp(-1j * spec.phi * t) * kappa) * values
+    psi = QuantumState(amp, spec.grid)
     return psi, psi.normalized()
 
 
-def residual(psi_n: QuantumState, phi: float, prop: LinearMap) -> float:
-    """|| (U - e^{i phi}) psi || for a normalized state psi."""
-    out = prop.apply(psi_n.amplitudes) - np.exp(1j * phi) * psi_n.amplitudes
-    return _norm(out)
+def return_amplitude(spec: QuasimodeSpec) -> Tuple[complex, float]:
+    """(<x|U^T x>, ||x||^2) for x the coherent state at the orbit's start.
+
+    M^T x = x mod 1, so U^T x = kappa_T g_{x, z_T} and <x|U^T x> =
+    kappa_T <g_{x, z0}|g_{x, z_T}>: one overlap of the two windows, each
+    a cyclic run of sites.  Its modulus is sqrt(2/|tr M^T|) up to the
+    Gaussian truncation.
+    """
+    (_, start, x), (kappa, sites, y) = spec.gaussians[0], spec.gaussians[-1]
+    # y's sites, as positions in x's run; those past its end are not in x
+    at = (sites[0] - start[0] + np.arange(sites.size)) % spec.grid.N
+    both = at < start.size
+    overlap = complex(np.einsum("i,i->", np.conj(x[at[both]]), y[both]))
+    return kappa * overlap, float(_real_inner(x, x))
+
+
+def residual(psi: QuantumState, spec: QuasimodeSpec) -> float:
+    """|| (U - e^{i phi}) psi || / ||psi|| for psi = build_quasimode(spec)[0].
+
+    The sum telescopes: U psi - e^{i phi} psi = e^{i phi} (e^{-i phi T}
+    U^T x - x), so the residual is sqrt(2 ||x||^2 - 2 Re(e^{-i phi T}
+    <x|U^T x>)) / ||psi|| (return_amplitude).  No propagator is built.
+    """
+    amplitude, x_norm2 = return_amplitude(spec)
+    turned = cmath.exp(-1j * spec.phi * spec.T) * amplitude
+    return math.sqrt(max(2.0 * (x_norm2 - turned.real), 0.0) / psi.norm2())
 
 
 def _ball_radius(spec: QuasimodeSpec, C: float) -> float:
@@ -346,7 +384,7 @@ def nonequidistribution_report(
         centers = [q for q, _ in orbit_pts] + list(net)
         cells = len(net)
         vol = 2.0 * r
-        hits = misses = [position_interval_mass(psi_n, q, r) for q in centers]
+        hits = misses = position_interval_masses(psi_n, centers, r)
     elif space == "phase":
         if hgrid is None:
             raise ValueError("a phase-space scan reads the Husimi grid hgrid of psi_n; pass it")
@@ -526,11 +564,15 @@ def run_pipeline(config: Dict) -> Experiment:
     The keys, their parsers and their defaults are CONFIG's; an unknown
     key is a ConfigError, and every key is parsed before any work.  outputs
     is read by the CLI only.
-    The Gaussian truncation, ball disjointness and resolution, the
-    frequencies and both non-equidistribution radii are checked before
-    anything is built; the propagator, the quasimode and the Husimi grid
-    of psi_n are built once and shared by the diagnostics that read them;
-    file emission is the CLI's job.
+    The Gaussian truncation of every width z_t, t <= T, ball disjointness
+    and resolution, the frequencies and both non-equidistribution radii
+    are checked before anything is built.  The quasimode is a sum of T
+    closed-form Gaussians (build_quasimode), its residual an identity in
+    the return amplitude <x|U^T x> (residual), which the report gives
+    as return_amplitude, its modulus and phase for the normalized x; no
+    propagator is built.  The quasimode and the Husimi grid of psi_n are
+    built once and shared by the diagnostics that read them; file
+    emission is the CLI's job.
     """
     timings: Dict[str, float] = {}
     last = time.perf_counter()
@@ -579,7 +621,8 @@ def run_pipeline(config: Dict) -> Experiment:
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
     # refuse bad truncation, balls, frequencies and radii before building anything
-    _truncation_cut(grid, z_parameter(cat).imag)
+    for z in _evolved_widths(cat, T):
+        _truncation_cut(grid, z.imag)
     _check_resolution(cfg["G"], _checked_ball_radius(spec, cfg["C0"]))
     _check_frequencies(cfg["frequencies"])
     r_lo, _ = _radius_range(spec, "phase", c_sep, c1)
@@ -589,11 +632,10 @@ def run_pipeline(config: Dict) -> Experiment:
         cfg["r_physical"] = min(max(0.05, r_lo), 0.99 * c1 / T)
     _check_radius(spec, "phase", cfg["r_phase"], c_sep, c1)
     _check_radius(spec, "physical", cfg["r_physical"], c_sep, c1)
-    prop = propagator(cat, grid)
-    lap("propagator")
-    psi, psi_n = build_quasimode(spec, prop)
-    res = residual(psi_n, phi, prop)
-    del prop  # no diagnostic applies U: free its phase vectors and index map
+    psi, psi_n = build_quasimode(spec)
+    amplitude, x_norm2 = return_amplitude(spec)
+    amplitude /= x_norm2
+    res = residual(psi, spec)
     lap("quasimode")
     hgrid = husimi(psi_n, cat, cfg["G"])
     lap("husimi")
@@ -611,6 +653,7 @@ def run_pipeline(config: Dict) -> Experiment:
         "norm_sq": psi.norm2(),
         "residual": res,
         "residual_bound": 2.0 / math.sqrt(T),
+        "return_amplitude": {"modulus": abs(amplitude), "phase": cmath.phase(amplitude)},
     }
     report.update(husimi_ball_report(psi, spec, hgrid, C=cfg["C0"]))
     lap("ball_report")

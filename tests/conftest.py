@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from catlab import PlanckGrid, choose_theta, husimi, torus_coherent, validate_cat_map
+from catlab import (
+    PlanckGrid,
+    QuantumState,
+    choose_theta,
+    husimi,
+    propagator,
+    torus_coherent,
+    validate_cat_map,
+)
 from catlab.hilbert import _translation_data
 
 
@@ -52,8 +60,6 @@ def random_state(grid, seed=0):
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
     amp /= np.linalg.norm(amp)
-    from catlab import QuantumState
-
     return QuantumState(amp, grid)
 
 
@@ -105,3 +111,21 @@ def propagator_dense(catmap, grid):
         )
         U += np.exp(1j * E) * np.exp(-1j * th1 * w)
     return U / math.sqrt(N * absB)
+
+
+def quasimode_oracle(spec):
+    """Oracle: sum_t e^{-i phi t} U^t |x_0> over t < T, by T - 1 applies of
+    the propagator to the coherent state at the orbit's start."""
+    prop = propagator(spec.catmap, spec.grid)
+    term = torus_coherent(spec.orbit.start(), spec.catmap, spec.grid).amplitudes
+    total = term.copy()
+    for t in range(1, spec.T):
+        term = prop.apply(term)
+        total += np.exp(-1j * spec.phi * t) * term
+    return QuantumState(total, spec.grid)
+
+
+def residual_oracle(psi, phi, prop):
+    """Oracle: ||(U - e^{i phi}) psi|| / ||psi||, with U applied."""
+    out = prop.apply(psi.amplitudes) - np.exp(1j * phi) * psi.amplitudes
+    return float(np.linalg.norm(out)) / psi.norm()

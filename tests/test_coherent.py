@@ -16,6 +16,8 @@ from catlab import (
     ball_mass,
     choose_theta,
     coherent,
+    ehrenfest_time,
+    evolve_coherent,
     husimi,
     propagator,
     torus_coherent,
@@ -25,6 +27,9 @@ from catlab import (
 )
 
 from catlab.classical import min_image
+from catlab.coherent import _coherent_window, _evolved_widths, _torus_window
+from catlab.errors import ConfigError
+from catlab.hilbert import _twist
 
 from conftest import coarse_husimi, husimi_slow, hyperbolic_maps, random_state, twisted_grid
 
@@ -371,3 +376,87 @@ def test_torus_coherent_norm_odd_N():
     for x0 in [(0.0, 0.0), (0.8, 0.6), (0.37, 0.91)]:
         coh = torus_coherent(x0, cat, grid)
         assert abs(coh.norm2() - 1.0) < 1e-7
+
+
+def exact_points(max_denominator=997):
+    """Torus points with Fraction coordinates, as orbit points are."""
+    coordinate = st.builds(
+        lambda k, l: Fraction(k % l, l), st.integers(0, 10**6), st.integers(1, max_denominator)
+    )
+    return st.tuples(coordinate, coordinate)
+
+
+class TestEvolveCoherent:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.sampled_from(hyperbolic_maps()),
+        N=st.integers(2048, 6000),
+        x0=exact_points(),
+        data=st.data(),
+    )
+    def test_matches_propagator_applies(self, entries, N, x0, data):
+        # U^t x0 = kappa_t g_{x_t, z_t}: the state and the phase agree with
+        # t applies of the propagator at every t inside the time window
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        window = int(0.24 * ehrenfest_time(N, cat.lyapunov))
+        t = data.draw(st.integers(0, window), label="t")
+        u = propagator(cat, grid)
+        expect = torus_coherent(x0, cat, grid).amplitudes
+        for _ in range(t):
+            expect = u.apply(expect)
+        kappa, x_t, z_t = evolve_coherent(x0, cat, grid, t)
+        g = torus_coherent(x_t, cat, grid, z=z_t)
+        assert np.linalg.norm(kappa * g.amplitudes - expect) < 1e-12
+        assert abs(kappa - g.inner(QuantumState(expect, grid)) / g.norm2()) < 1e-12
+        assert abs(abs(kappa) - 1.0) < 1e-15
+
+    def test_point_and_width(self):
+        # the exact image point M^t x mod 1 and the Moebius width
+        cat = validate_cat_map(2, 3, 1, 2)
+        grid = choose_theta(cat, 4096)
+        _, x_t, z_t = evolve_coherent((Fraction(1, 7), Fraction(3, 7)), cat, grid, 2)
+        # M (1, 3)/7 = (11, 7)/7 = (4, 0)/7 mod 1, then M (4, 0)/7 = (8, 4)/7
+        assert x_t == (Fraction(1, 7), Fraction(4, 7))
+        z0 = z_parameter(cat)
+        z1 = (1 + 2 * z0) / (2 + 3 * z0)
+        assert z_t == (1 + 2 * z1) / (2 + 3 * z1)
+        assert _evolved_widths(cat, 2) == [z0, z1, z_t]
+
+    def test_twisted_grid(self):
+        # off the parity rule a wrapped site's twist is a third of a turn
+        cat, grid = twisted_grid(600)
+        x0 = (Fraction(2, 9), Fraction(5, 9))
+        expect = propagator(cat, grid).apply(torus_coherent(x0, cat, grid).amplitudes)
+        kappa, x_t, z_t = evolve_coherent(x0, cat, grid, 1)
+        got = kappa * torus_coherent(x_t, cat, grid, z=z_t).amplitudes
+        assert np.linalg.norm(got - expect) < 1e-12
+
+    def test_time_zero_and_negative(self, arnold, grid1024):
+        x0 = (Fraction(1, 5), Fraction(2, 5))
+        assert evolve_coherent(x0, arnold, grid1024, 0) == (1.0, x0, z_parameter(arnold))
+        with pytest.raises(ConfigError, match="t must be >= 0"):
+            evolve_coherent(x0, arnold, grid1024, -1)
+
+    def test_default_width_is_z0(self, arnold, grid1024):
+        x0 = (0.3, 0.7)
+        default = torus_coherent(x0, arnold, grid1024).amplitudes
+        explicit = torus_coherent(x0, arnold, grid1024, z=z_parameter(arnold)).amplitudes
+        assert default.tobytes() == explicit.tobytes()
+
+    @pytest.mark.parametrize("N", [8, 9, 30])
+    def test_window_folds_wraps_in_site_order(self, arnold, N):
+        # a width whose window spans several copies of the N sites folds
+        # them as np.add.at does, in the window's site order
+        grid = choose_theta(arnold, N)
+        z = complex(0.3, 0.02)
+        x0 = (Fraction(1, 3), Fraction(1, 4))
+        m, w = _coherent_window(grid, z)([x0[0]], x0)
+        assert m.shape[1] > 2 * N
+        expect = np.zeros(N, dtype=complex)
+        np.add.at(expect, m[0] % N, w[0] * _twist(grid, m[0] // N))
+        sites, values = _torus_window(x0, z, grid)
+        got = np.zeros(N, dtype=complex)
+        got[sites] = values
+        assert got.tobytes() == (expect / math.sqrt(N)).tobytes()
+        assert sorted(sites.tolist()) == list(range(N))

@@ -546,6 +546,21 @@ class TestCli:
         assert rc == 3
         assert "error[EnumerationTooLarge]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["orbits", "quasimode"])
+    def test_huge_T_refused_from_the_float_bound(self, command, tmp_path, capsys):
+        # tr(M^T) at T = 100000 has about 41798 digits: refused from
+        # l > e^{lambda T} - 2 with log10 l printed, before any big-integer work
+        if command == "orbits":
+            argv = ["orbits", "--matrix", "2,1,1,1", "--T", "100000"]
+        else:
+            argv = ["quasimode", "--config", write_config(tmp_path, "matrix = 2,1,1,1\nT = 100000\n")]
+        assert main(argv + ["--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            "error[EnumerationTooLarge]: lattice denominator l = tr(M^T) - 2 has "
+            "log10 l = 41797.5, above the guard 10000 or the int64 limit 2^31"
+        )
+
     @pytest.mark.parametrize("command", ["orbits", "propagator-check", "husimi", "expect",
                                          "quasimode", "sweep", "selftest"])
     def test_out_into_new_directory(self, command, arnold, tmp_path, monkeypatch, capsys):
@@ -695,7 +710,7 @@ class TestQuasimodePipeline:
         assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 0
         assert {name: len(r) for name, r in calls.items()} == {
             "choose_theta": 1,
-            "propagator": 1,
+            "propagator": 0,
             "build_quasimode": 1,
             "husimi": 1,
         }
@@ -833,7 +848,7 @@ class TestQuasimodePipeline:
         doc = json.loads((tmp_path / "report.timings.json").read_text())
         stages = doc["stages"]
         assert set(stages) == {
-            "orbit", "theta", "propagator", "quasimode", "husimi", "ball_report",
+            "orbit", "theta", "quasimode", "husimi", "ball_report",
             "scmeasure", "nonequi_phase", "nonequi_physical", "artifacts",
         }
         assert all(v >= 0.0 for v in stages.values())

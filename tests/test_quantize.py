@@ -20,6 +20,7 @@ from catlab import (
     choose_theta,
     husimi,
     position_interval_mass,
+    position_interval_masses,
     propagator,
     torus_coherent,
     translation,
@@ -27,6 +28,7 @@ from catlab import (
     weyl_antiwick_gap,
     weyl_quantize,
 )
+from catlab.classical import min_image
 from catlab.coherent import _truncation_cut, z_parameter
 from catlab.quasimodes import DEFAULT_FREQUENCIES, GAP_SYMBOL
 
@@ -483,6 +485,25 @@ class TestPositionMass:
         psi = random_state(grid1024, 0)
         with pytest.raises(RadiusOutOfRange):
             position_interval_mass(psi, 0.5, 0.6)
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 64, 101, 4096, 4097])
+    def test_slices_equal_the_site_mask(self, N):
+        # each mass sums the sites |min_image(site - q0)| <= r picks, in
+        # site order, so it equals the masked sum bit for bit: on random
+        # states, wrapping intervals, boundary-hugging centres and r = 1/2
+        rng = np.random.default_rng(N)
+        for theta in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
+                      (Fraction(2, 3), Fraction(4, 3))):
+            grid = PlanckGrid(N, theta)
+            psi = random_state(grid, N)
+            centers = [*rng.uniform(0.0, 1.0, 12), 0.0, 0.5, 1e-17, 1.0 - 1e-17,
+                       (0.5 + grid.eta) / N, grid.eta / N, 1.0 - 0.5 / N]
+            radii = [*rng.uniform(0.0, 0.5, 6), 0.5, 0.5 - 1e-16, 0.25, 1.0 / N, 0.5 / N, 1e-9]
+            for r in (r for r in radii if 0.0 < r <= 0.5):
+                masses = position_interval_masses(psi, centers, r)
+                for q0, mass in zip(centers, masses):
+                    inside = np.abs(min_image(grid.sites() - q0)) <= r
+                    assert mass == float(np.sum(np.abs(psi.amplitudes[inside]) ** 2)), (q0, r)
 
 
 class TestWAWGap:

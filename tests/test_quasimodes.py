@@ -9,6 +9,7 @@ from catlab import (
     BallsOverlap,
     CatlabError,
     ConfigError,
+    EnumerationTooLarge,
     NoInvariantTheta,
     NTooLarge,
     PreconditionError,
@@ -26,12 +27,16 @@ from catlab import (
     propagator,
     quasimodes,
     residual,
+    return_amplitude,
     run_pipeline,
     scmeasure_error,
     torus_coherent,
+    validate_cat_map,
 )
 from catlab.io import canonical_json
 from catlab.quasimodes import _ls_slope, loglog_slope
+
+from conftest import quasimode_oracle, residual_oracle
 
 LAMBDA = math.log((3 + math.sqrt(5)) / 2)
 
@@ -157,20 +162,21 @@ class TestBuild:
 class TestResidual:
     def test_bound_t2(self, arnold):
         spec = t2_spec(arnold, 1024)
-        prop = propagator(arnold, spec.grid)
-        _, psi_n = build_quasimode(spec, prop)
-        res = residual(psi_n, 0.0, prop)
+        psi, _ = build_quasimode(spec)
+        res = residual(psi, spec)
         assert res <= 2.0 / math.sqrt(2) + 0.01
 
     def test_sweep_and_minimizer(self, arnold):
-        spec = t2_spec(arnold, 1024)
-        prop = propagator(arnold, spec.grid)
+        # the identity agrees with ||(U - e^{i phi}) psi|| / ||psi||, U
+        # applied, over a grid of phi
+        prop = propagator(arnold, choose_theta(arnold, 1024))
         bound = 2.0 / math.sqrt(2) + 0.01
         vals = []
         for phi in np.linspace(0, 2 * math.pi, 64, endpoint=False):
             spec_phi = t2_spec(arnold, 1024, phi=float(phi))
-            _, psi_n = build_quasimode(spec_phi, prop)
-            r = residual(psi_n, float(phi), prop)
+            psi, _ = build_quasimode(spec_phi)
+            r = residual(psi, spec_phi)
+            assert r == pytest.approx(residual_oracle(psi, float(phi), prop), abs=1e-12)
             assert r <= bound
             vals.append(r)
         assert min(vals) <= np.mean(vals)
@@ -180,17 +186,94 @@ class TestResidual:
         # the sweep minimum is sqrt(2 - 2 |<psi|U psi>|)
         grid = choose_theta(arnold, 512)
         orbit = enumerate_prime_orbits(arnold, 1)[0]
-        spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
         prop = propagator(arnold, grid)
-        _, psi_n = build_quasimode(spec, prop)
+        spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
+        _, psi_n = build_quasimode(spec)
         overlap = np.vdot(psi_n.amplitudes, prop.apply(psi_n.amplitudes))
         closed_form = math.sqrt(2.0 - 2.0 * abs(overlap))
-        sweep = [
-            residual(psi_n, phi, prop)
-            for phi in np.linspace(0, 2 * math.pi, 256, endpoint=False)
-        ]
+        sweep = []
+        for phi in np.linspace(0, 2 * math.pi, 256, endpoint=False):
+            spec_phi = QuasimodeSpec(orbit=orbit, phi=phi, delta=0.24, grid=grid, catmap=arnold)
+            sweep.append(residual(build_quasimode(spec_phi)[0], spec_phi))
         assert min(sweep) == pytest.approx(closed_form, abs=1e-3)
         assert min(sweep) <= 2.0
+
+    @pytest.mark.parametrize(
+        "entries, T, N",
+        [((2, 1, 1, 1), 2, 4097), ((1, 1, 1, 2), 2, 6000), ((2, 1, 1, 1), 3, 32768),
+         ((3, 1, 2, 1), 2, 16384), ((1, -1, -1, 2), 2, 5001), ((4, 3, 9, 7), 1, 4099)],
+    )
+    def test_identity_matches_oracle(self, entries, T, N):
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        orbit = enumerate_prime_orbits(cat, T)[0]
+        prop = propagator(cat, grid)
+        for phi in (0.0, 0.4, 2.9, -1.3):
+            spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=0.24, grid=grid, catmap=cat)
+            psi, _ = build_quasimode(spec)
+            assert residual(psi, spec) == pytest.approx(
+                residual_oracle(psi, phi, prop), abs=1e-12
+            )
+
+
+# the benchmark's quasimode maps: positive-trace hyperbolic maps with
+# entries in 0..4 and trace <= 6 at T = 1, and two maps of trace 3 at T = 2
+BENCH_T1_MAPS = [
+    (a, b, c, d)
+    for a in range(5) for b in range(1, 5) for c in range(1, 5) for d in range(5)
+    if a * d - b * c == 1 and 2 < a + d <= 6
+]
+BENCH_T2_MAPS = [(2, 1, 1, 1), (1, 1, 1, 2)]
+
+
+class TestPropagatorOracle:
+    @pytest.mark.parametrize("N", [1024, 2048, 4096])
+    def test_selftest_configs(self, arnold, N):
+        # the desk config of criteria 6 and 8, and criterion 7's ladder
+        spec = t2_spec(arnold, N, phi=0.0)
+        psi, _ = build_quasimode(spec)
+        expect = quasimode_oracle(spec)
+        assert np.linalg.norm(psi.amplitudes - expect.amplitudes) <= 1e-12 * expect.norm()
+
+    @pytest.mark.parametrize("N", [4096, 16384, 65536])
+    def test_benchmark_configs(self, N):
+        worst = 0.0
+        for entries, T in [(m, 1) for m in BENCH_T1_MAPS] + [(m, 2) for m in BENCH_T2_MAPS]:
+            cat = validate_cat_map(*entries)
+            grid = choose_theta(cat, N)
+            orbit = enumerate_prime_orbits(cat, T)[0]
+            spec = QuasimodeSpec(orbit=orbit, phi=1.7, delta=0.24, grid=grid, catmap=cat)
+            psi, _ = build_quasimode(spec)
+            expect = quasimode_oracle(spec)
+            err = np.linalg.norm(psi.amplitudes - expect.amplitudes) / expect.norm()
+            worst = max(worst, err)
+        assert worst <= 1e-12
+
+
+class TestReturnAmplitude:
+    @pytest.mark.parametrize(
+        "entries, N",
+        [((2, 1, 1, 1), 4096), ((2, 1, 1, 1), 65536), ((2, 1, 1, 1), 65537), ((3, 1, 2, 1), 16384)],
+    )
+    def test_modulus_closed_form(self, entries, N):
+        # |<x|U^T x>| = sqrt(2/|tr M^T|) at T = 2, with no propagator built
+        cat = validate_cat_map(*entries)
+        spec = QuasimodeSpec(
+            orbit=enumerate_prime_orbits(cat, 2)[0], phi=0.0, delta=0.24,
+            grid=choose_theta(cat, N), catmap=cat,
+        )
+        a, _, _, d = cat.matrix_power(2)
+        amplitude, x_norm2 = return_amplitude(spec)
+        assert abs(amplitude) / x_norm2 == pytest.approx(math.sqrt(2.0 / abs(a + d)), abs=1e-10)
+
+    def test_matches_oracle_overlap(self, arnold):
+        spec = t2_spec(arnold, 4099)
+        prop = propagator(arnold, spec.grid)
+        x = torus_coherent(spec.orbit.start(), arnold, spec.grid).amplitudes
+        back = prop.apply(prop.apply(x))
+        amplitude, x_norm2 = return_amplitude(spec)
+        assert abs(amplitude - np.vdot(x, back)) < 1e-12
+        assert x_norm2 == pytest.approx(np.vdot(x, x).real, abs=1e-15)
 
 
 class TestBallReport:
@@ -422,6 +505,34 @@ class TestRunExperiment:
         assert ball == {key: exp.report[key] for key in ball}
         nq = nonequidistribution_report(exp.psi_n, spec, "phase", 0.1, hgrid=exp.hgrid)
         assert exp.report["nonequi"]["phase"] == nq
+
+    def test_builds_no_propagator(self, arnold, monkeypatch):
+        # the report is written with the propagator unavailable; its
+        # residual and return amplitude agree with the applied oracle
+        from catlab import hilbert
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_pipeline built the propagator")
+
+        monkeypatch.setattr(quasimodes, "propagator", never)
+        monkeypatch.setattr(hilbert, "propagator", never)
+        exp = run_pipeline({"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "phi": 0.3})
+        monkeypatch.undo()
+        prop = propagator(arnold, exp.grid)
+        assert exp.report["residual"] == pytest.approx(
+            residual_oracle(exp.psi, 0.3, prop), abs=1e-12
+        )
+        x = torus_coherent(exp.orbit.start(), arnold, exp.grid).amplitudes
+        back = np.vdot(x, prop.apply(prop.apply(x))) / np.vdot(x, x).real
+        returned = exp.report["return_amplitude"]
+        assert returned["modulus"] == pytest.approx(abs(back), abs=1e-12)
+        assert returned["phase"] == pytest.approx(cmath.phase(back), abs=1e-12)
+        assert returned["modulus"] == pytest.approx(math.sqrt(2.0 / 7.0), abs=1e-10)
+
+    def test_huge_T_refused_before_big_integers(self):
+        # l = tr(M^T) - 2 has about 41798 digits; the float bound refuses it
+        with pytest.raises(EnumerationTooLarge, match="log10 l = 41797.5"):
+            run_pipeline({"matrix": [2, 1, 1, 1], "T": 100000, "N": 4096})
 
     def test_schedule_overflow_surfaced(self, arnold):
         with pytest.raises(NTooLarge):
