@@ -22,6 +22,7 @@ from .classical import (
 )
 from .coherent import (
     HusimiGrid,
+    TorusGaussian,
     axis_variances,
     ball_mass,
     evolve_coherent,

@@ -4,7 +4,8 @@ Subcommands: orbits, propagator-check, husimi, expect, quasimode, sweep,
 selftest.  Each parses its arguments, calls the library (the experiments
 live in quasimodes) and writes the result.  All I/O goes through files;
 every run that writes artifacts also writes a manifest echoing the
-resolved configuration and tool version.
+resolved configuration, the tool version and the environment (Python,
+numpy and platform).
 Exit codes: 0 ok, 2 configuration error, 3 numeric precondition violation,
 4 internal error.
 """
@@ -13,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from . import __version__
 from .classical import DEFAULT_LATTICE_GUARD, enumerate_prime_orbits, validate_cat_map
@@ -66,7 +70,9 @@ def _parse_ladder(text: str) -> List[int]:
 
 def _write_manifest(out: Path, config: Dict) -> None:
     clean = {k: v for k, v in config.items() if not callable(v)}
-    doc = {"tool": "catlab", "version": __version__, "resolved_config": clean}
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "platform": platform.platform()}
+    doc = {"tool": "catlab", "version": __version__, "environment": env, "resolved_config": clean}
     manifest = out.parent / (out.stem + ".manifest.json")
     manifest.write_text(canonical_json(doc))
 

@@ -8,13 +8,13 @@ Gaussian tail.  One windowed transform, _coherent_window, holds the
 window bounds and the untwisted Gaussian weights, and hilbert._twist the
 theta1 twist of wrapped sites; coherent states and Husimi grids both read
 their windows from them.  The width parameter is the caller's: Husimi
-grids use z0, and a coherent state carried by the propagator t times is,
-exactly, a unit phase times the Gaussian at M^t x mod 1 with the Moebius
-image z_t of z0 (evolve_coherent), its phase taken from one row of the
-propagator's kernel per step, so no vector of length N is needed.  Ball masses and variances read a Husimi grid
-that the caller builds, and _check_resolution states once what a grid
-and a ball read from it must resolve.  (Anti-Wick values of Fourier
-symbols need no window: quantize.py takes them in closed form.)
+grids use z0.  A coherent state is a TorusGaussian value, sampled once on
+one cyclic run of sites; the cat map is metaplectic, so U carries it to
+another (TorusGaussian.step), with no vector of length N.  Ball masses
+and variances read a Husimi grid that the caller builds, and
+_check_resolution states once what a grid and a ball read from it must
+resolve.  (Anti-Wick values of Fourier symbols need no window:
+quantize.py takes them in closed form.)
 
 A Husimi grid is one G-point FFT per position column, of the column's
 window overlaps folded mod G.  Column a's weights depend on a only
@@ -34,7 +34,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,6 +56,7 @@ from .hilbert import (
 __all__ = [
     "HusimiGrid",
     "z_parameter",
+    "TorusGaussian",
     "torus_coherent",
     "evolve_coherent",
     "husimi",
@@ -150,10 +152,11 @@ def _coherent_window(
     (z_parameter(catmap) for Husimi grids) and c0 = (2 N Im z)^(1/4).
     Row i starts at the first site of center i's window, which holds the
     Gaussian down to 1e-14 of its peak; the rows share the longest
-    window's length K, and cells past a center's own window weigh 0.  A wrapped site m stands for |m mod N> twisted by
-    _twist(grid, m // N), which undoes the exp(-i theta1) that an amplitude
-    picks up when its index wraps past N: sum_k w[i, k] twist[i, k]
-    |m mod N> is the plane Gaussian projected onto H_{N,theta}, and
+    window's length K, and cells past a center's own window weigh 0.  A
+    wrapped site m stands for |m mod N> twisted by _twist(grid, m // N),
+    which undoes the exp(-i theta1) that an amplitude picks up when its
+    index wraps past N: sum_k w[i, k] twist[i, k] |m mod N> is the plane
+    Gaussian projected onto H_{N,theta}, and
     sum_k conj(w[i, k] twist[i, k]) psi[m mod N] is its overlap with psi.
     The weights depend on a center only through N q mod 1, which husimi
     uses to share rows between columns.  window([q0], point) with the full
@@ -219,117 +222,113 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
     return mom * cmath.exp(-1j * math.pi * N * p0 * q0)
 
 
-def _torus_window(
-    x0: Sequence, z: complex, grid: PlanckGrid
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The torus coherent state at x0 with width parameter z, as (sites,
-    values): its K window sites folded to distinct sites in [0, N), and
-    its amplitudes there; every other amplitude is 0.  O(K) work."""
-    N = grid.N
-    m, w = _coherent_window(grid, z)([x0[0]], x0)
-    m, w = m[0], w[0] * _twist(grid, m[0] // N)
-    if m.size > N:
-        # wraps add in site order, as the window's sites run
-        w = np.concatenate([w, np.zeros(-m.size % N, dtype=complex)]).reshape(-1, N).sum(axis=0)
-        m = m[0] + np.arange(N)
-    return m % N, w / math.sqrt(N)
-
-
-def torus_coherent(
-    x0: Sequence, catmap: CatMap, grid: PlanckGrid, z: Optional[complex] = None
-) -> QuantumState:
-    """Torus coherent state at x0 with width parameter z, by default the
-    map-adapted z0 = z_parameter(catmap).
-
-    Amplitudes are a_j = N^{-1/2} sum_w exp(i theta1 w) g(q_j + w) with g
-    the plane Gaussian of width parameter z; the sum is truncated where
-    the tail drops below 1e-14 of the peak.  Exact centers, as
-    Orbit.start() gives, are (Fraction, Fraction) pairs.  The result is
-    not normalized; its squared norm is 1 up to an exponentially small
-    error.  evolve_coherent gives U^t of the z0 state as a unit phase
-    times the state at M^t x0 mod 1 with width z_t.
-
-    Raises
-    ------
-    TruncationFailure
-        If the truncated sum would need more than 64 lattice translates.
-    """
-    sites, values = _torus_window(x0, z_parameter(catmap) if z is None else z, grid)
-    amp = np.zeros(grid.N, dtype=complex)
-    amp[sites] = values
-    return QuantumState(amp, grid)
-
-
-def _evolved_widths(catmap: CatMap, t: int) -> List[complex]:
-    """[z_0, ..., z_t]: the width parameters of U^s applied to the map-adapted
-    coherent state, z_0 = z_parameter(catmap) and the Moebius step z' =
-    (c + d z)/(a + b z) of M = (a, b; c, d), which carries the plane
-    p = z q to its image under M."""
+def _evolved_widths(catmap: CatMap, t: int, z: Optional[complex] = None) -> List[complex]:
+    """[z_0, ..., z_t]: the width parameters of U^s applied to a coherent
+    state of width z_0 = z, by default z_parameter(catmap), and the Moebius
+    step z' = (c + d z)/(a + b z) of M = (a, b; c, d), which carries the
+    plane p = z q to its image under M."""
     a, b, c, d = catmap.entries
-    widths = [z_parameter(catmap)]
+    widths = [z_parameter(catmap) if z is None else z]
     for _ in range(t):
         z = widths[-1]
         widths.append((c + d * z) / (a + b * z))
     return widths
 
 
-def _coherent_path(x0: Sequence, catmap: CatMap, grid: PlanckGrid, t: int) -> Iterator:
-    """(kappa_s, x_s, z_s, sites, values) for s = 0, ..., t, with U^s
-    torus_coherent(x0) = kappa_s torus_coherent(x_s, z = z_s) and (sites,
-    values) that state's _torus_window, whose sites are one cyclic run
-    (m0 + k) mod N.
+@dataclass(frozen=True)
+class TorusGaussian:
+    """kappa g: a unit phase times the torus coherent state g at x (exact
+    for Fraction coordinates) with width parameter z.  g's amplitudes are
+    N^{-1/2} sum_w exp(i theta1 w) G(q_j + w), G the plane Gaussian, cut
+    where its tail drops below 1e-14 of the peak (TruncationFailure past
+    64 lattice translates); its squared norm is 1 up to that tail."""
 
-    The cat map is metaplectic, so U carries a torus Gaussian to a torus
-    Gaussian: the centre moves to M x mod 1 (exactly, for Fraction
-    centres) and the width takes the Moebius step of _evolved_widths.
-    Only the unit phase kappa is computed, one step at a time:
-    kappa_{s+1} = kappa_s (U g_s)[j] / g_{s+1}[j] at the peak site j of
-    g_{s+1}, with row j of U from the propagator's own exact phases
-    (hilbert._propagator_row).  Each step costs O(K) for windows of K
-    sites, with no vector of length N.
-    """
-    a, b, c, d = catmap.entries
-    widths = _evolved_widths(catmap, t)
-    kernel = _gauss_kernel(catmap, grid) if t > 0 else None
-    kappa, x = complex(1.0), tuple(x0)
-    sites, values = _torus_window(x, widths[0], grid)
-    yield kappa, x, widths[0], sites, values
-    for z in widths[1:]:
-        x = ((a * x[0] + b * x[1]) % 1, (c * x[0] + d * x[1]) % 1)
-        image_sites, image_values = _torus_window(x, z, grid)
-        j = int(np.argmax(np.abs(image_values)))
-        step = (_propagator_row(kernel, image_sites[j], sites) * values).sum()
-        step /= image_values[j]
-        kappa *= complex(step) / abs(step)
-        sites, values = image_sites, image_values
-        yield kappa, x, z, sites, values
+    x: Tuple
+    z: complex
+    grid: PlanckGrid
+    kappa: complex = 1 + 0j
+
+    @cached_property
+    def window(self) -> Tuple[int, np.ndarray]:
+        """(first, values): g is values[k] at site (first + k) mod N and 0
+        elsewhere.  A window of more than N sites is folded, its wraps added
+        in site order, onto a run of all N sites.  Evaluated once, O(K)."""
+        N = self.grid.N
+        m, w = _coherent_window(self.grid, self.z)([self.x[0]], self.x)
+        m, w = m[0], w[0] * _twist(self.grid, m[0] // N)
+        if m.size > N:
+            w = np.concatenate([w, np.zeros(-m.size % N, dtype=complex)]).reshape(-1, N).sum(axis=0)
+        return int(m[0] % N), w / math.sqrt(N)
+
+    @cached_property
+    def sites(self) -> np.ndarray:
+        """The window's run of sites, (first + k) mod N."""
+        first, values = self.window
+        sites = np.arange(first, first + values.size)
+        sites[self.grid.N - first :] -= self.grid.N
+        return sites
+
+    def state(self) -> QuantumState:
+        """kappa g as a length-N state."""
+        amp = np.zeros(self.grid.N, dtype=complex)
+        # kappa = 1 writes the window's bytes as they are
+        amp[self.sites] = self.window[1] if self.kappa == 1 else self.kappa * self.window[1]
+        return QuantumState(amp, self.grid)
+
+    def step(self, catmap: CatMap, kernel) -> "TorusGaussian":
+        """U kappa g, for kernel = hilbert._gauss_kernel(catmap, grid).  The
+        cat map is metaplectic: the centre moves to M x mod 1 and the width
+        takes the Moebius step.  Only the phase is computed, kappa' = kappa
+        (U g)[j] / g'[j] at the image's peak site j, with row j of U from
+        the propagator's exact phases: O(K), no vector of length N."""
+        a, b, c, d = catmap.entries
+        x = ((a * self.x[0] + b * self.x[1]) % 1, (c * self.x[0] + d * self.x[1]) % 1)
+        image = TorusGaussian(x, _evolved_widths(catmap, 1, self.z)[1], self.grid)
+        values = image.window[1]
+        j = int(np.argmax(np.abs(values)))
+        ratio = (_propagator_row(kernel, image.sites[j], self.sites) * self.window[1]).sum()
+        ratio /= values[j]
+        turned = TorusGaussian(x, image.z, self.grid, self.kappa * (complex(ratio) / abs(ratio)))
+        vars(turned).update(window=image.window, sites=image.sites)  # kappa is not in them
+        return turned
+
+    def overlap(self, other: "TorusGaussian") -> complex:
+        """<self|other>, over the sites the two runs share: O(K)."""
+        first, values = self.window
+        other_first, other_values = other.window
+        # other's sites as positions in self's run; those past its end are not in it
+        at = (other_first - first + np.arange(other_values.size)) % self.grid.N
+        both = at < values.size
+        inner = complex(np.einsum("i,i->", np.conj(values[at[both]]), other_values[both]))
+        return self.kappa.conjugate() * other.kappa * inner
+
+
+def torus_coherent(
+    x0: Sequence, catmap: CatMap, grid: PlanckGrid, z: Optional[complex] = None
+) -> QuantumState:
+    """The TorusGaussian at x0, kappa = 1, with width parameter z, by
+    default the map-adapted z0 = z_parameter(catmap), as a state.  Exact
+    centers, as Orbit.start() gives, are (Fraction, Fraction) pairs.  A
+    width that needs more than 64 lattice translates is a TruncationFailure."""
+    return TorusGaussian(x0, z_parameter(catmap) if z is None else z, grid).state()
 
 
 def evolve_coherent(
     x0: Sequence, catmap: CatMap, grid: PlanckGrid, t: int
 ) -> Tuple[complex, Tuple, complex]:
     """(kappa_t, x_t, z_t) with U^t torus_coherent(x0, catmap, grid) =
-    kappa_t torus_coherent(x_t, catmap, grid, z = z_t), without the
-    propagator.
-
-    x_t = M^t x0 mod 1 (exact for Fraction centres), z_t is the Moebius
-    image of _evolved_widths and kappa_t a unit phase, built step by step
-    from one row of U per step (see _coherent_path): O(t K) work for
-    windows of K sites.  Holds to the Gaussian truncation, 1e-14 of the
-    peak, while t is inside the time window.
-
-    Raises
-    ------
-    ConfigError
-        For t < 0.
-    TruncationFailure
-        If some z_s needs more than 64 lattice translates.
-    """
+    kappa_t torus_coherent(x_t, catmap, grid, z = z_t), by t TorusGaussian
+    steps: O(t K) work for windows of K sites, no propagator.  Holds to
+    the Gaussian truncation while t is inside the time window.  t < 0 is
+    a ConfigError, and a width z_s that needs more than 64 lattice
+    translates a TruncationFailure."""
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
-    for kappa, x, z, _, _ in _coherent_path(x0, catmap, grid, t):
-        pass
-    return kappa, x, z
+    g = TorusGaussian(tuple(x0), z_parameter(catmap), grid)
+    kernel = _gauss_kernel(catmap, grid) if t > 0 else None
+    for _ in range(t):
+        g = g.step(catmap, kernel)
+    return g.kappa, g.x, g.z
 
 
 def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:

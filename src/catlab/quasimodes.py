@@ -2,7 +2,7 @@
 
 A quasimode is the phased sum of propagated coherent states along a prime
 closed orbit.  The cat map is metaplectic, so each propagated state is
-again a torus Gaussian, which coherent.evolve_coherent gives in closed
+again a torus Gaussian, a coherent.TorusGaussian that steps in closed
 form: the quasimode is built, and its residual evaluated, without the
 propagator.  Within the admissible time window (orbit length at most
 delta times the Ehrenfest time, delta < 1/4) the terms occupy disjoint
@@ -34,14 +34,15 @@ from .classical import (
 )
 from .coherent import (
     HusimiGrid,
+    TorusGaussian,
     _check_resolution,
-    _coherent_path,
     _evolved_widths,
     _truncation_cut,
     axis_variances,
     ball_mass,
     husimi,
     torus_coherent,
+    z_parameter,
 )
 from .errors import (
     BallsOverlap,
@@ -49,10 +50,12 @@ from .errors import (
     NTooLarge,
     PreconditionError,
     RadiusOutOfRange,
+    ResolutionTooCoarse,
 )
 from .hilbert import (
     PlanckGrid,
     QuantumState,
+    _gauss_kernel,
     _norm,
     _real_inner,
     _require_invariant_theta,
@@ -160,14 +163,16 @@ class QuasimodeSpec:
         return self.orbit.length
 
     @cached_property
-    def gaussians(self) -> List[Tuple[complex, np.ndarray, np.ndarray]]:
-        """(kappa_t, sites, values) for t = 0, ..., T: U^t x = kappa_t
-        g_{x_t, z_t} for x the coherent state at the orbit's start, with
-        g_{x_t, z_t} given by its window (coherent.evolve_coherent).  Built
-        once per spec and shared by build_quasimode and return_amplitude;
-        it does not depend on phi."""
-        path = _coherent_path(self.orbit.start(), self.catmap, self.grid, self.T)
-        return [(kappa, sites, values) for kappa, _, _, sites, values in path]
+    def gaussians(self) -> List[TorusGaussian]:
+        """U^t x for t = 0, ..., T, x the coherent state at the orbit's
+        start: each a TorusGaussian kappa_t g_{x_t, z_t}, one step from the
+        last.  Built once per spec and shared by build_quasimode and
+        return_amplitude; it does not depend on phi."""
+        path = [TorusGaussian(self.orbit.start(), z_parameter(self.catmap), self.grid)]
+        kernel = _gauss_kernel(self.catmap, self.grid)
+        for _ in range(self.T):
+            path.append(path[-1].step(self.catmap, kernel))
+        return path
 
 
 def build_quasimode(spec: QuasimodeSpec) -> Tuple[QuantumState, QuantumState]:
@@ -179,30 +184,22 @@ def build_quasimode(spec: QuasimodeSpec) -> Tuple[QuantumState, QuantumState]:
     Moebius width z_t.  O(T K) work for windows of K sites, plus the
     length-N sum; no propagator is built.
     """
-    amp = np.zeros(spec.grid.N, dtype=complex)
-    for t, (kappa, sites, values) in enumerate(spec.gaussians[: spec.T]):
-        if t == 0:
-            amp[sites] = values
-        else:
-            amp[sites] += (cmath.exp(-1j * spec.phi * t) * kappa) * values
-    psi = QuantumState(amp, spec.grid)
+    psi = spec.gaussians[0].state()
+    for t, g in enumerate(spec.gaussians[1 : spec.T], 1):
+        psi.amplitudes[g.sites] += (cmath.exp(-1j * spec.phi * t) * g.kappa) * g.window[1]
     return psi, psi.normalized()
 
 
 def return_amplitude(spec: QuasimodeSpec) -> Tuple[complex, float]:
     """(<x|U^T x>, ||x||^2) for x the coherent state at the orbit's start.
 
-    M^T x = x mod 1, so U^T x = kappa_T g_{x, z_T} and <x|U^T x> =
-    kappa_T <g_{x, z0}|g_{x, z_T}>: one overlap of the two windows, each
-    a cyclic run of sites.  Its modulus is sqrt(2/|tr M^T|) up to the
+    M^T x = x mod 1, so U^T x = kappa_T g_{x, z_T} and <x|U^T x> is one
+    TorusGaussian overlap.  Its modulus is sqrt(2/|tr M^T|) up to the
     Gaussian truncation.
     """
-    (_, start, x), (kappa, sites, y) = spec.gaussians[0], spec.gaussians[-1]
-    # y's sites, as positions in x's run; those past its end are not in x
-    at = (sites[0] - start[0] + np.arange(sites.size)) % spec.grid.N
-    both = at < start.size
-    overlap = complex(np.einsum("i,i->", np.conj(x[at[both]]), y[both]))
-    return kappa * overlap, float(_real_inner(x, x))
+    x = spec.gaussians[0]
+    values = x.window[1]
+    return x.overlap(spec.gaussians[-1]), float(_real_inner(values, values))
 
 
 def residual(psi: QuantumState, spec: QuasimodeSpec) -> float:
@@ -565,14 +562,14 @@ def run_pipeline(config: Dict) -> Experiment:
     key is a ConfigError, and every key is parsed before any work.  outputs
     is read by the CLI only.
     The Gaussian truncation of every width z_t, t <= T, ball disjointness
-    and resolution, the frequencies and both non-equidistribution radii
-    are checked before anything is built.  The quasimode is a sum of T
-    closed-form Gaussians (build_quasimode), its residual an identity in
-    the return amplitude <x|U^T x> (residual), which the report gives
-    as return_amplitude, its modulus and phase for the normalized x; no
-    propagator is built.  The quasimode and the Husimi grid of psi_n are
-    built once and shared by the diagnostics that read them; file
-    emission is the CLI's job.
+    and resolution, the frequencies, both non-equidistribution radii and
+    the Husimi side G >= sqrt(2 pi N) are checked before anything is
+    built.  The quasimode is a sum of T closed-form Gaussians
+    (build_quasimode), its residual an identity in the return amplitude
+    <x|U^T x> (residual), which the report gives as return_amplitude, its
+    modulus and phase for the normalized x; no propagator is built.  The
+    quasimode and the Husimi grid of psi_n are built once and shared by
+    the diagnostics that read them; file emission is the CLI's job.
     """
     timings: Dict[str, float] = {}
     last = time.perf_counter()
@@ -620,7 +617,7 @@ def run_pipeline(config: Dict) -> Experiment:
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
-    # refuse bad truncation, balls, frequencies and radii before building anything
+    # refuse bad truncation, balls, frequencies, radii and G before building anything
     for z in _evolved_widths(cat, T):
         _truncation_cut(grid, z.imag)
     _check_resolution(cfg["G"], _checked_ball_radius(spec, cfg["C0"]))
@@ -632,6 +629,12 @@ def run_pipeline(config: Dict) -> Experiment:
         cfg["r_physical"] = min(max(0.05, r_lo), 0.99 * c1 / T)
     _check_radius(spec, "phase", cfg["r_phase"], c_sep, c1)
     _check_radius(spec, "physical", cfg["r_physical"], c_sep, c1)
+    least_G = 1.0 / math.sqrt(grid.hbar)  # as husimi's warning reads it
+    if cfg["G"] < least_G:
+        raise ResolutionTooCoarse(
+            f"G = {cfg['G']} < sqrt(2 pi N) = {least_G:.2f} at N = {N}; "
+            f"G >= {math.ceil(least_G)} resolves sqrt(hbar)"
+        )
     psi, psi_n = build_quasimode(spec)
     amplitude, x_norm2 = return_amplitude(spec)
     amplitude /= x_norm2

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,7 @@ from catlab import (
 )
 
 from catlab.classical import min_image
-from catlab.coherent import _coherent_window, _evolved_widths, _torus_window
+from catlab.coherent import TorusGaussian, _coherent_window, _evolved_widths
 from catlab.errors import ConfigError
 from catlab.hilbert import _twist
 
@@ -455,8 +456,80 @@ class TestEvolveCoherent:
         assert m.shape[1] > 2 * N
         expect = np.zeros(N, dtype=complex)
         np.add.at(expect, m[0] % N, w[0] * _twist(grid, m[0] // N))
-        sites, values = _torus_window(x0, z, grid)
-        got = np.zeros(N, dtype=complex)
-        got[sites] = values
+        g = TorusGaussian(x0, z, grid)
+        got = g.state().amplitudes
         assert got.tobytes() == (expect / math.sqrt(N)).tobytes()
-        assert sorted(sites.tolist()) == list(range(N))
+        assert sorted(g.sites.tolist()) == list(range(N))
+
+
+class TestTorusGaussianOverlap:
+    """g.overlap(h) over the two runs against <g|h> of the length-N states,
+    to a few ulps of a unit-norm inner product: the two sum in different
+    orders, and the states hold kappa in every amplitude."""
+
+    @staticmethod
+    def check(g, h):
+        got = g.overlap(h)
+        expect = g.state().inner(h.state())
+        assert abs(got - expect) < 2e-15
+        return got
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(256, 4096),
+        q=st.floats(-0.01, 0.01),
+        p=st.floats(0.0, 1.0),
+        widths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        turns=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_windows_wrapping_past_the_last_site(self, arnold, N, q, p, widths, turns):
+        grid = choose_theta(arnold, N)
+        g, h = (
+            TorusGaussian((q % 1.0, (p + k / 7) % 1.0), complex(0.1 * k, s), grid,
+                          cmath.exp(2j * math.pi * turn))
+            for k, (s, turn) in enumerate(zip(widths, turns))
+        )
+        for x in (g, h):
+            first, values = x.window
+            assert values.size < N < first + values.size
+        self.check(g, h)
+        self.check(h, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(256, 4096),
+        x0=exact_points(),
+        wide=st.floats(0.3, 1.0),
+        narrow=st.floats(3.0, 10.0),
+    )
+    def test_one_window_inside_the_other(self, arnold, N, x0, wide, narrow):
+        grid = choose_theta(arnold, N)
+        g = TorusGaussian(x0, complex(0.2, wide), grid)
+        h = TorusGaussian(x0, complex(-0.1, narrow), grid, cmath.exp(0.3j))
+        assert set(h.sites.tolist()) < set(g.sites.tolist())
+        self.check(g, h)
+        self.check(h, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(512, 4096), x0=exact_points(), width=st.floats(1.0, 3.0))
+    def test_disjoint_windows_are_exactly_orthogonal(self, arnold, N, x0, width):
+        grid = choose_theta(arnold, N)
+        g = TorusGaussian(x0, complex(0.0, width), grid)
+        h = TorusGaussian(((x0[0] + Fraction(1, 2)) % 1, x0[1]), complex(0.5, width), grid)
+        assert not set(g.sites.tolist()) & set(h.sites.tolist())
+        assert self.check(g, h) == 0.0
+        assert h.overlap(g) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.sampled_from([8, 9, 30]), x0=exact_points(), y0=exact_points(),
+           turn=st.floats(0.0, 1.0))
+    def test_folded_windows(self, arnold, N, x0, y0, turn):
+        # at z = 0.3 + 0.02i the window spans several copies of the N sites
+        grid = choose_theta(arnold, N)
+        z = complex(0.3, 0.02)
+        g = TorusGaussian(x0, z, grid)
+        h = TorusGaussian(y0, z, grid, cmath.exp(2j * math.pi * turn))
+        assert g.window[1].size == h.window[1].size == N
+        self.check(g, h)
+        self.check(h, g)
+        assert abs(g.overlap(g) - g.state().norm2()) < 2e-15

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import struct
 import sys
 import tracemalloc
@@ -587,6 +588,11 @@ class TestCli:
         assert main([command, *argv, "--out", str(out)]) == 0
         assert out.exists()
         manifest = json.loads((out.parent / "out.manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        }
         if command != "quasimode":
             # every argument, defaults applied by argparse
             args = vars(build_parser().parse_args([command, *argv, "--out", str(out)]))
@@ -833,13 +839,23 @@ class TestQuasimodePipeline:
         assert (tmp_path / "report.orbit.json").exists()
         assert not (tmp_path / "report.husimi.csv").exists()
 
-    def test_resolution_warning_once(self, tmp_path, recwarn):
-        # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384
+    def test_coarse_husimi_side_refused_before_building(
+        self, tmp_path, monkeypatch, capsys, recwarn
+    ):
+        # G = 256 < sqrt(2 pi N) = 320.8 at N = 16384: refused, not warned
+        calls = record_calls(monkeypatch, "build_quasimode", "husimi")
         cfg = write_config(tmp_path, self.CONFIG.replace("4096", "16384"))
         out = tmp_path / "report.json"
+        assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error[ResolutionTooCoarse]: G = 256 < sqrt(2 pi N) = 320.85 at N = 16384" in err
+        assert "G >= 321 resolves sqrt(hbar)" in err
+        assert {name: len(r) for name, r in calls.items()} == {"build_quasimode": 0, "husimi": 0}
+        assert not out.exists()
+        assert not [w for w in recwarn if "does not resolve sqrt(hbar)" in str(w.message)]
+        # the least G runs
+        cfg = write_config(tmp_path, self.CONFIG.replace("4096", "16384").replace("256", "321"))
         assert main(["quasimode", "--config", cfg, "--out", str(out)]) == 0
-        hits = [w for w in recwarn if "does not resolve sqrt(hbar)" in str(w.message)]
-        assert len(hits) == 1
 
     def test_stage_timings(self, tmp_path):
         cfg = write_config(tmp_path, self.CONFIG)

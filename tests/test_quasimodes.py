@@ -19,6 +19,7 @@ from catlab import (
     build_quasimode,
     choose_N,
     choose_theta,
+    coherent,
     ehrenfest_time,
     enumerate_prime_orbits,
     husimi,
@@ -149,6 +150,24 @@ class TestBuild:
         expect = term + cmath.exp(-1j * 0.9) * u.apply(term)
         psi, _ = build_quasimode(spec)
         assert np.max(np.abs(psi.amplitudes - expect)) < 1e-14
+
+    def test_each_window_evaluated_once(self, arnold, monkeypatch):
+        # T + 1 Gaussians, each window evaluated once across the build, the
+        # return amplitude and the residual; a step's image keeps its window
+        calls = []
+        window = coherent._coherent_window
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return window(*args, **kwargs)
+
+        monkeypatch.setattr(coherent, "_coherent_window", counted)
+        spec = t2_spec(arnold, 4096, phi=0.4)
+        psi, _ = build_quasimode(spec)
+        return_amplitude(spec)
+        residual(psi, spec)
+        assert len(calls) == spec.T + 1 == 3
+        assert {g.z for g in spec.gaussians} == {z for _, z in calls}
 
     def test_norm_law_t3(self, arnold):
         # T = 3 needs delta T_E >= 3: N = 32768 gives 0.24 T_E = 3.05
