@@ -21,10 +21,13 @@ window overlaps folded mod G.  Column a's weights depend on a only
 through N a/G mod 1, so the columns share P = G/gcd(N, G) weight rows
 (P = 1 when G divides N); the twist and the fold's signs and half-cell
 phases depend only on the site, so they are applied once, to one
-extension of psi.  Columns then go in blocks: a strided gather of the
-extension, times the shared rows, a reshape-sum fold and one batched FFT.
-A full G x G grid costs O(G (K + G log G)) time for windows of K sites,
-and O(B K + N) memory besides its output for blocks of B columns.
+extension of psi.  A column whose window reads no nonzero amplitude of
+psi is exactly +0.0 and is left so; the live columns go in blocks: a
+strided gather of the extension, times the shared rows, a reshape-sum
+fold and one batched FFT.  A G x G grid costs O(live columns (K + G log
+G)) + O(N) time for windows of K sites, and O(B K + N) memory besides its
+output for blocks of B columns.  Ball masses, and quantize.bump_masses,
+copy the cells they read slice by slice (_read_block).
 """
 
 from __future__ import annotations
@@ -140,10 +143,12 @@ def _check_resolution(G: int, radius: Optional[float] = None) -> None:
 
 def _coherent_window(
     grid: PlanckGrid, z: complex, G: Optional[int] = None
-) -> Callable[..., Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[Callable[..., Tuple], Callable[..., Tuple]]:
     """The windowed coherent-state transform behind every consumer.
 
-    Returns window(q), which maps an array of position centers q to the
+    Returns (span, window).  span(q) maps an array of P position centers q
+    to the first extended site of each center's window and the window's
+    length in sites, both (P,), with no exp; window(q) maps them to the
     extended site indices m and the untwisted Gaussian weights, both (P, K):
 
         w[i, k] = c0 exp(i pi N z (y_m - q_i)^2),
@@ -180,21 +185,24 @@ def _coherent_window(
     cut = _truncation_cut(grid, z.imag)
     c0 = (2.0 * N * z.imag) ** 0.25
 
+    def span(q: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        q = np.asarray(q, dtype=float)
+        lo = np.floor(N * (q - cut) - eta).astype(np.int64)
+        return lo, np.ceil(N * (q + cut) - eta).astype(np.int64) - lo + 1
+
     def window(
         q: Sequence[float], point: Optional[Sequence] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        q = np.asarray(q, dtype=float)[:, None]
-        lo = np.floor(N * (q - cut) - eta).astype(np.int64)
-        length = np.ceil(N * (q + cut) - eta).astype(np.int64) - lo + 1
+        lo, length = span(q)
         k = np.arange(length.max())
-        m = lo + k
-        dy = (m + eta) / N - q
+        m = lo[:, None] + k
+        dy = (m + eta) / N - np.asarray(q, dtype=float)[:, None]
         scale = c0 if point is None else c0 * _momentum_phase(grid, point, m)
         w = scale * np.exp(1j * math.pi * N * z * dy * dy)
-        w[k >= length] = 0.0
+        w[k >= length[:, None]] = 0.0
         return m, w
 
-    return window
+    return span, window
 
 
 def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray:
@@ -254,7 +262,8 @@ class TorusGaussian:
         elsewhere.  A window of more than N sites is folded, its wraps added
         in site order, onto a run of all N sites.  Evaluated once, O(K)."""
         N = self.grid.N
-        m, w = _coherent_window(self.grid, self.z)([self.x[0]], self.x)
+        _, window = _coherent_window(self.grid, self.z)
+        m, w = window([self.x[0]], self.x)
         m, w = m[0], w[0] * _twist(self.grid, m[0] // N)
         if m.size > N:
             w = np.concatenate([w, np.zeros(-m.size % N, dtype=complex)]).reshape(-1, N).sum(axis=0)
@@ -340,43 +349,44 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
     factors conj(t) and e^(-i pi m/G) go into one extension f of psi
     (_husimi_extension), and the momentum row is the G-point FFT of
     conj(w_a) f folded mod G: moving the window only rotates the row's
-    phase.  Column a + P, P = G/gcd(N, G), has column a's weights moved by
-    N P/G sites, so the P rows of the first columns serve all of them;
-    when P > _HUSIMI_BLOCK each block evaluates its own.  Identical (to
-    roundoff) to evaluating the overlaps pointwise.  Warns when G does not
-    resolve sqrt(hbar).
+    phase.  A column whose window reads no nonzero amplitude of psi is
+    exactly +0.0, so only the live columns (_live_columns) are
+    transformed, _HUSIMI_BLOCK at a time.  Column a + P, P = G/gcd(N, G),
+    has column a's weights moved by N P/G sites, so the P rows of the
+    first columns serve all of them; when P > _HUSIMI_BLOCK each block
+    evaluates the rows of its own columns.  Identical (to roundoff) to
+    evaluating the overlaps pointwise.  Warns when G does not resolve
+    sqrt(hbar).
     """
     grid = psi.grid
     N = grid.N
-    window = _coherent_window(grid, z_parameter(catmap), G)
+    span, window = _coherent_window(grid, z_parameter(catmap), G)
     centers = (np.arange(G) + 0.5) / G
     P = G // math.gcd(N, G)
-    step = N * P // G
     if P <= _HUSIMI_BLOCK:
-        # blocks of whole periods: each block's rows cycle through the table
-        block = _HUSIMI_BLOCK // P * P
-        m, w = window(centers[:P])
-        table = m[:, 0], np.conj(w)
+        columns = np.arange(G)
+        lo, length = span(centers[:P])
+        lo = lo[columns % P] + columns // P * (N * P // G)
+        length = length[columns % P]
+        table = np.conj(window(centers[:P])[1])
     else:
-        block = _HUSIMI_BLOCK
-    values = np.empty((G, G))
+        lo, length = span(centers)
+    live = _live_columns(psi, lo, length)
+    values = np.zeros((G, G))
     f = None
-    for first in range(0, G, block):
-        cols = np.arange(first, min(first + block, G))
+    for first in range(0, live.size, _HUSIMI_BLOCK):
+        cols = live[first : first + _HUSIMI_BLOCK]
         if P <= _HUSIMI_BLOCK:
-            lo = table[0][cols % P] + cols // P * step
-            weights = table[1]
+            weights = table[cols % P]
         else:
-            m, w = window(centers[cols])
-            lo, weights = m[:, 0], np.conj(w)
+            weights = np.conj(window(centers[cols])[1])
         K = weights.shape[1]
         if f is None or f.size < N + K:
             f = _husimi_extension(psi, G, N + K)
         # f(m + N) = f(m) times a unit constant, so a window read N sites
         # early changes its row by a phase only
-        rows = sliding_window_view(f, K)[lo % N]
-        periods = rows.reshape(-1, *weights.shape)  # a view of rows
-        periods *= weights
+        rows = sliding_window_view(f, K)[lo[cols] % N]
+        rows *= weights
         whole = K - K % G
         folded = rows[:, :whole].reshape(len(cols), -1, G).sum(axis=1)
         folded[:, : K - whole] += rows[:, whole:]
@@ -388,6 +398,20 @@ def husimi(psi: QuantumState, catmap: CatMap, G: int) -> HusimiGrid:
         state_norm2=psi.norm2(),
         map_entries=catmap.entries,
     )
+
+
+def _live_columns(psi: QuantumState, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The ascending indices i whose window, the length[i] sites from
+    extended site lo[i] taken mod N, reads a nonzero amplitude of psi:
+    O(log N) per window, from the sorted sites of psi's support."""
+    N = psi.grid.N
+    support = np.flatnonzero(psi.amplitudes)
+    start = lo % N
+    end = start + np.minimum(length, N)
+    held = np.searchsorted(support, np.minimum(end, N)) - np.searchsorted(support, start)
+    # a window past site N - 1 reads on from site 0
+    held += np.searchsorted(support, end - N)
+    return np.flatnonzero(held)
 
 
 def _husimi_extension(psi: QuantumState, G: int, length: int) -> np.ndarray:
@@ -427,7 +451,28 @@ def ball_mass(hgrid: HusimiGrid, center: Sequence[float], radius: float) -> floa
     rows = np.flatnonzero(dq2 <= radius * radius)
     cols = np.flatnonzero(dp2 <= radius * radius)
     inside = dq2[rows, None] + dp2[None, cols] <= radius * radius
-    return float(hgrid.values[np.ix_(rows, cols)][inside].sum() * hgrid.weight)
+    return float(_read_block(hgrid.values, rows, cols)[inside].sum() * hgrid.weight)
+
+
+def _read_block(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """values[np.ix_(rows, cols)] as a C-contiguous copy, read slice by
+    slice: rows and cols are each a few runs of consecutive indices (a
+    run of cells mod G, or an ascending run split at the seam), so the
+    block is a few rectangles copied whole instead of a gather."""
+    block = np.empty((rows.size, cols.size), dtype=values.dtype)
+    for i, r in _runs(rows):
+        for j, c in _runs(cols):
+            block[i : i + r.stop - r.start, j : j + c.stop - c.start] = values[r, c]
+    return block
+
+
+def _runs(index: np.ndarray) -> List[Tuple[int, slice]]:
+    """index, ascending or a run of distinct integers consecutive mod G, as
+    runs of consecutive integers: (position in index, slice) pairs."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return [(0, slice(int(index[0]), int(index[-1]) + 1))]
+    cut = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), index.size]
+    return [(s, slice(int(index[s]), int(index[e - 1]) + 1)) for s, e in zip(cut, cut[1:]) if e > s]
 
 
 def axis_variances(

@@ -5,10 +5,11 @@ read back only at the parity angles theta in {0, pi}^2, as exact theta/pi.
 Husimi grids are CSV (17 significant digits, row major) with a JSON
 sidecar; the CSV bytes are those of np.savetxt(fmt="%.16e", delimiter=","),
 which _write_csv formats in numpy, one block of at most 2^15 cells at a
-time, leaving only unusual rows to Python's '%'.  Symbol files are only
-read: Fourier coefficients, or a sampled CSV grid.  Report JSON uses sorted
-keys and Python's shortest round-trip float representation, so identical
-inputs give identical bytes.  Orbit files hold only integers; they are
+time: a row of +0.0 cells copies one preformatted line, the other rows
+are formatted together, and only unusual rows are left to Python's '%'.
+Symbol files are only read: Fourier coefficients, or a sampled CSV grid.
+Report JSON uses sorted keys and Python's shortest round-trip float
+representation, so identical inputs give identical bytes.  Orbit files hold only integers; they are
 written straight from the orbits' int64 arrays in the canonical_json
 layout, byte for byte, and every orbit read back is checked against the
 file's matrix.  A file that cannot be read or parsed raises ConfigError.
@@ -186,21 +187,26 @@ def _format_block(block: np.ndarray):
 
 def _write_csv(path: Union[str, Path], values: np.ndarray) -> None:
     """The bytes of np.savetxt(path, values, fmt="%.16e", delimiter=",") for
-    a 2-D array with at least one column, formatted and written a block of
-    whole rows (at most 2^15 cells, or one longer row) at a time."""
+    a 2-D array with at least one column, written a block of whole rows (at
+    most 2^15 cells, or one longer row) at a time.  A row of +0.0 cells is
+    one preformatted line; the other rows of a block are formatted together
+    (_format_block)."""
     rows, cols = values.shape
     row_fmt = ",".join(["%.16e"] * cols) + "\n"
+    zero_line = (_ZERO_FIELD.tobytes() * cols)[:-1] + b"\n"
     step = max(1, _BLOCK_CELLS // cols)
     with open(path, "wb") as fh:
         for start in range(0, rows, step):
             block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
-            lines, python = _format_block(block)
-            done = 0
-            for r in np.flatnonzero(python):
-                fh.write(lines[done:r])
-                fh.write((row_fmt % tuple(block[r].tolist())).encode("ascii"))
-                done = r + 1
-            fh.write(lines[done:])
+            # a row with a bit set holds a cell other than +0.0; -0.0 is one
+            live = np.flatnonzero(block.view(np.uint64).any(axis=1))
+            lines, python = _format_block(block[live])
+            out = [zero_line] * len(block)
+            for i, r in enumerate(live.tolist()):
+                out[r] = lines[i]
+            for r in live[python].tolist():
+                out[r] = (row_fmt % tuple(block[r].tolist())).encode("ascii")
+            fh.write(b"".join(out))
 
 
 def save_husimi_csv(path: Union[str, Path], hgrid: HusimiGrid) -> None:

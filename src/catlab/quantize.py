@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classical import CatMap, min_image
-from .coherent import HusimiGrid, z_parameter
+from .coherent import HusimiGrid, _read_block, z_parameter
 from .errors import RadiusOutOfRange
 from .hilbert import (
     LinearMap,
@@ -313,9 +313,11 @@ def bump_masses(
     of bump_symbols(centers[i], r) against hgrid, to roundoff.  A cell's
     offset from a center x is (k + 1/2 - f)/G on each axis, with k an
     integer and f = frac(G x): so a bump's values on its support cells
-    depend on x only through (f_q, f_p).  Each profile is evaluated once
-    per distinct pair, on a patch ordered by k, and each mass is one
-    gathered multiply-sum of that patch against the grid.
+    depend on x only through (f_q, f_p).  A bump whose patch rows are all
+    zero has mass 0.0 and evaluates nothing; any other evaluates its
+    profile once per distinct pair, on a patch ordered by k, and its mass
+    is one multiply-sum of that patch against the patch's cells, copied
+    from the grid slice by slice (coherent._read_block).
 
     Raises
     ------
@@ -328,28 +330,39 @@ def bump_masses(
     base = np.floor(scaled)
     frac = scaled - base
     base = base.astype(np.int64)
-    masses = np.empty((2, len(scaled)))
-    patches: Dict[Tuple[float, float, int], Tuple] = {}
+    live = hgrid.values.any(axis=1)
+    masses = np.zeros((2, len(scaled)))
+    offsets: Dict[Tuple[float, int], Tuple[np.ndarray, np.ndarray]] = {}
+    profiles: Dict[Tuple[float, float, int], np.ndarray] = {}
+
+    def axis(f: float, side: int) -> Tuple[np.ndarray, np.ndarray]:
+        if (f, side) not in offsets:
+            offsets[f, side] = _bump_offsets(G, f, radii[side][1])
+        return offsets[f, side]
+
     for i in range(len(scaled)):
         for side, (r_in, r_out) in enumerate(radii):
+            kq, dq = axis(frac[i, 0], side)
+            rows = (base[i, 0] + kq) % G
+            if not live[rows].any():
+                continue
+            kp, dp = axis(frac[i, 1], side)
             key = (frac[i, 0], frac[i, 1], side)
-            if key not in patches:
-                patches[key] = _bump_patch(G, frac[i], r_in, r_out)
-            kq, kp, profile = patches[key]
-            cells = hgrid.values[np.ix_((base[i, 0] + kq) % G, (base[i, 1] + kp) % G)]
-            masses[side, i] = np.einsum("ij,ij->", cells, profile) * hgrid.weight
+            if key not in profiles:
+                profiles[key] = _bump_profile(np.hypot(dq[:, None], dp[None, :]), r_in, r_out)
+            cells = _read_block(hgrid.values, rows, (base[i, 1] + kp) % G)
+            masses[side, i] = np.einsum("ij,ij->", cells, profiles[key]) * hgrid.weight
     return masses[0], masses[1]
 
 
-def _bump_patch(G: int, frac: np.ndarray, r_in: float, r_out: float):
-    """Cell offsets k on each axis within r_out of a center with sub-cell
-    offset frac, and the bump profile on their product."""
+def _bump_offsets(G: int, f: float, r_out: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The cell offsets k on one axis within r_out of a center with
+    sub-cell offset f, and their distances (k + 1/2 - f)/G."""
     reach = int(math.ceil(G * r_out)) + 1
     k = np.arange(-reach, reach + 1)
-    d = [(k + 0.5 - f) / G for f in frac]
-    inside = [np.abs(di) <= r_out for di in d]
-    profile = _bump_profile(np.hypot(d[0][inside[0], None], d[1][None, inside[1]]), r_in, r_out)
-    return k[inside[0]], k[inside[1]], profile
+    d = (k + 0.5 - f) / G
+    inside = np.abs(d) <= r_out
+    return k[inside], d[inside]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from catlab import (
     choose_theta,
     coherent,
     ehrenfest_time,
+    enumerate_prime_orbits,
     evolve_coherent,
     husimi,
     propagator,
@@ -31,6 +32,7 @@ from catlab.classical import min_image
 from catlab.coherent import TorusGaussian, _coherent_window, _evolved_widths
 from catlab.errors import ConfigError
 from catlab.hilbert import _twist
+from catlab.quasimodes import QuasimodeSpec, build_quasimode
 
 from conftest import coarse_husimi, husimi_slow, hyperbolic_maps, random_state, twisted_grid
 
@@ -161,6 +163,93 @@ class TestHusimi:
             fast = coarse_husimi(psi, cat, G).values
         slow = husimi_slow(psi, cat, G)
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        entries=st.sampled_from(hyperbolic_maps()),
+        G=st.sampled_from([21, 24, 48]),
+        P=st.sampled_from(["1", "3", "G"]),
+        t=st.integers(20, 60),
+        theta_over_pi=st.sampled_from([None, (Fraction(2, 3), Fraction(4, 3))]),
+        block=st.sampled_from([2, 64]),
+        runs=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 0.1)),
+            max_size=3,
+        ),
+        wrap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_states_zero_off_runs(self, entries, G, P, t, theta_over_pi, block, runs, wrap, seed):
+        # psi is zero outside a few runs of sites, one of them across site
+        # N - 1 when wrap is set: the columns whose windows read none of
+        # them are exactly +0.0, and the others match the oracle and are
+        # not all zero
+        N = {"1": G * t, "3": G // 3 * (3 * t + 1), "G": G * t + 1}[P]
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N) if theta_over_pi is None else PlanckGrid(N, theta_over_pi)
+        if wrap:
+            runs = runs + [(1.0 - 0.01, 0.02)]
+        rng = np.random.default_rng(seed)
+        amp = np.zeros(N, dtype=complex)
+        for start, share in runs:
+            sites = (int(start * N) + np.arange(1 + int(share * N))) % N
+            amp[sites] = rng.standard_normal(sites.size) + 1j * rng.standard_normal(sites.size)
+        psi = QuantumState(amp, grid)
+        with patch.object(coherent, "_HUSIMI_BLOCK", block):
+            fast = coarse_husimi(psi, cat, G).values
+        slow = husimi_slow(psi, cat, G)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(slow)
+        dead = ~slow.any(axis=1)
+        assert not fast[dead].view(np.uint64).any()
+        assert not (fast[~dead] == 0.0).all(axis=1).any()
+
+    @pytest.mark.parametrize("N, columns", [(1000, (0, 2)), (1001, (0, 13))])
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_states_on_a_window_edge(self, arnold, N, columns, block):
+        # a state on one site is read by the columns whose windows hold
+        # it, at their first or last site too; column 0's window wraps
+        # past site 0
+        grid = choose_theta(arnold, N)
+        G = 24
+        span = _coherent_window(grid, z_parameter(arnold))[0]
+        lo, length = span((np.arange(G) + 0.5) / G)
+        assert lo[0] < 0
+        for a in columns:
+            for site in (lo[a] % N, (lo[a] + length[a] - 1) % N):
+                amp = np.zeros(N, dtype=complex)
+                amp[site] = 1.0
+                psi = QuantumState(amp, grid)
+                with patch.object(coherent, "_HUSIMI_BLOCK", block):
+                    fast = coarse_husimi(psi, arnold, G).values
+                slow = husimi_slow(psi, arnold, G)
+                assert fast[a].any()
+                assert np.array_equal(fast.any(axis=1), slow.any(axis=1))
+
+    def test_odd_N_evaluates_live_columns_only(self, arnold, monkeypatch):
+        # gcd(N, G) = 1, so every column has its own weight row; only the
+        # columns whose windows meet the T = 1 quasimode get one
+        grid = choose_theta(arnold, 4099)
+        orbit = enumerate_prime_orbits(arnold, 1)[0]
+        spec = QuasimodeSpec(orbit=orbit, phi=0.0, delta=0.24, grid=grid, catmap=arnold)
+        psi = build_quasimode(spec)[1]
+        rows = []
+        make = coherent._coherent_window
+
+        def counted(*args):
+            span, window = make(*args)
+
+            def counting(q, point=None):
+                rows.append(len(q))
+                return window(q, point)
+
+            return span, counting
+
+        monkeypatch.setattr(coherent, "_coherent_window", counted)
+        h = husimi(psi, arnold, 256)
+        live = np.flatnonzero(h.values.any(axis=1))
+        assert 0 < live.size < 256 // 2
+        assert sum(rows) == live.size
+        assert len(rows) == -(-live.size // coherent._HUSIMI_BLOCK)
 
     def test_holds_no_grid_sized_temporary(self, arnold):
         # besides its G x G output husimi holds O(B (K + G) + N) numbers
@@ -452,7 +541,7 @@ class TestEvolveCoherent:
         grid = choose_theta(arnold, N)
         z = complex(0.3, 0.02)
         x0 = (Fraction(1, 3), Fraction(1, 4))
-        m, w = _coherent_window(grid, z)([x0[0]], x0)
+        m, w = _coherent_window(grid, z)[1]([x0[0]], x0)
         assert m.shape[1] > 2 * N
         expect = np.zeros(N, dtype=complex)
         np.add.at(expect, m[0] % N, w[0] * _twist(grid, m[0] // N))

@@ -206,6 +206,42 @@ class TestCsvWriter:
         with mock.patch.object(catlab_io, "_BLOCK_CELLS", block):
             assert writer_bytes(values, tmp_path) == savetxt_bytes(values, tmp_path)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+            elements=st.one_of(st.floats(min_value=0.0, max_value=1e6), st.just(0.0)),
+        ),
+        kinds=st.lists(
+            st.sampled_from(["keep", "+0", "-0", "+0 then -0"]), min_size=12, max_size=12
+        ),
+        block=st.integers(1, 40),
+    )
+    def test_zero_rows(self, values, kinds, block, tmp_path_factory):
+        # rows of +0.0 copy one line; a row holding -0.0 is not one of them
+        tmp_path = tmp_path_factory.mktemp("csv")
+        for row, kind in zip(values, kinds):
+            if kind != "keep":
+                row[:] = -0.0 if kind == "-0" else 0.0
+            if kind == "+0 then -0":
+                row[-1] = -0.0
+        with mock.patch.object(catlab_io, "_BLOCK_CELLS", block):
+            assert writer_bytes(values, tmp_path) == savetxt_bytes(values, tmp_path)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros((50, 7)),
+            np.zeros((3, 1)),
+            np.array([[0.0], [1.5], [-0.0], [0.0], [2e-300]]),
+        ],
+        ids=["all zero", "zero column", "one column"],
+    )
+    def test_zero_grids(self, values, tmp_path):
+        with mock.patch.object(catlab_io, "_BLOCK_CELLS", 8):
+            assert writer_bytes(values, tmp_path) == savetxt_bytes(values, tmp_path)
+
     def test_blocks_of_real_size(self, tmp_path):
         # 2^15 // 47 = 697 rows a block: two full blocks and a partial one,
         # a quarter of the cells exactly 0.0 and one row left to Python

@@ -30,6 +30,7 @@ from catlab import (
 )
 from catlab.classical import min_image
 from catlab.coherent import _truncation_cut, z_parameter
+from catlab.quantize import _bump_offsets, _bump_profile, _bump_radii
 from catlab.quasimodes import DEFAULT_FREQUENCIES, GAP_SYMBOL
 
 from conftest import (
@@ -358,11 +359,58 @@ class TestBumpMasses:
     def test_property(self, grid1024, centers, r, G, seed):
         assert_bump_masses_match(random_hgrid(grid1024, G, seed), centers, r)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        centers=st.lists(st.tuples(near_seam, near_seam), min_size=1, max_size=6),
+        r=st.one_of(
+            st.floats(0.0, 0.25, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 0.01, exclude_min=True),
+        ),
+        G=st.integers(16, 512),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grids_with_zero_rows(self, grid1024, centers, r, G, share, seed):
+        # a share of the rows exactly zero, rows 0 and G - 1 among the
+        # candidates, under patches that wrap across them or not; small r
+        # leaves patches of no cell at all
+        h = random_hgrid(grid1024, G, seed)
+        h.values[np.random.default_rng(seed).random(G) < share] = 0.0
+        assert_bump_masses_match(h, centers, r)
+        lower, upper = bump_masses(h, centers, r)
+        for x, got in zip(centers, zip(lower, upper)):
+            assert np.array(got).tobytes() == gathered_bump_masses(h, x, r).tobytes()
+
+    def test_radius_below_a_cell(self, grid1024):
+        # a center on a cell corner is half a cell from every cell center
+        h = random_hgrid(grid1024, 64, 1)
+        r = 0.2 / 64
+        lower, upper = bump_masses(h, [(0.0, 0.0), (0.5, 0.25)], r)
+        assert lower.tolist() == upper.tolist() == [0.0, 0.0]
+        assert_bump_masses_match(h, [(0.0, 0.0), (0.5, 0.25)], r)
+
     def test_radius_range(self, grid1024):
         h = random_hgrid(grid1024, 16, 0)
         for r in (0.0, 0.25):
             with pytest.raises(RadiusOutOfRange):
                 bump_masses(h, [(0.5, 0.5)], r)
+
+
+def gathered_bump_masses(hgrid, x, r):
+    """Reference for the bits of bump_masses at x: each bump's patch
+    gathered with np.ix_ and summed against its profile by einsum."""
+    G = hgrid.G
+    scaled = np.asarray(x, dtype=float) * G
+    base = np.floor(scaled)
+    frac = scaled - base
+    base = base.astype(np.int64)
+    masses = []
+    for r_in, r_out in _bump_radii(r):
+        (kq, dq), (kp, dp) = (_bump_offsets(G, f, r_out) for f in frac)
+        profile = _bump_profile(np.hypot(dq[:, None], dp[None, :]), r_in, r_out)
+        cells = hgrid.values[np.ix_((base[0] + kq) % G, (base[1] + kp) % G)]
+        masses.append(np.einsum("ij,ij->", cells, profile) * hgrid.weight)
+    return np.array(masses)
 
 
 class TestClosedFormProperty:
