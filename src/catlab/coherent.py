@@ -9,8 +9,10 @@ window bounds and the untwisted Gaussian weights, and hilbert._twist the
 theta1 twist of wrapped sites; coherent states and Husimi grids both read
 their windows from them.  The width parameter is the caller's: Husimi
 grids use z0.  A coherent state is a TorusGaussian value, sampled once on
-one cyclic run of sites; the cat map is metaplectic, so U carries it to
-another (TorusGaussian.step), with no vector of length N.  Ball masses
+one cyclic run of sites, when first read.  The cat map is metaplectic,
+so U carries it to another in closed form (TorusGaussian.step): centre,
+width and phase come from the map's entries and exact rationals, with
+no window, no row of U and no vector of length N.  Ball masses
 and variances read a Husimi grid that the caller builds, and
 _check_resolution states once what a grid and a ball read from it must
 resolve.  (Anti-Wick values of Fourier symbols need no window:
@@ -48,8 +50,7 @@ from .errors import ConfigError, ResolutionTooCoarse, TruncationFailure
 from .hilbert import (
     PlanckGrid,
     QuantumState,
-    _gauss_kernel,
-    _propagator_row,
+    _require_invariant_theta,
     _residues,
     _site_offset,
     _twist,
@@ -230,17 +231,22 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
     return mom * cmath.exp(-1j * math.pi * N * p0 * q0)
 
 
-def _evolved_widths(catmap: CatMap, t: int, z: Optional[complex] = None) -> List[complex]:
+def _evolved_widths(catmap: CatMap, t: int) -> List[complex]:
     """[z_0, ..., z_t]: the width parameters of U^s applied to a coherent
-    state of width z_0 = z, by default z_parameter(catmap), and the Moebius
-    step z' = (c + d z)/(a + b z) of M = (a, b; c, d), which carries the
-    plane p = z q to its image under M."""
+    state of width z_0 = z_parameter(catmap), and the Moebius step z' =
+    (c + d z)/(a + b z) of M = (a, b; c, d), which carries the plane p =
+    z q to its image under M."""
     a, b, c, d = catmap.entries
-    widths = [z_parameter(catmap) if z is None else z]
+    widths = [z_parameter(catmap)]
     for _ in range(t):
         z = widths[-1]
         widths.append((c + d * z) / (a + b * z))
     return widths
+
+
+def _sigma(u: Tuple, v: Tuple):
+    """The symplectic form u1 v2 - u2 v1."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 @dataclass(frozen=True)
@@ -284,22 +290,41 @@ class TorusGaussian:
         amp[self.sites] = self.window[1] if self.kappa == 1 else self.kappa * self.window[1]
         return QuantumState(amp, self.grid)
 
-    def step(self, catmap: CatMap, kernel) -> "TorusGaussian":
-        """U kappa g, for kernel = hilbert._gauss_kernel(catmap, grid).  The
-        cat map is metaplectic: the centre moves to M x mod 1 and the width
-        takes the Moebius step.  Only the phase is computed, kappa' = kappa
-        (U g)[j] / g'[j] at the image's peak site j, with row j of U from
-        the propagator's exact phases: O(K), no vector of length N."""
+    def step(self, catmap: CatMap) -> "TorusGaussian":
+        """U kappa g = kappa' g', in O(1): no window is evaluated.  The cat
+        map is metaplectic, so the centre moves to x' = M x mod 1, the width
+        takes the Moebius step z' = (c + d z)/(a + b z), and the phase
+        follows from exact rationals and one principal square root:
+
+            kappa' = kappa (a + b z)^(-1/2) |a + b z|^(1/2) e(s),
+            s = sgn(b)/8 + N (sigma(x', e) - sigma(e, k))/2
+                + (k1 theta1/pi + k2 theta2/pi + N k1 k2)/2 mod 1,
+
+        with e(s) = exp(2 pi i s), sigma(u, v) = u1 v2 - u2 v1, X = M x
+        exact (a float centre is its exact binary value), k = round(X - x')
+        the winding and e = X - k, which is x' itself for Fraction centres.
+        sgn(b)/8 is the Fresnel integral's turn, the k terms the phase of
+        the lattice translation that carries X back to the torus, and the
+        sigma(x', e) term corrects a float x' rounded off its exact image.
+        The arg of a + b z never meets the branch cut: Im(a + b z) = b Im z
+        is not 0.  Holds on a grid whose theta U preserves; any other is
+        refused with NoInvariantTheta."""
+        _require_invariant_theta(catmap, self.grid)
         a, b, c, d = catmap.entries
-        x = ((a * self.x[0] + b * self.x[1]) % 1, (c * self.x[0] + d * self.x[1]) % 1)
-        image = TorusGaussian(x, _evolved_widths(catmap, 1, self.z)[1], self.grid)
-        values = image.window[1]
-        j = int(np.argmax(np.abs(values)))
-        ratio = (_propagator_row(kernel, image.sites[j], self.sites) * self.window[1]).sum()
-        ratio /= values[j]
-        turned = TorusGaussian(x, image.z, self.grid, self.kappa * (complex(ratio) / abs(ratio)))
-        vars(turned).update(window=image.window, sites=image.sites)  # kappa is not in them
-        return turned
+        q, p = self.x
+        x = ((a * q + b * p) % 1, (c * q + d * p) % 1)
+        q, p = Fraction(q), Fraction(p)
+        X = (a * q + b * p, c * q + d * p)
+        image = (Fraction(x[0]), Fraction(x[1]))
+        k = (round(X[0] - image[0]), round(X[1] - image[1]))
+        e = (X[0] - k[0], X[1] - k[1])
+        y0, y1 = self.grid.theta_over_pi
+        N = self.grid.N
+        s = Fraction(1 if b > 0 else -1, 8) + N * (_sigma(image, e) - _sigma(e, k)) / 2
+        s = (s + (k[0] * y0 + k[1] * y1 + N * k[0] * k[1]) / 2) % 1
+        w = a + b * self.z
+        kappa = self.kappa * cmath.exp(1j * (2 * math.pi * float(s) - cmath.phase(w) / 2))
+        return TorusGaussian(x, (c + d * self.z) / w, self.grid, kappa)
 
     def overlap(self, other: "TorusGaussian") -> complex:
         """<self|other>, over the sites the two runs share: O(K)."""
@@ -327,16 +352,18 @@ def evolve_coherent(
 ) -> Tuple[complex, Tuple, complex]:
     """(kappa_t, x_t, z_t) with U^t torus_coherent(x0, catmap, grid) =
     kappa_t torus_coherent(x_t, catmap, grid, z = z_t), by t TorusGaussian
-    steps: O(t K) work for windows of K sites, no propagator.  Holds to
-    the Gaussian truncation while t is inside the time window.  t < 0 is
-    a ConfigError, and a width z_s that needs more than 64 lattice
-    translates a TruncationFailure."""
+    steps: O(t) work, no window and no propagator.  Holds to the Gaussian
+    truncation while t is inside the time window.  t < 0 is a
+    ConfigError, a grid whose theta U does not preserve a NoInvariantTheta,
+    and a width z_s, s <= t, that needs more than 64 lattice translates a
+    TruncationFailure."""
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
+    for z in _evolved_widths(catmap, t):
+        _truncation_cut(grid, z.imag)
     g = TorusGaussian(tuple(x0), z_parameter(catmap), grid)
-    kernel = _gauss_kernel(catmap, grid) if t > 0 else None
     for _ in range(t):
-        g = g.step(catmap, kernel)
+        g = g.step(catmap)
     return g.kappa, g.x, g.z
 
 
@@ -483,20 +510,20 @@ def axis_variances(
     Grid coordinates are unwrapped to the minimal image around the center
     and expressed in the frame coordinates Q^{-1} x, where Q = R(b1) B(b2);
     returns the (variance_unstable, variance_stable) pair of the
-    normalized density.
+    normalized density.  The frame coordinates are linear in (q, p), so
+    their variances come from the density's covariance: the row and
+    column marginals and one dq w dp, O(G^2) with no coordinate arrays.
+    The moments are taken about the density's mean, so a center far
+    from it cancels no digits.
     """
-    G = hgrid.G
     c = hgrid.centers()
+    w = hgrid.values / hgrid.values.sum()
+    wq, wp = w.sum(axis=1), w.sum(axis=0)
     dq = min_image(c - center[0])
     dp = min_image(c - center[1])
+    dq, dp = dq - wq @ dq, dp - wp @ dp
+    cross = dq @ w @ dp
+    cov = np.array([[wq @ dq**2, cross], [cross, wp @ dp**2]])
     Qinv = np.linalg.inv(catmap.frame_matrix())
-    w = hgrid.values / hgrid.values.sum()
-    Xq = np.repeat(dq, G)
-    Xp = np.tile(dp, G)
-    coords = Qinv @ np.vstack([Xq, Xp])
-    wf = w.reshape(-1)
-    mu_u = float(np.sum(wf * coords[0]))
-    mu_s = float(np.sum(wf * coords[1]))
-    var_u = float(np.sum(wf * coords[0] ** 2) - mu_u**2)
-    var_s = float(np.sum(wf * coords[1] ** 2) - mu_s**2)
-    return var_u, var_s
+    var_u, var_s = np.diag(Qinv @ cov @ Qinv.T)
+    return float(var_u), float(var_s)

@@ -13,10 +13,10 @@ lives on one residue class mod g, and U = post * B * pre with B one
 batched FFT of length N/g between a reshape and a gather (a chirp
 convolution of 5-smooth length where numpy's FFT would run Bluestein's
 algorithm).  One function of site indices, _gauss_kernel, gives pre and
-post: the build reads it at all N sites, and _propagator_row at the sites
-of one row, which is how coherent.py evolves Gaussians without building
-U.  Its correctness is pinned by two oracles: unitarity, and the exact
-conjugation law  U T(n) U^-1 = T(Mn)  for integer translations.
+post, and only the propagator's build reads it (coherent.py evolves
+Gaussians in closed form, without U).  Its correctness is pinned by two
+oracles: unitarity, and the exact conjugation law  U T(n) U^-1 = T(Mn)
+for integer translations.
 
 Every phase here is a rational multiple of 2 pi: the translations'
 momentum phases, the Bloch twists and the kernel's phases.  Each is
@@ -41,7 +41,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -425,8 +425,9 @@ def _five_smooth_at_least(n: int) -> int:
     return best
 
 
-class _Kernel(NamedTuple):
-    """The propagator's Gauss-sum kernel in its g-block form (see propagator).
+def _gauss_kernel(catmap: CatMap, grid: PlanckGrid) -> Tuple:
+    """The propagator's Gauss-sum kernel in its g-block form, as (g, n, mu,
+    kappa, D, C, phases) (see propagator); raises as propagator does.
 
     U[j, k] = C post(j) pre(k) e(-m k'/n)/sqrt(n) when k = kappa[j mod g]
     mod g, with k' = k // g and m = -mu (j // g) mod n, and U[j, k] = 0
@@ -435,20 +436,6 @@ class _Kernel(NamedTuple):
     together, from exact residues mod D; with chirp, pre and post also
     hold the Bluestein chirps e(-k1^2/(2 n)) and e(-m^2/(2 n)).
     """
-
-    g: int
-    n: int
-    mu: int
-    kappa: np.ndarray
-    D: int
-    C: complex
-    phases: Callable
-
-
-def _gauss_kernel(catmap: CatMap, grid: PlanckGrid) -> _Kernel:
-    """The exact phases of U on H_{N,theta}: one rule for every site, which
-    the propagator's build reads for all N sites and _propagator_row for
-    the sites of one row.  Raises as propagator does."""
     a, b, _, d = catmap.entries
     if b == 0:
         # hyperbolic integral matrices always have b != 0 (b = 0 forces |trace| = 2)
@@ -503,22 +490,7 @@ def _gauss_kernel(catmap: CatMap, grid: PlanckGrid) -> _Kernel:
     C = complex(_unit_phase(round(np.angle(ratio) * 4 / math.pi) % 8, 8))
     if abs(ratio - C) > 1e-6:
         raise UnsupportedMatrix(f"{catmap} at N={N}: constant {ratio:.3f} no 8th root of 1")
-    return _Kernel(g, n, mu, kappa, D, C, phases)
-
-
-def _propagator_row(kernel: _Kernel, j: int, sites: np.ndarray) -> np.ndarray:
-    """U[j, sites] for one site j and int64 sites in [0, N): the entries the
-    propagator's apply reads for site j, from the same exact phases."""
-    g, n = kernel.g, kernel.n
-    j1, r = divmod(int(j), g)
-    k1, c = np.divmod(sites, g)
-    on = c == kernel.kappa[r]
-    # pre at the row's sites, post at j: one phases call, j last
-    pre, post = kernel.phases(np.append(k1[on], j1), np.append(c[on], r))
-    dft = _unit_phase(_residues([(kernel.mu * j1, k1[on])], n), n)  # e(-m k'/n)
-    row = np.zeros(sites.shape, dtype=complex)
-    row[on] = pre[:-1] * dft * (kernel.C * post[-1] / math.sqrt(n))
-    return row
+    return g, n, mu, kappa, D, C, phases
 
 
 def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
@@ -543,9 +515,9 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
     B(pre * v), B a reshape to (g, n) (a row per class kappa), one batched
     length-n FFT along the rows and a read of site j in row kappa(r),
     column -mu j' mod n.  pre and post are unit phases of exact residues
-    (_gauss_kernel, which _propagator_row shares); C is one Hannay-Berry
-    element (|b|/g terms) over the new kernel's value there, rounded to
-    the eighth root of unity: the global phase is exact.
+    (_gauss_kernel); C is one Hannay-Berry element (|b|/g terms) over
+    the new kernel's value there, rounded to the eighth root of unity:
+    the global phase is exact.
     Where numpy's FFT would run Bluestein's algorithm (n has a prime
     factor p with p^2 > n), the DFT is the linear convolution with h(l) =
     e(l^2/(2 n)), its chirps folded into pre and post: two FFTs of the
@@ -556,19 +528,19 @@ def propagator(catmap: CatMap, grid: PlanckGrid) -> LinearMap:
     UnsupportedMatrix if C is no eighth root of unity or the unitarity spot
     check fails (neither expected for a hyperbolic SL(2,Z) map; defensive).
     """
-    kernel = _gauss_kernel(catmap, grid)
-    N, g, n, mu = grid.N, kernel.g, kernel.n, kernel.mu
-    perm = (n * kernel.kappa + ((-mu % n) * np.arange(n) % n)[:, None]).reshape(-1)
+    g, n, mu, kappa, D, C, phases = _gauss_kernel(catmap, grid)
+    N = grid.N
+    perm = (n * kappa + ((-mu % n) * np.arange(n) % n)[:, None]).reshape(-1)
     bluestein = _bluestein_class(n)
     classes = np.arange(g)
     pre, post = np.empty(N, dtype=complex), np.empty(N, dtype=complex)
-    step = -(-max(_PHASE_BLOCK, 2 * math.isqrt(kernel.D)) // g)  # rows of >= 2 sqrt(D) sites
+    step = -(-max(_PHASE_BLOCK, 2 * math.isqrt(D)) // g)  # rows of >= 2 sqrt(D) sites
     for lo in range(0, n, step):
         k1 = np.arange(lo, min(n, lo + step))[:, None]
-        pre_block, post_block = kernel.phases(k1, classes, bluestein)
+        pre_block, post_block = phases(k1, classes, bluestein)
         pre.reshape(n, g)[lo : lo + step] = pre_block
         post.reshape(n, g)[lo : lo + step] = post_block
-    post *= kernel.C
+    post *= C
 
     if bluestein:
         # h at l in (-n, n), placed at l mod M; h(-l) = h(l)

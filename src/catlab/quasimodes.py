@@ -55,7 +55,6 @@ from .errors import (
 from .hilbert import (
     PlanckGrid,
     QuantumState,
-    _gauss_kernel,
     _norm,
     _real_inner,
     _require_invariant_theta,
@@ -169,9 +168,8 @@ class QuasimodeSpec:
         last.  Built once per spec and shared by build_quasimode and
         return_amplitude; it does not depend on phi."""
         path = [TorusGaussian(self.orbit.start(), z_parameter(self.catmap), self.grid)]
-        kernel = _gauss_kernel(self.catmap, self.grid)
         for _ in range(self.T):
-            path.append(path[-1].step(self.catmap, kernel))
+            path.append(path[-1].step(self.catmap))
         return path
 
 
@@ -371,8 +369,11 @@ def nonequidistribution_report(
     RadiusOutOfRange
         When r is outside _radius_range(spec, space, C_sep, c1).
     ValueError
-        For a phase-space scan without hgrid, or an unknown space.
+        For an unknown space, before the radius is checked, or a
+        phase-space scan without hgrid.
     """
+    if space not in ("physical", "phase"):
+        raise ValueError(f"space must be 'physical' or 'phase', got {space!r}")
     _check_radius(spec, space, r, C_sep, c1)
     orbit_pts = (spec.orbit.jk / spec.orbit.l).tolist()
     net = _net_centers_1d(r)
@@ -382,15 +383,13 @@ def nonequidistribution_report(
         cells = len(net)
         vol = 2.0 * r
         hits = misses = position_interval_masses(psi_n, centers, r)
-    elif space == "phase":
+    else:
         if hgrid is None:
             raise ValueError("a phase-space scan reads the Husimi grid hgrid of psi_n; pass it")
         centers = orbit_pts + [(qc, pc) for qc in net for pc in net]
         cells = len(net) ** 2
         vol = math.pi * r * r
         hits, misses = bump_masses(hgrid, centers, r)
-    else:
-        raise ValueError("space must be 'physical' or 'phase'")
 
     hits, misses = np.asarray(hits), np.asarray(misses)
     tol = _WITNESS_TOL * psi_n.norm2()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catlab import (
+    NoInvariantTheta,
     PlanckGrid,
     QuantumState,
     ResolutionTooCoarse,
@@ -375,6 +376,44 @@ class TestEvolvedWidths:
             assert h.values[outside].max() < 1e-8 * grid4096.N
 
 
+def axis_variances_oracle(hgrid, catmap, center=(0.0, 0.0)):
+    """Oracle: the frame-axis variances over all G^2 cell coordinates,
+    Q^{-1} (dq, dp) for each cell, weighted by the normalized density."""
+    G = hgrid.G
+    c = hgrid.centers()
+    dq, dp = min_image(c - center[0]), min_image(c - center[1])
+    coords = np.linalg.inv(catmap.frame_matrix()) @ np.vstack([np.repeat(dq, G), np.tile(dp, G)])
+    w = (hgrid.values / hgrid.values.sum()).reshape(-1)
+    means = coords @ w
+    return tuple(float(v) for v in (coords**2) @ w - means**2)
+
+
+@pytest.mark.parametrize("entries", [(2, 1, 1, 1), (3, 1, 2, 1), (-1, 5, -1, 4)])
+def test_axis_variances_match_cell_coordinates(entries):
+    # the moment form agrees with the G^2-coordinate sum to rounding
+    cat = validate_cat_map(*entries)
+    grid = choose_theta(cat, 4096)
+    u = propagator(cat, grid)
+    amp = torus_coherent((0.0, 0.0), cat, grid).amplitudes
+    for t in range(4):
+        if t:
+            amp = u.apply(amp)
+        h = husimi(QuantumState(amp, grid), cat, 256)
+        got, expect = axis_variances(h, cat), axis_variances_oracle(h, cat)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_axis_variances_do_not_depend_on_a_far_center():
+    # a narrow Gaussian at the origin: about (0.3, 0.7) its cells unwrap
+    # to the same image, so only rounding may move the variances (E[u^2]
+    # - E[u]^2 about that center lost 1.8e-12 relative here)
+    cat = validate_cat_map(-1, 5, -1, 4)
+    grid = choose_theta(cat, 4096)
+    h = husimi(torus_coherent((0.0, 0.0), cat, grid), cat, 256)
+    near, far = axis_variances(h, cat), axis_variances(h, cat, (0.3, 0.7))
+    assert far == pytest.approx(near, rel=1e-14, abs=0)
+
+
 class TestBallMass:
     def test_full_torus(self, arnold, grid1024):
         psi = random_state(grid1024, 3)
@@ -528,6 +567,20 @@ class TestEvolveCoherent:
         with pytest.raises(ConfigError, match="t must be >= 0"):
             evolve_coherent(x0, arnold, grid1024, -1)
 
+    def test_refuses_a_grid_that_U_does_not_preserve(self, arnold):
+        # theta/pi = (1, 1) at even N fails K theta/pi = N (cd, ab) mod 2
+        grid = PlanckGrid(1024, (Fraction(1), Fraction(1)))
+        with pytest.raises(NoInvariantTheta):
+            evolve_coherent((Fraction(1, 5), Fraction(2, 5)), arnold, grid, 1)
+
+    def test_refuses_a_width_past_64_translates(self, arnold):
+        # at N = 8 the width z_5 needs 119 translates, z_4 fewer than 64
+        grid = choose_theta(arnold, 8)
+        x0 = (Fraction(1, 5), Fraction(2, 5))
+        evolve_coherent(x0, arnold, grid, 4)
+        with pytest.raises(TruncationFailure, match="needs 119 lattice translates"):
+            evolve_coherent(x0, arnold, grid, 5)
+
     def test_default_width_is_z0(self, arnold, grid1024):
         x0 = (0.3, 0.7)
         default = torus_coherent(x0, arnold, grid1024).amplitudes
@@ -549,6 +602,91 @@ class TestEvolveCoherent:
         got = g.state().amplitudes
         assert got.tobytes() == (expect / math.sqrt(N)).tobytes()
         assert sorted(g.sites.tolist()) == list(range(N))
+
+
+def step_oracle(g, cat):
+    """Oracle: <g'|U g>/|<g'|U g>| for g' the unit-phase Gaussian at the
+    step's image point and width, with U applied to g's state."""
+    image = g.step(cat)
+    turned = propagator(cat, g.grid).apply(g.state().amplitudes)
+    overlap = TorusGaussian(image.x, image.z, g.grid).state().inner(QuantumState(turned, g.grid))
+    return image, overlap / abs(overlap)
+
+
+class TestGaussianStep:
+    """TorusGaussian.step's metaplectic phase rule against the applied
+    propagator, one step from a width z_s inside the time window."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.sampled_from(hyperbolic_maps()),
+        half=st.integers(1024, 3000),
+        odd=st.booleans(),
+        exact=st.booleans(),
+        twisted=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_overlap_oracle(self, entries, half, odd, exact, twisted, data):
+        # maps with b of both signs, even and odd N, theta off the parity
+        # rule; Fraction centres to 1e-12, float centres to 5e-12
+        if twisted:
+            cat, grid = twisted_grid(data.draw(st.sampled_from([402, 600]), label="N"))
+        else:
+            cat = validate_cat_map(*entries)
+            grid = choose_theta(cat, 2 * half + odd)
+        window = int(0.24 * ehrenfest_time(grid.N, cat.lyapunov))
+        s = data.draw(st.integers(0, max(window - 1, 0)), label="s")
+        if exact:
+            x = data.draw(exact_points(15), label="x")
+        else:
+            x = data.draw(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 2), label="x")
+        g = TorusGaussian(x, _evolved_widths(cat, s)[s], grid)
+        image, expect = step_oracle(g, cat)
+        assert abs(image.kappa - expect) < (1e-12 if exact else 5e-12)
+
+    @pytest.mark.parametrize("entries, N, x", [
+        ((-1, -5, 1, 4), 3826, (0.4237548046822792, 0.8203685811943413)),
+        ((5, 2, -3, -1), 5242, (0.8365451483396368, 0.8105293547601912)),
+        ((4, 3, 5, 4), 5551, (0.9722411218952418, 0.24846528308918459)),
+    ])
+    def test_float_centre_off_its_exact_image(self, entries, N, x):
+        # x' = M x mod 1 in floats is a few ulps off the exact image, and
+        # the step is 8e-12 to 1.1e-11 off here without the sigma(x', e) term
+        cat = validate_cat_map(*entries)
+        image, expect = step_oracle(TorusGaussian(x, z_parameter(cat), choose_theta(cat, N)), cat)
+        assert abs(image.kappa - expect) < 5e-12
+
+    @pytest.mark.parametrize("N", [4096, 4099])
+    @pytest.mark.parametrize("entries", [(2, 1, 1, 1), (2, -1, -1, 1)])
+    def test_every_winding_parity(self, entries, N):
+        # k = M x - x' takes all four parities mod 2 among the centres j/7
+        cat = validate_cat_map(*entries)
+        grid = choose_theta(cat, N)
+        a, b, c, d = entries
+        seen = {}
+        for j in range(7):
+            for i in range(7):
+                x = (Fraction(j, 7), Fraction(i, 7))
+                k = (math.floor(a * x[0] + b * x[1]), math.floor(c * x[0] + d * x[1]))
+                seen.setdefault((k[0] % 2, k[1] % 2), x)
+        assert len(seen) == 4
+        for x in seen.values():
+            image, expect = step_oracle(TorusGaussian(x, z_parameter(cat), grid), cat)
+            assert abs(image.kappa - expect) < 1e-12
+
+    def test_worked_case(self):
+        # 2,-1,-1,1 at N = 4099 from (1/5, 3/5): M x = (-1/5, 2/5), so
+        # x' = (4/5, 2/5) and k = (-1, 0); with theta/pi = (1, 1),
+        # s = -1/8 - 4099 (2/5)/2 - 1/2 = 23/40 mod 1
+        cat = validate_cat_map(2, -1, -1, 1)
+        grid = choose_theta(cat, 4099)
+        z = z_parameter(cat)
+        image, expect = step_oracle(TorusGaussian((Fraction(1, 5), Fraction(3, 5)), z, grid), cat)
+        assert image.x == (Fraction(4, 5), Fraction(2, 5))
+        assert image.z == (-1 + z) / (2 - z)
+        kappa = cmath.exp(-0.5j * cmath.phase(2 - z)) * cmath.exp(2j * math.pi * 23 / 40)
+        assert abs(image.kappa - kappa) < 1e-15
+        assert abs(kappa - expect) < 1e-12
 
 
 class TestTorusGaussianOverlap:

@@ -42,3 +42,12 @@ def test_deleted_surface_is_gone():
     assert list(inspect.signature(catlab.antiwick_expectation).parameters) == [
         "psi", "symbol", "catmap", "hgrid"
     ]
+    # the Gaussian step reads no row of U: only the propagator knows the kernel
+    for gone in ("_propagator_row", "_Kernel"):
+        assert not hasattr(catlab.hilbert, gone), gone
+    for module in (catlab.coherent, catlab.quasimodes):
+        for name in ("_gauss_kernel", "_propagator_row"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert list(inspect.signature(catlab.coherent.TorusGaussian.step).parameters) == [
+        "self", "catmap"
+    ]

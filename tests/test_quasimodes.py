@@ -153,7 +153,7 @@ class TestBuild:
 
     def test_each_window_evaluated_once(self, arnold, monkeypatch):
         # T + 1 Gaussians, each window evaluated once across the build, the
-        # return amplitude and the residual; a step's image keeps its window
+        # return amplitude and the residual; a step evaluates none
         calls = []
         window = coherent._coherent_window
 
@@ -368,6 +368,15 @@ class TestNonequi:
         with pytest.raises(RadiusOutOfRange):
             nonequidistribution_report(psi_n, spec, "physical", 1e-4)
 
+    @pytest.mark.parametrize("r", [0.05, 0.5])
+    def test_unknown_space_refused_before_the_radius(self, arnold, r):
+        # the desk spec's range is [0.02136, 0.10607]: a typo in space is a
+        # ValueError whether r lies inside it or not, never RadiusOutOfRange
+        spec = t2_spec(arnold, 4096)
+        _, psi_n = build_quasimode(spec)
+        with pytest.raises(ValueError, match="space must be 'physical' or 'phase', got 'bogus'"):
+            nonequidistribution_report(psi_n, spec, "bogus", r)
+
     def test_phase_scan_needs_the_grid(self, arnold):
         spec = t2_spec(arnold, 1024)
         _, psi_n = build_quasimode(spec)
@@ -526,15 +535,17 @@ class TestRunExperiment:
         assert exp.report["nonequi"]["phase"] == nq
 
     def test_builds_no_propagator(self, arnold, monkeypatch):
-        # the report is written with the propagator unavailable; its
-        # residual and return amplitude agree with the applied oracle
+        # the report is written with the propagator and its kernel
+        # unavailable; its residual and return amplitude agree with the
+        # applied oracle
         from catlab import hilbert
 
         def never(*args, **kwargs):
-            raise AssertionError("run_pipeline built the propagator")
+            raise AssertionError("run_pipeline built the propagator or read its kernel")
 
         monkeypatch.setattr(quasimodes, "propagator", never)
         monkeypatch.setattr(hilbert, "propagator", never)
+        monkeypatch.setattr(hilbert, "_gauss_kernel", never)
         exp = run_pipeline({"matrix": [2, 1, 1, 1], "T": 2, "N": 4096, "phi": 0.3})
         monkeypatch.undo()
         prop = propagator(arnold, exp.grid)
