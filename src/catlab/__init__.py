@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .classical import (
     CatMap,
     Orbit,
+    Orbits,
     decompose_hyperbolic,
     enumerate_prime_orbits,
     fixed_point_count,

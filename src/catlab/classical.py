@@ -1,18 +1,22 @@
 """Classical dynamics of hyperbolic torus maps.
 
 Exact integer arithmetic throughout: matrix powers use Python integers,
-periodic points live on rational lattices and are iterated mod l.  Floating
-point enters only in the derived hyperbolic data (Lyapunov exponent and
-the frame parameters b1, b2) and in measure evaluations.
+periodic points live on rational lattices and are iterated mod l.  The prime
+orbits of one length T are one value, Orbits: a (count, T, 2) int64 array
+of numerators on one lattice, built by whole-array passes; a single Orbit
+is made only when a caller indexes or iterates it.  Floating point enters
+only in the derived hyperbolic data (Lyapunov exponent and the frame
+parameters b1, b2) and in measure evaluations.
 """
 
 from __future__ import annotations
 
 import math
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .errors import (
 __all__ = [
     "CatMap",
     "Orbit",
+    "Orbits",
     "validate_cat_map",
     "decompose_hyperbolic",
     "fixed_point_count",
@@ -219,6 +224,33 @@ class Orbit:
         return (Fraction(j, self.l), Fraction(k, self.l))
 
 
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """Prime closed orbits of one length T on one lattice L_l, as one array.
+
+    jk is a read-only (count, T, 2) int64 array of numerators: orbit i is
+    Orbit(jk[i], l).  len() counts the orbits; indexing and iteration build
+    an Orbit, a view of jk, only when a caller asks for one.
+    """
+
+    jk: np.ndarray
+    l: int
+
+    def __len__(self) -> int:
+        return len(self.jk)
+
+    def __getitem__(self, i: int) -> Orbit:
+        return Orbit(self.jk[operator.index(i)], l=self.l)
+
+    def __iter__(self) -> Iterator[Orbit]:
+        return (Orbit(jk, l=self.l) for jk in self.jk)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Orbits):
+            return NotImplemented
+        return self.l == other.l and np.array_equal(self.jk, other.jk)
+
+
 def fixed_point_count(catmap: CatMap, T: int) -> int:
     """Number of fixed points of M^T on the torus: trace(M^T) - 2, exact."""
     if T < 1:
@@ -278,7 +310,7 @@ def _check_lattice(l: int) -> None:
 
 def enumerate_prime_orbits(
     catmap: CatMap, T: int, lattice_guard: int = DEFAULT_LATTICE_GUARD
-) -> List[Orbit]:
+) -> Orbits:
     """All prime closed orbits of exact length T, canonically ordered.
 
     Fixed points of M^T live on the lattice L_l with l = trace(M^T) - 2.
@@ -286,10 +318,13 @@ def enumerate_prime_orbits(
     l, which `_lattice_fixed_points` lists in O(l); iterating M on all of them
     at once finds the orbits in O(T l) exact int64 arithmetic mod l.  Each
     orbit is rotated to start at its lexicographically smallest (j, k) and
-    the list is sorted by that starting point.
+    the orbits are sorted by that starting point.  No per-orbit object is
+    built: the result is one Orbits array.
 
     Raises
     ------
+    ConfigError
+        If the lattice guard is below 1.
     EnumerationTooLarge
         If l exceeds the lattice guard, or is 2^31 or more, where the int64
         arithmetic mod l would overflow.  Since l = e^{lambda T} +
@@ -297,6 +332,8 @@ def enumerate_prime_orbits(
         past either limit is refused before tr(M^T) is computed exactly,
         and the message gives log10 l, not l's digits.
     """
+    if lattice_guard < 1:
+        raise ConfigError(f"lattice guard must be >= 1, got {lattice_guard}")
     limit = min(lattice_guard, _INT64_LATTICE_LIMIT - 1)
     if catmap.lyapunov * T > math.log(limit + 2) + 1e-9:
         raise EnumerationTooLarge(
@@ -320,9 +357,9 @@ def enumerate_prime_orbits(
         j, k = (a * j + b * k) % l, (c * j + d * k) % l
     prime = (codes[1:] != codes[0]).all(axis=0)
     starts = codes[:, prime & (codes[0] == codes.min(axis=0))].T
-    jk = np.stack([starts // l, starts % l], axis=-1)
+    jk = np.stack(np.divmod(starts, l), axis=-1)
     jk.flags.writeable = False
-    return [Orbit(orbit, l=l) for orbit in jk]
+    return Orbits(jk, l=l)
 
 
 def orbit_through(catmap: CatMap, j: int, k: int, l: int) -> Orbit:

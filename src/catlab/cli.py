@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .classical import DEFAULT_LATTICE_GUARD, enumerate_prime_orbits, validate_cat_map
+from .classical import DEFAULT_LATTICE_GUARD, Orbits, enumerate_prime_orbits, validate_cat_map
 from .coherent import husimi
 from .errors import CatlabError, ConfigError, PreconditionError
 from .io import (
@@ -206,7 +206,8 @@ def cmd_quasimode(args) -> int:
     if "husimi" in outputs:
         save_husimi_csv(out.parent / (out.stem + ".husimi.csv"), exp.hgrid)
     if "orbit" in outputs:
-        save_orbits_json(out.parent / (out.stem + ".orbit.json"), [exp.orbit], exp.catmap)
+        orbit = Orbits(exp.orbit.jk[None], l=exp.orbit.l)
+        save_orbits_json(out.parent / (out.stem + ".orbit.json"), orbit, exp.catmap)
     t2 = time.perf_counter()
     # timings are volatile; they live in a sidecar so report bytes stay
     # reproducible for identical config + seed

@@ -9,24 +9,29 @@ time: a row of +0.0 cells copies one preformatted line, the other rows
 are formatted together, and only unusual rows are left to Python's '%'.
 Symbol files are only read: Fourier coefficients, or a sampled CSV grid.
 Report JSON uses sorted keys and Python's shortest round-trip float
-representation, so identical inputs give identical bytes.  Orbit files hold only integers; they are
-written straight from the orbits' int64 arrays in the canonical_json
-layout, byte for byte, and every orbit read back is checked against the
-file's matrix.  A file that cannot be read or parsed raises ConfigError.
+representation, so identical inputs give identical bytes.  Orbit files hold
+only integers, in the canonical_json layout byte for byte; they are written
+from one Orbits array, the head once and every point numerator through one
+'%d' template, and read back into one, every orbit checked at once with
+whole-array operations.  A file that cannot be read or parsed raises
+ConfigError.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import struct
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .classical import _INT64_LATTICE_LIMIT, CatMap, Orbit
+from .classical import _INT64_LATTICE_LIMIT, CatMap, Orbits
 from .coherent import HusimiGrid
 from .errors import ConfigError
 from .hilbert import PlanckGrid, QuantumState
@@ -233,38 +238,97 @@ _ORBIT_POINT = "   [\n    %d,\n    %d\n   ]"
 _ORBIT_TAIL = "\n  ]\n }"
 
 
-def save_orbits_json(
-    path: Union[str, Path], orbits: Sequence[Orbit], catmap: CatMap
-) -> None:
+def save_orbits_json(path: Union[str, Path], orbits: Orbits, catmap: CatMap) -> None:
     """A JSON list of {"T", "l", "matrix", "points": [[j, k], ...]}.
 
-    The bytes equal canonical_json of that list; each orbit is formatted
-    from its jk array with one %d template.
+    The bytes equal canonical_json of that list.  The head (T, l, matrix) is
+    formatted once, and all 2 count T point numerators go through one %d
+    template: the orbit template repeated count times.
     """
-    parts = [
-        (_ORBIT_HEAD + ",\n".join([_ORBIT_POINT] * o.length) + _ORBIT_TAIL)
-        % (o.length, o.l, *catmap.entries, *o.jk.ravel().tolist())
-        for o in orbits
-    ]
-    Path(path).write_text("[\n" + ",\n".join(parts) + "\n]\n" if parts else "[]\n")
+    count, T, _ = orbits.jk.shape
+    if not count:
+        Path(path).write_text("[]\n")
+        return
+    head = _ORBIT_HEAD % (T, orbits.l, *catmap.entries)
+    orbit = head + ",\n".join([_ORBIT_POINT] * T) + _ORBIT_TAIL
+    text = "[\n" + ",\n".join([orbit] * count) + "\n]\n"
+    Path(path).write_text(text % tuple(orbits.jk.ravel().tolist()))
 
 
-def _orbit_defect(jk: np.ndarray, l: int, T: int, matrix) -> Optional[str]:
-    """Why jk is not a closed orbit of exact period T of matrix on L_l, or None."""
-    if not 1 <= l < _INT64_LATTICE_LIMIT:
-        return f"l = {l} outside [1, 2^31)"
-    if len(jk) != T:
-        return f"{len(jk)} points, T = {T}"
-    if ((jk < 0) | (jk >= l)).any():
-        return f"a point lies outside [0, {l})^2"
-    a, b, c, d = (v % l for v in matrix)
-    j, k = jk[:, 0], jk[:, 1]
-    image = np.column_stack([(a * j + b * k) % l, (c * j + d * k) % l])
-    if not np.array_equal(image, np.roll(jk, -1, axis=0)):
-        return "M x_t != x_{t+1} mod l"
-    if len(np.unique(j * l + k)) != T:
-        return f"the period is shorter than T = {T}"
-    return None
+class _Defect(Exception):
+    """Why a run of orbit documents is not an orbit file's content."""
+
+
+def _integers(values: list, key: str) -> None:
+    """Refuse values that are not all JSON integers (true and false are not)."""
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise _Defect(f'"{key}" holds {json.dumps(bad)}, not an integer')
+
+
+def _same(values: list, key: str) -> None:
+    """Refuse values that are not all equal to the first."""
+    if values.count(values[0]) != len(values):
+        other = next(v for v in values if v != values[0])
+        raise _Defect(f'"{key}" is {json.dumps(other)}, orbit 0 has {json.dumps(values[0])}')
+
+
+def _parse_orbits(docs: list) -> Orbits:
+    """A non-empty list of orbit documents as Orbits, checked with whole-array
+    operations; raises _Defect."""
+    if set(map(type, docs)) != {dict}:
+        raise _Defect("not a JSON object")
+    try:
+        Ts, ls, matrices, points = (
+            list(map(itemgetter(key), docs)) for key in ("T", "l", "matrix", "points")
+        )
+    except KeyError as exc:
+        raise _Defect(f"missing key {exc}") from None
+    _integers(Ts, "T")
+    _integers(ls, "l")
+    if min(Ts) < 1:
+        raise _Defect(f"T = {min(Ts)} is below 1")
+    if not 1 <= min(ls) <= max(ls) < _INT64_LATTICE_LIMIT:
+        bad = next(l for l in ls if not 1 <= l < _INT64_LATTICE_LIMIT)
+        raise _Defect(f"l = {bad} outside [1, 2^31)")
+    if set(map(type, matrices)) != {list} or set(map(len, matrices)) != {4}:
+        raise _Defect('"matrix" is malformed: not a list of 4 integers')
+    _integers(list(chain.from_iterable(matrices)), "matrix")
+    if set(map(type, points)) != {list}:
+        raise _Defect('"points" is malformed: not a list')
+    lengths = list(map(len, points))
+    if lengths != Ts:
+        n, T = next((n, T) for n, T in zip(lengths, Ts) if n != T)
+        raise _Defect(f"{n} points, T = {T}")
+    pairs = list(chain.from_iterable(points))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        raise _Defect('"points" is malformed: not a list of [j, k] pairs')
+    coords = list(chain.from_iterable(pairs))
+    _integers(coords, "points")
+    # catlab writes one length, lattice and matrix per file
+    for values, key in ((Ts, "T"), (ls, "l"), (matrices, "matrix")):
+        _same(values, key)
+    T, l = Ts[0], ls[0]
+    try:
+        jk = np.array(coords, dtype=np.int64).reshape(len(docs), T, 2)
+    except OverflowError:
+        jk = None
+    if jk is None or ((jk < 0) | (jk >= l)).any():
+        raise _Defect(f"a point lies outside [0, {l})^2")
+    a, b, c, d = (v % l for v in matrices[0])
+    j, k = jk[..., 0], jk[..., 1]
+    if not (
+        np.array_equal((a * j + b * k) % l, np.roll(j, -1, axis=1))
+        and np.array_equal((c * j + d * k) % l, np.roll(k, -1, axis=1))
+    ):
+        raise _Defect("M x_t != x_{t+1} mod l")
+    # with x_T = x_0, the least period divides T: x_p != x_0 for every
+    # proper divisor p of T leaves it T, and then the T points are distinct
+    for p in range(1, T):
+        if T % p == 0 and (jk[:, p] == jk[:, 0]).all(axis=-1).any():
+            raise _Defect(f"the period is shorter than T = {T}")
+    jk.flags.writeable = False
+    return Orbits(jk, l=l)
 
 
 def _read_json(path: Path, what: str):
@@ -277,27 +341,49 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{path}: not a JSON {what} ({exc})") from exc
 
 
-def load_orbits_json(path: Union[str, Path]) -> List[Orbit]:
+def load_orbits_json(path: Union[str, Path]) -> Orbits:
     """Orbits from a file in save_orbits_json's layout.
 
-    Each orbit is checked against the file's matrix (points in [0, l)^2,
-    M x_t = x_{t+1} mod l cyclically, T points, no shorter period); a
-    failure raises ConfigError naming the file and the orbit index.
+    Every orbit is checked at once against the file's matrix: integer
+    values only, points in [0, l)^2, M x_t = x_{t+1} mod l cyclically, T
+    points, no shorter period, and one T, l and matrix for all orbits.  A
+    failure raises ConfigError naming the file and the first failing
+    orbit's index.  An empty list gives count 0, T = 0 and l = 1.
     """
-    out = []
-    for i, doc in enumerate(_read_json(Path(path), "orbit file")):
+    # json.loads builds some 10^5 acyclic lists here: the cyclic collector's
+    # passes over them during the parse find nothing to free
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        docs = _read_json(Path(path), "orbit file")
+    finally:
+        if collecting:
+            gc.enable()
+    if not isinstance(docs, list):
+        raise ConfigError(f"{path}: not a JSON list of orbits")
+    if not docs:
+        return Orbits(np.empty((0, 0, 2), dtype=np.int64), l=1)
+    try:
+        return _parse_orbits(docs)
+    except _Defect:
+        pass
+    # every prefix holds orbit 0, so a prefix fails exactly when it holds a
+    # failing orbit: bisect for the shortest failing prefix, docs[:i + 1]
+    lo, hi = 0, len(docs) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
         try:
-            l, T = int(doc["l"]), int(doc["T"])
-            a, b, c, d = (int(v) for v in doc["matrix"])
-            jk = np.array(doc["points"], dtype=np.int64).reshape(len(doc["points"]), 2)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path}: orbit {i}: malformed ({exc})") from exc
-        defect = _orbit_defect(jk, l, T, (a, b, c, d))
-        if defect is not None:
-            raise ConfigError(f"{path}: orbit {i}: {defect}")
-        jk.flags.writeable = False
-        out.append(Orbit(jk, l=l))
-    return out
+            _parse_orbits(docs[: mid + 1])
+            lo = mid + 1
+        except _Defect:
+            hi = mid
+    # orbit lo's own defect if it has one, else how it differs from orbit 0
+    for run in (docs[: lo + 1], docs[lo : lo + 1]):
+        try:
+            _parse_orbits(run)
+        except _Defect as exc:
+            reason = exc
+    raise ConfigError(f"{path}: orbit {lo}: {reason}")
 
 
 def load_symbol_json(path: Union[str, Path]) -> Symbol:

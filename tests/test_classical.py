@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catlab import (
+    ConfigError,
     EnumerationTooLarge,
     NotHyperbolic,
     NotUnimodular,
     Orbit,
+    Orbits,
     PreconditionError,
     decompose_hyperbolic,
     enumerate_prime_orbits,
@@ -19,6 +21,7 @@ from catlab import (
     orbit_through,
     validate_cat_map,
 )
+from catlab import classical
 from catlab.classical import (
     _lattice_fixed_points,
     boost_matrix,
@@ -145,7 +148,7 @@ class TestOrbits:
         assert points.dtype == np.int64 and points.shape == (l, 2)
         assert [tuple(p) for p in points.tolist()] == scan_fixed_points(cat, T, l)
         assert sorted(set(points[:, 0].tolist())) == list(range(0, l, g))
-        assert enumerate_prime_orbits(cat, T) == reference_orbits(cat, T)
+        assert list(enumerate_prime_orbits(cat, T)) == reference_orbits(cat, T)
 
     def test_large_lattice(self, arnold):
         orbits = enumerate_prime_orbits(arnold, 12, lattice_guard=200_000)
@@ -207,6 +210,41 @@ class TestOrbits:
             assert not o.jk.flags.writeable
             j, k = o.jk[0].tolist()
             assert o.start() == (Fraction(j, o.l), Fraction(k, o.l))
+
+    def test_orbits_value(self, arnold):
+        orbits = enumerate_prime_orbits(arnold, 4)
+        assert isinstance(orbits, Orbits) and len(orbits) == 10 and orbits.l == 45
+        assert orbits.jk.dtype == np.int64 and orbits.jk.shape == (10, 4, 2)
+        assert not orbits.jk.flags.writeable
+        listed = list(orbits)
+        assert [o.jk.tolist() for o in listed] == orbits.jk.tolist()
+        assert all(type(o) is Orbit and o.l == 45 for o in listed)
+        assert orbits[3] == listed[3] and orbits[-1] == listed[9]
+        assert np.shares_memory(orbits[3].jk, orbits.jk)
+        with pytest.raises(IndexError):
+            orbits[10]
+        with pytest.raises(TypeError):
+            orbits[1:3]
+        assert orbits == Orbits(orbits.jk.copy(), l=45)
+        assert orbits != Orbits(orbits.jk, l=46)
+        assert orbits != Orbits(orbits.jk[::-1].copy(), l=45)
+        assert orbits != listed
+
+    def test_no_orbit_built_by_enumeration(self, arnold, monkeypatch):
+        # an Orbit is built only when a caller indexes or iterates
+        def refuse(*args, **kwargs):
+            raise AssertionError("Orbit built")
+
+        monkeypatch.setattr(classical, "Orbit", refuse)
+        orbits = enumerate_prime_orbits(arnold, 12, lattice_guard=200_000)
+        assert len(orbits) == 8610
+        with pytest.raises(AssertionError, match="Orbit built"):
+            orbits[0]
+
+    @pytest.mark.parametrize("guard", [-5, -2, 0])
+    def test_guard_below_one_refused(self, arnold, guard):
+        with pytest.raises(ConfigError, match=f"lattice guard must be >= 1, got {guard}"):
+            enumerate_prime_orbits(arnold, 2, lattice_guard=guard)
 
     def test_equality(self, arnold):
         o = enumerate_prime_orbits(arnold, 2)[0]
@@ -320,8 +358,9 @@ class TestLatticeProperty:
         points = [tuple(p) for p in _lattice_fixed_points(cat, T, l).tolist()]
         assert set(points) == set(scan_fixed_points(cat, T, l))
         orbits = enumerate_prime_orbits(cat, T)
-        assert orbits == reference_orbits(cat, T)
+        assert list(orbits) == reference_orbits(cat, T)
         assert len(orbits) == prime_orbit_count(cat, T)
+        assert orbits.jk.shape == (len(orbits), T, 2) and orbits.l == l
         for o in orbits:
             assert orbit_through(cat, *o.jk[0].tolist(), l) == o
             for j, k in o.jk.tolist():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import platform
@@ -13,6 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from catlab import (
     ConfigError,
+    Orbit,
+    Orbits,
     Symbol,
     antiwick_expectation,
     choose_theta,
@@ -308,10 +311,60 @@ class TestOrbitFormat:
         save_orbits_json(path, orbits, cat)
         assert path.read_text() == canonical_json([orbit_doc(o, cat) for o in orbits])
 
+    def test_bytes_match_canonical_json_on_benchmark_sizes(self, tmp_path):
+        # every (map, T) with entries in 0..4, positive trace and
+        # 1000 <= l <= 10^4: the sizes of the orbits benchmark
+        cases = [
+            (cat, T)
+            for entries in itertools.product(range(5), range(1, 5), range(1, 5), range(5))
+            if entries[0] * entries[3] - entries[1] * entries[2] == 1
+            and entries[0] + entries[3] > 2
+            for cat in [validate_cat_map(*entries)]
+            for T in range(1, 12)
+            if 1000 <= fixed_point_count(cat, T) <= 10_000
+        ]
+        assert len({fixed_point_count(cat, T) for cat, T in cases}) >= 5
+        path = tmp_path / "orbits.json"
+        for cat, T in cases:
+            orbits = enumerate_prime_orbits(cat, T)
+            save_orbits_json(path, orbits, cat)
+            assert path.read_text() == canonical_json([orbit_doc(o, cat) for o in orbits])
+
     def test_empty_list(self, arnold, tmp_path):
-        save_orbits_json(tmp_path / "none.json", [], arnold)
+        empty = Orbits(np.empty((0, 2, 2), dtype=np.int64), l=5)
+        save_orbits_json(tmp_path / "none.json", empty, arnold)
         assert (tmp_path / "none.json").read_text() == canonical_json([]) == "[]\n"
-        assert load_orbits_json(tmp_path / "none.json") == []
+        back = load_orbits_json(tmp_path / "none.json")
+        assert len(back) == 0 and list(back) == [] and back.jk.shape == (0, 0, 2)
+
+    def test_quasimode_orbit_file(self, arnold, tmp_path):
+        # the one-orbit artifact goes through the same writer
+        cfg = write_config(tmp_path, "matrix = 2,1,1,1\nT = 2\nN = 4096\noutputs = orbit\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        orbit = Orbit(np.array(report["orbit"]["points"]), l=report["orbit"]["l"])
+        text = (tmp_path / "report.orbit.json").read_text()
+        assert text == canonical_json([orbit_doc(orbit, arnold)])
+        back = load_orbits_json(tmp_path / "report.orbit.json")
+        assert len(back) == 1 and back[0] == orbit
+
+    def test_roundtrip_at_large_lattice(self, arnold, tmp_path):
+        orbits = enumerate_prime_orbits(arnold, 12, lattice_guard=200_000)
+        save_orbits_json(tmp_path / "o12.json", orbits, arnold)
+        back = load_orbits_json(tmp_path / "o12.json")
+        assert back.l == orbits.l == 103680
+        assert np.array_equal(back.jk, orbits.jk) and back.jk.shape == (8610, 12, 2)
+        assert back.jk.dtype == np.int64 and not back.jk.flags.writeable
+
+    def test_late_defect_in_a_large_file(self, arnold, tmp_path):
+        path = tmp_path / "o12.json"
+        save_orbits_json(path, enumerate_prime_orbits(arnold, 12, lattice_guard=200_000), arnold)
+        docs = json.loads(path.read_text())
+        docs[8000]["points"][5][1] = 1.5
+        docs[8001]["points"][3] = [0, 0]
+        path.write_text(json.dumps(docs))
+        with pytest.raises(ConfigError, match='o12.json: orbit 8000: "points" holds 1.5'):
+            load_orbits_json(path)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -327,6 +380,18 @@ class TestOrbitFormat:
             ({"points": [[2, 4, 0], [3, 1, 0]]}, "malformed"),
             ({"matrix": [2, 1, 1]}, "malformed"),
             ({"l": 2**31}, "outside \\[1, 2\\^31\\)"),
+            # a value that int() would coerce is refused, naming the key
+            ({"l": 5.9}, '"l" holds 5.9, not an integer'),
+            ({"l": True}, '"l" holds true, not an integer'),
+            ({"T": True}, '"T" holds true, not an integer'),
+            ({"T": 2.0}, '"T" holds 2.0, not an integer'),
+            ({"matrix": [2, 1, 1.0, 1]}, '"matrix" holds 1.0, not an integer'),
+            ({"matrix": [2, True, 1, 1]}, '"matrix" holds true, not an integer'),
+            ({"points": [[1.7, 4], [3, 1]]}, '"points" holds 1.7, not an integer'),
+            ({"points": [[2, 4], [3, True]]}, '"points" holds true, not an integer'),
+            ({"points": [[2, 4], [3, None]]}, '"points" holds null, not an integer'),
+            ({"points": [[2, 4], [3, "1"]]}, '"points" holds "1", not an integer'),
+            ({"T": 0, "points": []}, "T = 0 is below 1"),
         ],
     )
     def test_load_rejects_corrupt_orbit(self, arnold, tmp_path, fields, message):
@@ -337,6 +402,60 @@ class TestOrbitFormat:
         docs[1].update(fields)
         path.write_text(json.dumps(docs))
         with pytest.raises(ConfigError, match=f"orbits.json: orbit 1: .*{message}"):
+            load_orbits_json(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "not a JSON list of orbits"),
+            ('{"T": 2, "l": 5}', "not a JSON list of orbits"),
+            ('"[]"', "not a JSON list of orbits"),
+            ("[5]", "orbit 0: not a JSON object"),
+            ('[{"T": 1, "l": 1, "matrix": [2, 1, 1, 1]}]', "orbit 0: missing key 'points'"),
+        ],
+        ids=["number", "object", "string", "list-of-number", "missing-key"],
+    )
+    def test_load_refuses_other_documents(self, tmp_path, text, message):
+        path = tmp_path / "orbits.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_orbits_json(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_load_refuses_mixed_lengths_and_lattices(self, arnold, tmp_path):
+        # each orbit is valid on its own, but catlab writes one T, l and
+        # matrix per file, and Orbits holds one
+        docs = []
+        for cat, T in ((arnold, 2), (arnold, 3), (validate_cat_map(3, 1, 2, 1), 2)):
+            save_orbits_json(tmp_path / "part.json", enumerate_prime_orbits(cat, T), cat)
+            docs.append(json.loads((tmp_path / "part.json").read_text())[0])
+        path = tmp_path / "orbits.json"
+        for second, message in ((docs[1], '"T" is 3, orbit 0 has 2'),
+                                (docs[2], '"l" is 12, orbit 0 has 5')):
+            path.write_text(json.dumps([docs[0], docs[0], second]))
+            with pytest.raises(ConfigError) as info:
+                load_orbits_json(path)
+            assert str(info.value) == f"{path}: orbit 2: {message}"
+        other = dict(docs[0], matrix=[3, 1, 2, 1], points=[[0, 0]], T=1)
+        path.write_text(json.dumps([docs[0], dict(other, T=2, points=[[1, 2], [4, 3]])]))
+        with pytest.raises(ConfigError, match="orbit 1: M x_t"):
+            load_orbits_json(path)
+
+    def test_first_failing_orbit_is_named(self, arnold, tmp_path):
+        # a later structural defect does not hide an earlier dynamical one
+        path = tmp_path / "orbits.json"
+        save_orbits_json(path, enumerate_prime_orbits(arnold, 4), arnold)
+        docs = json.loads(path.read_text())
+        assert len(docs) == 10
+        docs[7]["points"] = "none"
+        points = docs[3]["points"]
+        docs[3]["points"] = [points[1]] + points[1:]
+        path.write_text(json.dumps(docs))
+        with pytest.raises(ConfigError, match="orbit 3: M x_t != x_"):
+            load_orbits_json(path)
+        docs[3]["points"] = points[1:] + points[:1]  # any start is read
+        path.write_text(json.dumps(docs))
+        with pytest.raises(ConfigError, match='orbit 7: "points" is malformed'):
             load_orbits_json(path)
 
 
@@ -688,6 +807,8 @@ class TestCli:
              "lattice denominator l = 0 must be positive"),
             (["quasimode", "T = 3\norbit_start = 1,2,5\nN = 4096\n"],
              "config key T = 3 differs from the period 2 of orbit_start (1, 2, 5)"),
+            (["orbits", "--T", "2", "--guard", "-5"], "lattice guard must be >= 1, got -5"),
+            (["orbits", "--T", "2", "--guard", "-2"], "lattice guard must be >= 1, got -2"),
         ],
         ids=["orbits-T", "check-states", "check-N", "check-nmax", "gap-ladder", "width-N",
              "width-ladder", "scmeasure-T", "scmeasure-delta", "quasimode-N", "quasimode-T",
@@ -696,7 +817,8 @@ class TestCli:
              "quasimode-delta-text", "quasimode-phi-nan", "quasimode-C0-bool",
              "quasimode-r-phase-inf", "quasimode-C0-zero", "quasimode-C0-negative",
              "quasimode-c-sep-zero", "quasimode-c-sep-negative", "quasimode-c1-zero",
-             "quasimode-orbit-start-l", "quasimode-T-against-orbit-start"],
+             "quasimode-orbit-start-l", "quasimode-T-against-orbit-start",
+             "orbits-guard-minus-5", "orbits-guard-minus-2"],
     )
     def test_out_of_range_input_is_config_error(self, argv, named, tmp_path, capsys):
         if argv[0] == "quasimode":
