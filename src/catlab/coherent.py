@@ -231,19 +231,6 @@ def _momentum_phase(grid: PlanckGrid, x0: Sequence, m: np.ndarray) -> np.ndarray
     return mom * cmath.exp(-1j * math.pi * N * p0 * q0)
 
 
-def _evolved_widths(catmap: CatMap, t: int) -> List[complex]:
-    """[z_0, ..., z_t]: the width parameters of U^s applied to a coherent
-    state of width z_0 = z_parameter(catmap), and the Moebius step z' =
-    (c + d z)/(a + b z) of M = (a, b; c, d), which carries the plane p =
-    z q to its image under M."""
-    a, b, c, d = catmap.entries
-    widths = [z_parameter(catmap)]
-    for _ in range(t):
-        z = widths[-1]
-        widths.append((c + d * z) / (a + b * z))
-    return widths
-
-
 def _sigma(u: Tuple, v: Tuple):
     """The symplectic form u1 v2 - u2 v1."""
     return u[0] * v[1] - u[1] * v[0]
@@ -254,13 +241,17 @@ class TorusGaussian:
     """kappa g: a unit phase times the torus coherent state g at x (exact
     for Fraction coordinates) with width parameter z.  g's amplitudes are
     N^{-1/2} sum_w exp(i theta1 w) G(q_j + w), G the plane Gaussian, cut
-    where its tail drops below 1e-14 of the peak (TruncationFailure past
-    64 lattice translates); its squared norm is 1 up to that tail."""
+    where its tail drops below 1e-14 of the peak; its squared norm is 1 up
+    to that tail.  A width that needs more than 64 lattice translates is
+    refused on construction, in O(1), with TruncationFailure."""
 
     x: Tuple
     z: complex
     grid: PlanckGrid
     kappa: complex = 1 + 0j
+
+    def __post_init__(self):
+        _truncation_cut(self.grid, self.z.imag)
 
     @cached_property
     def window(self) -> Tuple[int, np.ndarray]:
@@ -356,11 +347,9 @@ def evolve_coherent(
     truncation while t is inside the time window.  t < 0 is a
     ConfigError, a grid whose theta U does not preserve a NoInvariantTheta,
     and a width z_s, s <= t, that needs more than 64 lattice translates a
-    TruncationFailure."""
+    TruncationFailure, raised by the step that reaches it."""
     if t < 0:
         raise ConfigError(f"t must be >= 0, got {t}")
-    for z in _evolved_widths(catmap, t):
-        _truncation_cut(grid, z.imag)
     g = TorusGaussian(tuple(x0), z_parameter(catmap), grid)
     for _ in range(t):
         g = g.step(catmap)

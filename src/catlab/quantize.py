@@ -221,29 +221,19 @@ def antiwick_expectation(
 # Bump symbols
 # ---------------------------------------------------------------------------
 
-_PROFILE_TABLE: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-
 def _transition_profile(s: np.ndarray) -> np.ndarray:
-    """C-infinity ramp from 1 at s <= -1 to 0 at s >= 1.
+    """C-infinity ramp from 1 at s <= -1 to 0 at s >= 1, in closed form:
 
-    Normalized integral of exp(-1/(1 - u^2)); both endpoints are flat to
-    all orders.  Evaluated through a dense cached table (a trapezoid
-    cumulative sum on 8193 points, interpolation error ~1e-8).
+        psi(s) = (1 - tanh(s / (1 - s^2))) / 2 = f(1 - s) / (f(1 - s) + f(1 + s)),
+
+    f(x) = exp(-1/x), the standard smooth cutoff.  psi is strictly
+    decreasing on (-1, 1), psi(-s) = 1 - psi(s), and both endpoints are
+    flat to all orders.  s is clipped into [-1, 1]; a cell that rounds to
+    s = +-1 divides by zero into tanh(+-inf) and takes the end value 0 or 1.
     """
-    global _PROFILE_TABLE
-    if _PROFILE_TABLE is None:
-        M = 8193
-        u = np.linspace(-1.0, 1.0, M)
-        g = np.zeros(M)
-        interior = np.abs(u) < 1.0
-        g[interior] = np.exp(-1.0 / (1.0 - u[interior] ** 2))
-        h = u[1] - u[0]
-        cum = np.concatenate([[0.0], np.cumsum((g[:-1] + g[1:]) * h / 2.0)])
-        ramp = 1.0 - cum / cum[-1]
-        _PROFILE_TABLE = (u, ramp)
-    u, ramp = _PROFILE_TABLE
-    return np.interp(np.clip(s, -1.0, 1.0), u, ramp)
+    s = np.clip(s, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return 0.5 * (1.0 - np.tanh(s / (1.0 - s * s)))
 
 
 def _torus_radial(q, p, x0):
@@ -280,8 +270,9 @@ def bump_symbols(x0: Sequence[float], r: float) -> Tuple[Symbol, Symbol]:
     """Smooth lower/upper approximations of the indicator of B2(x0, r).
 
     b- is 1 on B2(x0, 2r/3) and supported in B2(x0, r); b+ is 1 on
-    B2(x0, r) and supported in B2(x0, 3r/2); both use the standard
-    exp(-1/(1-s^2)) transition, so b- <= indicator <= b+ pointwise.
+    B2(x0, r) and supported in B2(x0, 3r/2); both ramp between their
+    radii by the closed-form C-infinity transition (1 - tanh(s/(1-s^2)))/2
+    (_transition_profile), so b- <= indicator <= b+ pointwise.
     Scans use bump_masses; these symbols, through antiwick_expectation,
     are the oracle it is held to.
 

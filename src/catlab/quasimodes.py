@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -36,8 +37,6 @@ from .coherent import (
     HusimiGrid,
     TorusGaussian,
     _check_resolution,
-    _evolved_widths,
-    _truncation_cut,
     axis_variances,
     ball_mass,
     husimi,
@@ -119,12 +118,21 @@ def choose_N(T: int, delta: float, lyapunov: float) -> int:
     Raises
     ------
     NTooLarge
-        If the schedule exceeds N_CAP; choose (T, delta) or N manually.
+        If the schedule exceeds N_CAP; choose (T, delta) or N manually.  A
+        lambda T / delta past log(2 pi N_CAP) is refused before the exp,
+        which may overflow there, and the message gives log10 N, not N.
     """
     _check_delta(delta)
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
-    N = math.ceil(math.exp(lyapunov * T / delta) / (2.0 * math.pi))
+    exponent = lyapunov * T / delta
+    if exponent > math.log(2.0 * math.pi * N_CAP) + 1e-9:
+        raise NTooLarge(
+            f"schedule gives N with log10 N = "
+            f"{(exponent - math.log(2.0 * math.pi)) / math.log(10):.1f} > cap {N_CAP} "
+            f"for T={T}, delta={delta}; set N explicitly or reduce T"
+        )
+    N = math.ceil(math.exp(exponent) / (2.0 * math.pi))
     if N > N_CAP:
         raise NTooLarge(
             f"schedule gives N = {N} > cap {N_CAP} for T={T}, delta={delta}; "
@@ -560,10 +568,11 @@ def run_pipeline(config: Dict) -> Experiment:
     The keys, their parsers and their defaults are CONFIG's; an unknown
     key is a ConfigError, and every key is parsed before any work.  outputs
     is read by the CLI only.
-    The Gaussian truncation of every width z_t, t <= T, ball disjointness
-    and resolution, the frequencies, both non-equidistribution radii and
-    the Husimi side G >= sqrt(2 pi N) are checked before anything is
-    built.  The quasimode is a sum of T closed-form Gaussians
+    The Gaussian truncation of every width z_t, t <= T (as spec.gaussians
+    steps them, evaluating no window), ball disjointness and resolution,
+    the frequencies, both non-equidistribution radii and the Husimi side
+    G >= sqrt(2 pi N) are checked before any state or grid is built.  The
+    quasimode is a sum of T closed-form Gaussians
     (build_quasimode), its residual an identity in the return amplitude
     <x|U^T x> (residual), which the report gives as return_amplitude, its
     modulus and phase for the normalized x; no propagator is built.  The
@@ -616,9 +625,9 @@ def run_pipeline(config: Dict) -> Experiment:
     grid = choose_theta(cat, N)
     lap("theta")
     spec = QuasimodeSpec(orbit=orbit, phi=phi, delta=delta, grid=grid, catmap=cat)
-    # refuse bad truncation, balls, frequencies, radii and G before building anything
-    for z in _evolved_widths(cat, T):
-        _truncation_cut(grid, z.imag)
+    # refuse bad truncation, balls, frequencies, radii and G before building
+    # anything; each width z_t is checked as its Gaussian is stepped, in O(1)
+    spec.gaussians
     _check_resolution(cfg["G"], _checked_ball_radius(spec, cfg["C0"]))
     _check_frequencies(cfg["frequencies"])
     r_lo, _ = _radius_range(spec, "phase", c_sep, c1)
@@ -724,11 +733,20 @@ def waw_gap_sweep(catmap: CatMap, ladder: Sequence[int]) -> _SweepTable:
 def husimi_width_sweep(catmap: CatMap, N: int, ladder: Sequence[int], G: int) -> _SweepTable:
     """Husimi variances of U^t |0> along both axes at each time t of the ladder.
 
-    Each row carries the unstable-axis law hbar/(1 - tanh(lambda t)); the
-    slope is that of log var_unstable against t.
+    Each row carries the unstable-axis law hbar/(1 - tanh(lambda t)),
+    written hbar (1 + e^{2 lambda t})/2, which does not cancel; the slope
+    is that of log var_unstable against t.  A time with 2 lambda t past the
+    float range (log of the largest float, 709.78) is a ConfigError,
+    raised before the propagator is built.
     """
     if min(ladder) < 0:
         raise ConfigError(f"ladder times must be >= 0, got {min(ladder)}")
+    t_max = math.log(sys.float_info.max) / (2.0 * catmap.lyapunov)
+    if max(ladder) > t_max:
+        raise ConfigError(
+            f"ladder time t = {max(ladder)} puts e^(2 lambda t) past the float range; "
+            f"t <= {math.floor(t_max)} fits"
+        )
     grid = choose_theta(catmap, N)
     u = propagator(catmap, grid)
     amp = torus_coherent((0.0, 0.0), catmap, grid).amplitudes
@@ -739,7 +757,7 @@ def husimi_width_sweep(catmap: CatMap, N: int, ladder: Sequence[int], G: int) ->
         if t in ladder:
             h = husimi(QuantumState(amp, grid), catmap, G)
             var_u, var_s = axis_variances(h, catmap, (0.0, 0.0))
-            theory = grid.hbar / (1.0 - math.tanh(catmap.lyapunov * t))
+            theory = grid.hbar * (1.0 + math.exp(2.0 * catmap.lyapunov * t)) / 2.0
             rows.append([t, var_u, var_s, theory])
     slope = _ls_slope([r[0] for r in rows], np.log([r[1] for r in rows]))
     return ["t", "var_unstable", "var_stable", "theory_unstable"], rows, slope

@@ -30,7 +30,7 @@ from catlab import (
 )
 
 from catlab.classical import min_image
-from catlab.coherent import TorusGaussian, _coherent_window, _evolved_widths
+from catlab.coherent import TorusGaussian, _coherent_window
 from catlab.errors import ConfigError
 from catlab.hilbert import _twist
 from catlab.quasimodes import QuasimodeSpec, build_quasimode
@@ -550,7 +550,8 @@ class TestEvolveCoherent:
         z0 = z_parameter(cat)
         z1 = (1 + 2 * z0) / (2 + 3 * z0)
         assert z_t == (1 + 2 * z1) / (2 + 3 * z1)
-        assert _evolved_widths(cat, 2) == [z0, z1, z_t]
+        g = TorusGaussian((Fraction(1, 7), Fraction(3, 7)), z0, grid)
+        assert [g.z, g.step(cat).z, g.step(cat).step(cat).z] == [z0, z1, z_t]
 
     def test_twisted_grid(self):
         # off the parity rule a wrapped site's twist is a third of a turn
@@ -640,7 +641,11 @@ class TestGaussianStep:
             x = data.draw(exact_points(15), label="x")
         else:
             x = data.draw(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 2), label="x")
-        g = TorusGaussian(x, _evolved_widths(cat, s)[s], grid)
+        # the width z_s of s steps, at the drawn centre x
+        g = TorusGaussian(x, z_parameter(cat), grid)
+        for _ in range(s):
+            g = g.step(cat)
+        g = TorusGaussian(x, g.z, grid)
         image, expect = step_oracle(g, cat)
         assert abs(image.kappa - expect) < (1e-12 if exact else 5e-12)
 

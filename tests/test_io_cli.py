@@ -899,6 +899,13 @@ class TestQuasimodePipeline:
         assert "error[BallsOverlap]" in capsys.readouterr().err
         assert {name: len(r) for name, r in calls.items()} == {"propagator": 0, "husimi": 0}
 
+    def test_schedule_past_the_float_range_refused(self, tmp_path, capsys):
+        # lambda T/delta = 962 > 709.78: refused before e^{lambda T/delta} is taken
+        cfg = write_config(tmp_path, "matrix = 2,1,1,1\nT = 2\ndelta = 0.002\n")
+        assert main(["quasimode", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[NTooLarge]") and "log10 N = 417.2" in err
+
     @pytest.mark.parametrize("N", [64, 100, 150, 200])
     def test_truncation_refused_before_building(self, N, tmp_path, monkeypatch, capsys):
         # this map's coherent state is squeezed so far that its Gaussian
@@ -1111,6 +1118,33 @@ class TestCliSweepKinds:
         err = capsys.readouterr().err
         assert err.startswith("error[config]") and f"repeats the point(s) {named}" in err
         assert not out.exists()
+
+    def test_husimi_width_past_t20(self, tmp_path):
+        # tanh(lambda t) rounds to 1 from t = 20 on for Arnold, so the law
+        # is read as hbar (1 + e^{2 lambda t})/2 = hbar e^{lambda t} cosh(lambda t)
+        out = tmp_path / "width.csv"
+        rc = main(["sweep", "--kind", "husimi-width", "--matrix", "2,1,1,1",
+                   "--ladder", "0,1,19,20", "--N", "4096", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:-1]]
+        lam, hbar = validate_cat_map(2, 1, 1, 1).lyapunov, 1.0 / (2.0 * math.pi * 4096)
+        for t, theory in ((int(r[0]), float(r[3])) for r in rows):
+            want = hbar * math.exp(lam * t) * math.cosh(lam * t)
+            assert math.isfinite(theory) and abs(theory - want) <= 1e-14 * want
+        assert abs(float(rows[2][3]) / 1.484e11 - 1.0) < 1e-3
+
+    def test_husimi_width_time_past_the_float_range(self, tmp_path, monkeypatch, capsys):
+        # 2 lambda t > 709.78 from t = 369 on for Arnold: refused before
+        # the propagator is built
+        calls = record_calls(monkeypatch, "propagator")
+        rc = main(["sweep", "--kind", "husimi-width", "--matrix", "2,1,1,1",
+                   "--ladder", "0,1,369", "--N", "16", "--G", "16",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and "ladder time t = 369" in err
+        assert "t <= 368 fits" in err
+        assert calls["propagator"] == []
 
 
 class TestCliSelftest:

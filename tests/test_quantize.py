@@ -30,7 +30,7 @@ from catlab import (
 )
 from catlab.classical import min_image
 from catlab.coherent import _truncation_cut, z_parameter
-from catlab.quantize import _bump_offsets, _bump_profile, _bump_radii
+from catlab.quantize import _bump_offsets, _bump_profile, _bump_radii, _transition_profile
 from catlab.quasimodes import DEFAULT_FREQUENCIES, GAP_SYMBOL
 
 from conftest import (
@@ -499,6 +499,40 @@ class TestBumps:
                 assert bump.fn(*x0) == 1.0
                 assert bump.fn(0.3, 0.2) == 0.0
                 assert np.all(bump.sample(64).real == 0.0)
+
+    def test_ramp_is_the_closed_form(self):
+        s = np.array([-0.999, -0.95, -0.8, -0.6, -0.35, -0.1, 0.0, 0.05, 0.3, 0.55, 0.9, 0.99])
+        want = [(1.0 - math.tanh(x / (1.0 - x * x))) / 2.0 for x in s.tolist()]
+        assert np.max(np.abs(_transition_profile(s) - want)) <= 1e-15
+
+    def test_ramp_symmetric_and_strictly_decreasing(self):
+        s = np.linspace(-0.9, 0.9, 20001)
+        psi = _transition_profile(s)
+        assert np.max(np.abs(_transition_profile(-s) + psi - 1.0)) <= 1e-16
+        assert np.all(np.diff(psi) < 0.0)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.03, 0.01, 0.003, 0.001])
+    def test_ramp_flat_at_both_ends(self, eps):
+        # 1 - psi(-1 + eps) = psi(1 - eps) = 1/(1 + e^X) < e^{-X}, with
+        # X = 2 s/(1 - s^2) at s = 1 - eps, and e^{-X} < e^{-1/(2 eps)};
+        # the float ramp may exceed e^{-X} by one rounding of 1 - tanh
+        tail = math.exp(-1.0 / (2.0 * eps))
+        leading = math.exp(-2.0 * (1.0 - eps) / (eps * (2.0 - eps))) + 2.0**-53
+        lower_end = 1.0 - _transition_profile(np.array(-1.0 + eps))
+        upper_end = _transition_profile(np.array(1.0 - eps))
+        assert lower_end < tail and upper_end < tail
+        assert lower_end <= leading and upper_end <= leading
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_cells_that_round_onto_the_annulus_edges(self, side):
+        # one ulp inside r_out and r_in the ramp argument rounds to s = 1
+        # and s = -1: the end values 0 and 1, with no division warning
+        r_in, r_out = _bump_radii(0.1)[side]
+        rho = np.array([np.nextafter(r_out, 0.0), np.nextafter(r_in, 1.0)])
+        assert r_in < rho[0] < r_out and r_in < rho[1] < r_out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _bump_profile(rho, r_in, r_out).tolist() == [0.0, 1.0]
 
     def test_quadrature_grid_convergence(self):
         lower, _ = bump_symbols((0.3, 0.7), 0.12)

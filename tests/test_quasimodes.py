@@ -35,7 +35,7 @@ from catlab import (
     validate_cat_map,
 )
 from catlab.io import canonical_json
-from catlab.quasimodes import _ls_slope, loglog_slope
+from catlab.quasimodes import N_CAP, _ls_slope, loglog_slope
 
 from conftest import quasimode_oracle, residual_oracle
 
@@ -74,6 +74,21 @@ class TestChooseN:
     def test_delta_range(self):
         with pytest.raises(ValueError):
             choose_N(2, 0.3, LAMBDA)
+
+    def test_exponent_past_the_float_range(self):
+        # e^{lambda T/delta} overflows a float at lambda T/delta = 962.4
+        with pytest.raises(NTooLarge, match=r"log10 N = 417\.2 > cap 1048576"):
+            choose_N(2, 0.002, LAMBDA)
+
+    def test_largest_schedules_under_the_cap(self):
+        # the deltas whose schedule lands at or just below N_CAP keep the N
+        # of the exp and the ceiling alone
+        for T in (1, 2, 3, 4):
+            delta = LAMBDA * T / math.log(2.0 * math.pi * N_CAP)
+            for d in (delta, math.nextafter(delta, 1.0), delta * (1 + 1e-12)):
+                N = math.ceil(math.exp(LAMBDA * T / d) / (2.0 * math.pi))
+                if N <= N_CAP and d < 0.25:
+                    assert choose_N(T, d, LAMBDA) == N
 
     def test_ehrenfest_boundary(self):
         # the schedule lands just above the admissibility threshold
